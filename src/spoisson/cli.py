@@ -122,7 +122,13 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             )
         except ValueError as exc:
             raise ConfigError(f"bad numeric value for {key}: {value!r}") from exc
-    return replace(cfg, params=params, **overrides)
+    cfg = replace(cfg, params=params, **overrides)
+    try:  # the scheme config owns the rules for alpha, tol and truncation_k
+        for alpha in cfg.alpha:
+            _alpha_config(cfg, alpha)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -260,10 +266,9 @@ def _write_csv(path: str, header: list[str], rows, metadata: list[str] = ()):
             fh.write(text)
 
 
-def _grid(cfg: ExperimentConfig, setup: ModelSetup, command: str) -> TimeGrid:
-    h = cfg.h[0] if cfg.h else 0.01
-    T = cfg.T if cfg.T is not None else setup.default_T[command]
-    n_steps = round(T / h)
+def _grid(T: float, h: float) -> TimeGrid:
+    """The grid on [0, T] with step h, which must divide T."""
+    n_steps = round(T / h) if h > 0 else 0
     if n_steps < 1 or abs(n_steps * h - T) > 1e-9 * T:
         raise ConfigError(f"step h={h} does not divide [0, {T}]")
     return TimeGrid(0.0, T, n_steps)
@@ -273,7 +278,8 @@ def cmd_paths(cfg: ExperimentConfig) -> int:
     setup = build_setup(cfg)
     if setup.y0 is None:
         raise ConfigError("paths needs an initial state y0")
-    grid = _grid(cfg, setup, "paths")
+    T = cfg.T if cfg.T is not None else setup.default_T["paths"]
+    grid = _grid(T, cfg.h[0] if cfg.h else 0.01)
     scheme = setup.alpha_scheme(setup.y0, _alpha_config(cfg, cfg.alpha[0]))
     result = experiments.paths_experiment(
         setup.system,
@@ -303,7 +309,8 @@ def cmd_casimir(cfg: ExperimentConfig) -> int:
     setup = build_setup(cfg)
     if setup.y0 is None or setup.casimir is None:
         raise ConfigError("casimir needs an initial state and a Casimir function")
-    grid = _grid(cfg, setup, "casimir")
+    T = cfg.T if cfg.T is not None else setup.default_T["casimir"]
+    grid = _grid(T, cfg.h[0] if cfg.h else 0.01)
     schemes = {
         "casimir_scheme": setup.alpha_scheme(setup.y0, _alpha_config(cfg, cfg.alpha[0])),
         "casimir_em": experiments.em_stepper(setup.system),
@@ -330,6 +337,14 @@ def cmd_order(cfg: ExperimentConfig) -> int:
         raise ConfigError("order needs an initial state y0")
     hs = cfg.h or (0.005, 0.01, 0.02, 0.04)
     T = cfg.T if cfg.T is not None else setup.default_T["order"]
+    ref_factor = cfg.ref_factor or 8
+    if cfg.samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {cfg.samples}")
+    if len(set(hs)) < len(hs):
+        raise ConfigError(f"step sizes must be distinct, got {hs}")
+    for h in hs:  # the reference step min(hs) / ref_factor must divide every h
+        _grid(T, h)
+        _grid(h, min(hs) / ref_factor)
     schemes = {
         f"alpha={alpha:g}": setup.alpha_scheme(setup.y0, _alpha_config(cfg, alpha))
         for alpha in cfg.alpha
@@ -346,7 +361,7 @@ def cmd_order(cfg: ExperimentConfig) -> int:
         hs,
         cfg.samples,
         cfg.seed,
-        ref_factor=cfg.ref_factor or 8,
+        ref_factor=ref_factor,
         tol=cfg.tol,
     )
     names = list(schemes)
@@ -359,7 +374,7 @@ def cmd_order(cfg: ExperimentConfig) -> int:
         rows,
         metadata=[
             f"system={setup.name} T={T} samples={cfg.samples} seed={cfg.seed} "
-            f"ref_factor={cfg.ref_factor or 8}"
+            f"ref_factor={ref_factor}"
         ],
     )
     for n in names:

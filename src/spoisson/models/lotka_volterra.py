@@ -59,17 +59,22 @@ _EXP_CAP = 700.0  # np.exp overflows just above log(float max) ~ 709.8
 def _exp(x):
     x = np.asarray(x, dtype=float)
     bad = x > _EXP_CAP
-    if np.any(bad):
+    if bad.any():
         raise DivergenceError("exponential argument out of range", mask=bad)
     return np.exp(x)
 
 
 def _require_positive(y):
     y = np.asarray(y, dtype=float)
-    bad = ~np.all(y > 0, axis=-1)
-    if np.any(bad):
+    if not (y > 0).all():
+        bad = ~(y > 0).all(axis=-1)
         raise DomainError("state must be componentwise positive", state=y, mask=bad)
     return y
+
+
+# (_I[k], _J[k]) runs over the strictly upper entries (0, 1), (0, 2), (1, 2).
+_I = np.array([0, 0, 1])
+_J = np.array([1, 2, 2])
 
 
 def _structure_factory(params: LVParams) -> Callable:
@@ -78,15 +83,12 @@ def _structure_factory(params: LVParams) -> Callable:
     def structure(y):
         y = np.asarray(y, dtype=float)
         y1, y2, y3 = y[..., 0], y[..., 1], y[..., 2]
-        z = np.zeros_like(y1)
-        return np.stack(
-            [
-                np.stack([z, r * y1 * y2, b * r * y1 * y3], axis=-1),
-                np.stack([-r * y1 * y2, z, y2 * y3], axis=-1),
-                np.stack([-b * r * y1 * y3, -y2 * y3, z], axis=-1),
-            ],
-            axis=-2,
-        )
+        B = np.zeros(y.shape[:-1] + (3, 3))
+        B[..., 0, 1] = r * y1 * y2
+        B[..., 0, 2] = b * r * y1 * y3
+        B[..., 1, 2] = y2 * y3
+        B[..., _J, _I] = -B[..., _I, _J]
+        return B
 
     return structure
 
@@ -104,7 +106,7 @@ def _structure_derivative_factory(params: LVParams) -> Callable:
         dB[..., 0, 2, 2] = b * r * y1
         dB[..., 1, 2, 1] = y3
         dB[..., 1, 2, 2] = y2
-        dB[..., [1, 2, 2], [0, 0, 1], :] = -dB[..., [0, 0, 1], [1, 2, 2], :]
+        dB[..., _J, _I, :] = -dB[..., _I, _J, :]
         return dB
 
     return deriv
@@ -120,9 +122,11 @@ def hamiltonian(params: LVParams) -> ScalarField:
 
     def grad(y):
         y = _require_positive(y)
-        y1, y2, y3 = y[..., 0], y[..., 1], y[..., 2]
-        ab = np.broadcast_to(a * b, y1.shape)
-        return np.stack([ab, 1.0 + nu / y2, -a - mu / y3], axis=-1)
+        out = np.empty_like(y)
+        out[..., 0] = a * b
+        out[..., 1] = 1.0 + nu / y[..., 1]
+        out[..., 2] = -a - mu / y[..., 2]
+        return out
 
     def hess(y):
         y = _require_positive(y)

@@ -52,28 +52,23 @@ REFERENCE_PARAMS = RigidBodyParams(
 REFERENCE_Y0 = np.array([1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0])
 
 
+# B(y) w = y x w: y_k sits at (_ROWS[k], _COLS[k]) and -y_k at the transpose.
+_ROWS = np.array([2, 0, 1])
+_COLS = np.array([1, 2, 0])
+
+
 def _structure(y):
     y = np.asarray(y, dtype=float)
-    y1, y2, y3 = y[..., 0], y[..., 1], y[..., 2]
-    z = np.zeros_like(y1)
-    return np.stack(
-        [
-            np.stack([z, -y3, y2], axis=-1),
-            np.stack([y3, z, -y1], axis=-1),
-            np.stack([-y2, y1, z], axis=-1),
-        ],
-        axis=-2,
-    )
+    B = np.zeros(y.shape[:-1] + (3, 3))
+    B[..., _ROWS, _COLS] = y
+    B[..., _COLS, _ROWS] = -y
+    return B
 
 
 # dB[i, j, s] = dB_ij/dy_s; entries of B are linear in y.
 _DB = np.zeros((3, 3, 3))
-_DB[0, 1, 2] = -1.0
-_DB[0, 2, 1] = 1.0
-_DB[1, 0, 2] = 1.0
-_DB[1, 2, 0] = -1.0
-_DB[2, 0, 1] = -1.0
-_DB[2, 1, 0] = 1.0
+_DB[_ROWS, _COLS, [0, 1, 2]] = 1.0
+_DB[_COLS, _ROWS, [0, 1, 2]] = -1.0
 
 
 def _structure_derivative(y):

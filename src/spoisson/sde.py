@@ -8,6 +8,7 @@ batch membership).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -179,20 +180,20 @@ def fixed_point(update: Callable, x0: np.ndarray, tol: float, max_iter: int) -> 
     norm over the last axis, per batch entry (converged entries are frozen)."""
     x = np.array(x0, dtype=float, copy=True)
     active = np.ones(x.shape[:-1], dtype=bool)
-    delta = None
     for _ in range(max_iter):
         xn = update(x)
-        bad = ~np.isfinite(xn).all(axis=-1) & active
-        if np.any(bad):
+        delta = abs(xn - x).max(-1)
+        # x stays finite (for finite x0): worst is NaN/Inf iff an active row's xn is.
+        worst = float(delta.max(where=active, initial=0.0))
+        if not math.isfinite(worst):
+            bad = active & ~np.isfinite(delta)
             raise DivergenceError("iterates diverged to NaN/Inf", mask=bad)
-        delta = np.max(np.abs(xn - x), axis=-1)
-        x = np.where(active[..., None], xn, x)
-        active = active & ~(delta < tol)
-        if not np.any(active):
+        np.copyto(x, xn, where=active[..., None])
+        if worst < tol:
             return x
-    residual = float(np.max(np.where(active, delta, 0.0)))
+        active &= delta >= tol
     raise NonConvergenceError(
-        f"no convergence within {max_iter} iterations", residual, mask=active
+        f"no convergence within {max_iter} iterations", worst, mask=active
     )
 
 

@@ -133,6 +133,26 @@ def test_config_errors_exit_3(tmp_path):
     assert main(["order", "--config", str(cfg)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["order", "--T", "0.5"],  # the step 0.04 does not divide T
+        ["order", "--h", "0.01,0.01"],
+        ["order", "--samples", "0"],
+        ["paths", "--alpha", "2"],
+        ["paths", "--truncation-k", "0.5"],
+        ["paths", "--tol", "-1"],
+        ["paths", "--h", "0"],
+    ],
+    ids="_".join,
+)
+def test_bad_config_values_exit_3(argv, capsys):
+    assert main(argv + ["--system", "srb"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error")
+    assert "Traceback" not in err
+
+
 def test_numerical_failure_exits_2(tmp_path):
     # h >= 1 makes the increment truncation (and the implicit solve) blow up.
     out = tmp_path / "x.csv"

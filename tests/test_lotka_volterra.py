@@ -30,6 +30,23 @@ def test_structure_validators():
     assert check_casimir(lv.casimir(lv.REFERENCE_PARAMS), sysm, pts).max_residual < 1e-13
 
 
+@pytest.mark.parametrize("shape", [(3,), (5, 3), (2, 4, 3)])
+def test_structure_matches_textbook_matrix_bitwise(shape):
+    b, r = lv.REFERENCE_PARAMS.b, lv.REFERENCE_PARAMS.r
+    ys = np.random.default_rng(1).uniform(0.2, 2.5, size=shape)
+    oracle = np.array(
+        [
+            [
+                [0.0, r * y1 * y2, b * r * y1 * y3],
+                [-r * y1 * y2, 0.0, y2 * y3],
+                [-b * r * y1 * y3, -y2 * y3, 0.0],
+            ]
+            for y1, y2, y3 in ys.reshape(-1, 3).tolist()
+        ]
+    ).reshape(shape + (3,))
+    assert np.array_equal(lv.system(lv.REFERENCE_PARAMS).structure(ys), oracle)
+
+
 def test_hamiltonian_direct_evaluation():
     # K(1,1,1) = ab + 1 - a with the logarithm terms vanishing.
     params = lv.LVParams(a=-2.0, b=-1.0, r=-0.5, nu=1.0, mu=2.0, c2=0.2)

@@ -35,6 +35,18 @@ def test_structure_validators():
     assert check_casimir(rb.CASIMIR, sysm, pts).max_residual < 1e-13
 
 
+@pytest.mark.parametrize("shape", [(3,), (5, 3), (2, 4, 3)])
+def test_structure_matches_textbook_matrix_bitwise(shape):
+    ys = np.random.default_rng(1).uniform(-2.0, 2.0, size=shape)
+    oracle = np.array(
+        [
+            [[0.0, -y3, y2], [y3, 0.0, -y1], [-y2, y1, 0.0]]
+            for y1, y2, y3 in ys.reshape(-1, 3).tolist()
+        ]
+    ).reshape(shape + (3,))
+    assert np.array_equal(rb.system(rb.REFERENCE_PARAMS).structure(ys), oracle)
+
+
 def test_kinetic_energy_single_term():
     params = rb.RigidBodyParams(i1=2.0, i2=1.0, i3=1.0, c1=0.0)
     assert rb.kinetic_energy(params).value(np.array([1.0, 0.0, 0.0])) == pytest.approx(0.25)

@@ -14,6 +14,7 @@ from spoisson.sde import (
     StratonovichSDE,
     euler_maruyama_step,
     fit_order,
+    fixed_point,
     implicit_euler_maruyama_step,
     integrate,
     midpoint_step,
@@ -21,6 +22,7 @@ from spoisson.sde import (
     ms_error,
     strat_to_ito_drift,
 )
+from spoisson.models import lotka_volterra as lv
 from spoisson.models import rigid_body as rb
 
 
@@ -288,13 +290,82 @@ def test_ms_error_sample_failure_policies():
     assert est.errors[0] > 0
 
 
-def test_batched_states_match_individual_runs():
+@pytest.mark.parametrize(
+    "system, low, high",
+    [(rb.system(rb.REFERENCE_PARAMS), -1.0, 1.0), (lv.system(lv.REFERENCE_PARAMS), 0.5, 2.0)],
+    ids=["srb", "slv"],
+)
+def test_batched_states_match_individual_runs(system, low, high):
     # One-step maps are pure per sample; batching must not change results.
-    sde = drift_and_diffusions(rb.system(rb.REFERENCE_PARAMS))
+    sde = drift_and_diffusions(system)
     rng = np.random.default_rng(8)
-    ys = rng.uniform(-1.0, 1.0, size=(5, 3))
+    ys = rng.uniform(low, high, size=(5, 3))
     dws = math.sqrt(0.01) * rng.standard_normal((5, 1))
     batch = midpoint_step(sde, ys, 0.01, dws)
     for i in range(5):
         single = midpoint_step(sde, ys[i], 0.01, dws[i])
         assert np.array_equal(batch[i], single)
+
+
+def test_fixed_point_keeps_converged_rows_frozen():
+    # Row 0 is a fixed point at once; afterwards its updates turn NaN.
+    calls = 0
+
+    def update(x):
+        nonlocal calls
+        calls += 1
+        out = 0.5 * x
+        out[0] = x[0] if calls == 1 else np.nan
+        return out
+
+    x = fixed_point(update, np.array([[1.0, 2.0], [1.0, -1.0]]), 1e-12, 100)
+    assert calls > 2
+    assert np.array_equal(x[0], [1.0, 2.0])
+    assert np.max(np.abs(x[1])) < 1e-11
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fixed_point_non_finite_active_row_raises_with_its_mask(bad):
+    # Row 0 converges at once and turns NaN afterwards; row 1 turns bad later.
+    calls = 0
+
+    def update(x):
+        nonlocal calls
+        calls += 1
+        out = 0.5 * x
+        out[0] = x[0] if calls == 1 else np.nan
+        if calls == 3:
+            out[1, 0] = bad
+        return out
+
+    with pytest.raises(DivergenceError) as info:
+        fixed_point(update, np.ones((3, 2)), 1e-12, 100)
+    assert np.array_equal(info.value.mask, [False, True, False])
+
+
+def test_fixed_point_non_convergence_reports_unconverged_rows_only():
+    # Row 0 converges at once, then its updates jump by 100; rows 1 and 2
+    # move by 1 and 0.25 on every iteration.
+    calls = 0
+
+    def update(x):
+        nonlocal calls
+        calls += 1
+        out = x + np.array([[0.0], [1.0], [0.25]])
+        if calls > 1:
+            out[0] += 100.0
+        return out
+
+    with pytest.raises(NonConvergenceError) as info:
+        fixed_point(update, np.zeros((3, 2)), 1e-12, 5)
+    assert calls == 5
+    assert info.value.residual == 1.0
+    assert np.array_equal(info.value.mask, [False, True, True])
+
+
+def test_fixed_point_unbatched_state():
+    x = fixed_point(lambda x: 0.5 * x + np.array([1.0, -2.0, 0.5]), np.zeros(3), 1e-12, 100)
+    assert x.shape == (3,)
+    np.testing.assert_allclose(x, [2.0, -4.0, 1.0], rtol=0, atol=1e-11)
+    with pytest.raises(DivergenceError):
+        fixed_point(lambda x: x + np.inf, np.ones(3), 1e-12, 100)
