@@ -30,6 +30,14 @@ from .sde import fixed_point
 from .poisson import step_jacobian_fd
 
 
+def j_inverse(n: int) -> np.ndarray:
+    """The canonical block [[0, -I_n], [I_n, 0]]."""
+    J = np.zeros((2 * n, 2 * n))
+    J[:n, n:] = -np.eye(n)
+    J[n:, :n] = np.eye(n)
+    return J
+
+
 @dataclass(frozen=True)
 class AlphaSchemeConfig:
     alpha: float
@@ -108,9 +116,6 @@ def make_alpha_stepper(shs, config: AlphaSchemeConfig) -> Callable:
 def symplectic_residual(step: Callable, z, h: float, dw, eps: float | None = None) -> float:
     """Max-abs entry of M J^-1 M^T - J^-1 with M the fd Jacobian of the step."""
     z = np.asarray(z, dtype=float)
-    n = z.shape[-1] // 2
-    Jinv = np.zeros((2 * n, 2 * n))
-    Jinv[:n, n:] = -np.eye(n)
-    Jinv[n:, :n] = np.eye(n)
+    Jinv = j_inverse(z.shape[-1] // 2)
     M = step_jacobian_fd(step, z, h, dw, eps)
     return float(np.max(np.abs(M @ Jinv @ M.T - Jinv)))

@@ -18,18 +18,10 @@ from typing import Callable
 
 import numpy as np
 
-from .alpha_gf import AlphaSchemeConfig, alpha_step
+from .alpha_gf import AlphaSchemeConfig, alpha_step, j_inverse
 from .noise import truncate_increments
 from .poisson import CheckReport, PoissonSystem, ScalarField, _report
 from .sde import DomainError, fd_vector_jacobian
-
-
-def j_inverse(n: int) -> np.ndarray:
-    """The canonical block [[0, -I_n], [I_n, 0]]."""
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, n:] = -np.eye(n)
-    J[n:, :n] = np.eye(n)
-    return J
 
 
 @dataclass(frozen=True)
@@ -181,24 +173,79 @@ def poisson_integrator(
     return step
 
 
-def generic_alpha_scheme(
-    sys: PoissonSystem, chart: Chart, y0, config: AlphaSchemeConfig
-) -> Callable:
-    """Composed alpha-generating scheme built from the generic transform.
+@dataclass(frozen=True)
+class Model:
+    """A Poisson system with what the composed scheme and the CLI need.
 
-    Model modules provide faster analytic variants; this one serves
-    user-supplied systems and cross-checks (single noise channel only).
+    ``chart(cv)`` builds the canonical chart for the Casimir value cv of the
+    initial state (``None``: the system has no chart).  ``shs(cv)`` is the
+    analytic transformed system; ``None`` derives it from the chart with
+    :func:`transform_system` by finite differences.  ``default_T`` maps each
+    CLI command to its default final time, and ``check_points(rng)`` samples
+    the (k, d) states that ``check`` validates at.
     """
-    if sys.n_noise != 1:
+
+    name: str
+    system: PoissonSystem
+    chart: Callable | None
+    shs: Callable | None
+    y0: np.ndarray | None
+    default_T: dict
+    check_points: Callable
+
+    def __post_init__(self) -> None:
+        if self.y0 is None:
+            return
+        if np.shape(self.y0) != (self.system.dim,):
+            raise ValueError(f"y0 must have {self.system.dim} components, got {self.y0}")
+        if self.chart is not None:  # the chart owns the rules on its level set
+            self.chart(self.casimir_value(self.y0))
+
+    def casimir_value(self, y) -> float | None:
+        """The first Casimir at y, which selects the chart; ``None`` without
+        y or a Casimir (charts of custom systems do not depend on it)."""
+        if y is None or not self.system.casimirs:
+            return None
+        return float(self.system.casimirs[0].value(y))
+
+
+def alpha_scheme(model: Model, y0, config: AlphaSchemeConfig) -> Callable:
+    """Composed alpha-generating one-step map on y: chart, symplectic step with
+    the Casimirs frozen at their values at y0, inverse chart."""
+    if model.system.n_noise != 1:
         raise ValueError("alpha-generating schemes support a single noise channel")
-    shs = transform_system(sys, chart, y0)
+    y0 = np.asarray(y0, dtype=float)
+    cv = model.casimir_value(y0)
+    chart = model.chart(cv)
+    if chart.domain is not None and not np.all(chart.domain(y0)):
+        raise DomainError("initial state outside chart domain", state=y0)
+    shs = transform_system(model.system, chart, y0) if model.shs is None else model.shs(cv)
 
     def zstep(z, h, dw):
         return alpha_step(shs, z, h, dw[..., 0], config)
 
-    inner = poisson_integrator(sys, chart, zstep, shs.casimir_values)
+    inner = poisson_integrator(model.system, chart, zstep, shs.casimir_values)
 
     def step(y, h, dw):
         return inner(y, h, truncate_increments(dw, h, config.truncation))
+
+    return step
+
+
+def alpha_scheme_map(model: Model, config: AlphaSchemeConfig) -> Callable:
+    """Self-starting variant of :func:`alpha_scheme`: the Casimir parameters
+    come from the input state on every call.  Along a trajectory the two
+    coincide (the Casimir is preserved exactly); off the initial level set
+    this is the map the scheme defines on the whole domain, which Jacobian
+    diagnostics probe.  Batched inputs step row by row."""
+
+    def step(y, h, dw):
+        y = np.asarray(y, dtype=float)
+        if y.ndim == 1:
+            return alpha_scheme(model, y, config)(y, h, dw)
+        dw = np.broadcast_to(np.asarray(dw, dtype=float), y.shape[:-1] + (1,))
+        return np.stack(
+            [alpha_scheme(model, yi, config)(yi, h, di) for yi, di in zip(y, dw)]
+        )
 
     return step

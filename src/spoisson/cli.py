@@ -22,7 +22,7 @@ import numpy as np
 
 from . import experiments
 from .alpha_gf import AlphaSchemeConfig, make_alpha_stepper
-from .canonical import generic_alpha_scheme
+from .canonical import Model, alpha_scheme, alpha_scheme_map
 from .custom import SpecFileError, load_custom_system, parse_keyvalues
 from .models import lotka_volterra, rigid_body
 from .noise import TimeGrid, TruncationPolicy
@@ -82,15 +82,17 @@ def load_config_file(path: str) -> dict:
                 out[key] = _FIELD_PARSERS[key](value)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {value!r}") from exc
-        else:
-            # model constants / initial state
-            try:
-                out["params"][key] = (
-                    tuple(float(x) for x in value.split(",")) if "," in value else float(value)
-                )
-            except ValueError as exc:
-                raise ConfigError(f"bad numeric value for {key}: {value!r}") from exc
+        else:  # model constants / initial state
+            out["params"][key] = _param_value(key, value)
     return out
+
+
+def _param_value(key: str, value: str):
+    """One number, or a comma-separated vector such as y0."""
+    try:
+        return tuple(float(x) for x in value.split(",")) if "," in value else float(value)
+    except ValueError as exc:
+        raise ConfigError(f"bad numeric value for {key}: {value!r}") from exc
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -116,13 +118,10 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if "=" not in item:
             raise ConfigError(f"--param expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
-        try:
-            params[key.strip()] = (
-                tuple(float(x) for x in value.split(",")) if "," in value else float(value)
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad numeric value for {key}: {value!r}") from exc
+        params[key.strip()] = _param_value(key, value)
     cfg = replace(cfg, params=params, **overrides)
+    if cfg.ref_factor is not None and cfg.ref_factor < 1:
+        raise ConfigError(f"ref_factor must be >= 1, got {cfg.ref_factor}")
     try:  # the scheme config owns the rules for alpha, tol and truncation_k
         for alpha in cfg.alpha:
             _alpha_config(cfg, alpha)
@@ -131,122 +130,55 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-@dataclass(frozen=True)
-class ModelSetup:
-    """Everything a command needs, resolved from one config."""
-
-    name: str
-    system: object
-    casimir: object
-    y0: np.ndarray
-    alpha_scheme: object        # (y0, AlphaSchemeConfig) -> step map on y
-    canonical_stepper: object   # (alpha) -> step map on (P, Q), or None
-    chart: object               # Chart or None
-    spherical_scheme: object    # (y0) -> step map, SRB only
-    scheme_map: object          # (AlphaSchemeConfig) -> self-starting map, or None
-    default_T: dict
-
-
-def _truncation(cfg: ExperimentConfig) -> TruncationPolicy:
-    return TruncationPolicy(k=cfg.truncation_k)
-
-
 def _alpha_config(cfg: ExperimentConfig, alpha: float) -> AlphaSchemeConfig:
-    return AlphaSchemeConfig(alpha=alpha, tol=cfg.tol, truncation=_truncation(cfg))
+    truncation = TruncationPolicy(k=cfg.truncation_k)
+    return AlphaSchemeConfig(alpha=alpha, tol=cfg.tol, truncation=truncation)
 
 
-def build_setup(cfg: ExperimentConfig) -> ModelSetup:
-    p = cfg.params
-    if cfg.system == "srb":
-        params = rigid_body.RigidBodyParams(
-            i1=p.get("I1", rigid_body.REFERENCE_PARAMS.i1),
-            i2=p.get("I2", rigid_body.REFERENCE_PARAMS.i2),
-            i3=p.get("I3", rigid_body.REFERENCE_PARAMS.i3),
-            c1=p.get("c1", rigid_body.REFERENCE_PARAMS.c1),
-        )
-        y0 = np.asarray(p.get("y0", rigid_body.REFERENCE_Y0), dtype=float)
-        sysm = rigid_body.system(params)
-        cv = float(rigid_body.CASIMIR.value(y0))
-        shs = rigid_body.transformed_shs(params, cv)
-        return ModelSetup(
-            name="srb",
-            system=sysm,
-            casimir=rigid_body.CASIMIR,
-            y0=y0,
-            alpha_scheme=lambda y, ac: rigid_body.alpha_scheme(params, y, ac),
-            canonical_stepper=lambda alpha: make_alpha_stepper(shs, _alpha_config(cfg, alpha)),
-            chart=rigid_body.chart(cv),
-            spherical_scheme=lambda y: rigid_body.spherical_scheme(
-                params, y, tol=cfg.tol, truncation=_truncation(cfg)
-            ),
-            scheme_map=lambda ac: rigid_body.alpha_scheme_map(params, ac),
-            default_T={"paths": 10.0, "casimir": 500.0, "order": 10.0},
-        )
-    if cfg.system == "slv":
-        params = lotka_volterra.LVParams(
-            a=p.get("a", lotka_volterra.REFERENCE_PARAMS.a),
-            b=p.get("b", lotka_volterra.REFERENCE_PARAMS.b),
-            r=p.get("r", lotka_volterra.REFERENCE_PARAMS.r),
-            nu=p.get("nu", lotka_volterra.REFERENCE_PARAMS.nu),
-            mu=p.get("mu", lotka_volterra.REFERENCE_PARAMS.mu),
-            c2=p.get("c2", lotka_volterra.REFERENCE_PARAMS.c2),
-        )
-        y0 = np.asarray(p.get("y0", lotka_volterra.REFERENCE_Y0), dtype=float)
-        sysm = lotka_volterra.system(params)
-        cas = lotka_volterra.casimir(params)
-        cv = float(cas.value(y0))
-        shs = lotka_volterra.transformed_shs(params, cv)
-        return ModelSetup(
-            name="slv",
-            system=sysm,
-            casimir=cas,
-            y0=y0,
-            alpha_scheme=lambda y, ac: lotka_volterra.alpha_scheme(params, y, ac),
-            canonical_stepper=lambda alpha: make_alpha_stepper(shs, _alpha_config(cfg, alpha)),
-            chart=lotka_volterra.chart(cv, params),
-            spherical_scheme=None,
-            scheme_map=lambda ac: lotka_volterra.alpha_scheme_map(params, ac),
-            default_T={"paths": 10.0, "casimir": 10.0, "order": 2.0},
-        )
-    # anything else is a path to a custom system definition file
-    try:
+# Built-in models: the module and the params field each model constant sets.
+_BUILTIN = {
+    "srb": (rigid_body, {"I1": "i1", "I2": "i2", "I3": "i3", "c1": "c1"}),
+    "slv": (lotka_volterra, {k: k for k in ("a", "b", "r", "nu", "mu", "c2")}),
+}
+
+
+def _params(cfg: ExperimentConfig):
+    """The params record of a built-in model with the constants of ``cfg``."""
+    module, fields = _BUILTIN[cfg.system]
+    constants = {k: v for k, v in cfg.params.items() if k != "y0"}
+    for key, value in constants.items():
+        if key not in fields:
+            raise ValueError(f"{cfg.system} has no constant {key!r}; it has {', '.join(fields)}")
+        if isinstance(value, tuple):
+            raise ValueError(f"{key} takes one number, got {value}")
+    return replace(module.REFERENCE_PARAMS, **{fields[k]: v for k, v in constants.items()})
+
+
+def build_setup(cfg: ExperimentConfig) -> Model:
+    """The model ``cfg.system`` names: srb, slv or a custom system file."""
+    y0 = cfg.params.get("y0")
+    try:  # the params records, Model and charts own the rules on the values
+        if cfg.system in _BUILTIN:
+            module = _BUILTIN[cfg.system][0]
+            return module.model(_params(cfg), module.REFERENCE_Y0 if y0 is None else y0)
         custom = load_custom_system(cfg.system)
+        if set(cfg.params) - {"y0"}:
+            raise ValueError(f"a custom system takes only y0, got {sorted(cfg.params)}")
+        return custom.model(y0)
     except (OSError, SpecFileError) as exc:
         raise ConfigError(f"cannot load custom system {cfg.system!r}: {exc}") from exc
-    y0 = p.get("y0")
-    if y0 is not None:
-        y0 = np.asarray(y0, dtype=float)
-    casimir = custom.system.casimirs[0] if custom.system.casimirs else None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
-    def custom_alpha_config(alpha):
-        # finite-difference derivative data puts the attainable fixed-point
-        # accuracy near 1e-10; a tighter tol would never be met
-        return AlphaSchemeConfig(
-            alpha=alpha, tol=max(cfg.tol, 1e-9), truncation=_truncation(cfg)
-        )
 
-    def custom_alpha_scheme(y, ac):
-        if custom.chart is None:
-            raise ConfigError("custom system has no chart; only 'check' is available")
-        return generic_alpha_scheme(
-            custom.system, custom.chart, y, custom_alpha_config(ac.alpha)
-        )
-
-    # Map-based diagnostics (symplecticity, Poisson-map residual) need
-    # analytic derivative data to reach their thresholds; with fd-backed
-    # Hamiltonians the check suite covers the structural validators only.
-    return ModelSetup(
-        name="custom",
-        system=custom.system,
-        casimir=casimir,
-        y0=y0,
-        alpha_scheme=custom_alpha_scheme,
-        canonical_stepper=None,
-        chart=custom.chart,
-        spherical_scheme=None,
-        scheme_map=None,
-        default_T={"paths": 10.0, "casimir": 10.0, "order": 2.0},
-    )
+def _scheme(cfg: ExperimentConfig, model: Model, alpha: float):
+    """The composed alpha scheme of the model from its initial state."""
+    if model.chart is None:
+        raise ConfigError("custom system has no chart; only 'check' is available")
+    # finite-difference derivative data (no analytic shs) puts the attainable
+    # fixed-point accuracy near 1e-10; a tighter tol would never be met
+    tol = cfg.tol if model.shs is not None else max(cfg.tol, 1e-9)
+    return alpha_scheme(model, model.y0, replace(_alpha_config(cfg, alpha), tol=tol))
 
 
 def _fmt(x: float) -> str:
@@ -275,22 +207,21 @@ def _grid(T: float, h: float) -> TimeGrid:
 
 
 def cmd_paths(cfg: ExperimentConfig) -> int:
-    setup = build_setup(cfg)
-    if setup.y0 is None:
+    model = build_setup(cfg)
+    if model.y0 is None:
         raise ConfigError("paths needs an initial state y0")
-    T = cfg.T if cfg.T is not None else setup.default_T["paths"]
+    T = cfg.T if cfg.T is not None else model.default_T["paths"]
     grid = _grid(T, cfg.h[0] if cfg.h else 0.01)
-    scheme = setup.alpha_scheme(setup.y0, _alpha_config(cfg, cfg.alpha[0]))
     result = experiments.paths_experiment(
-        setup.system,
-        scheme,
-        setup.y0,
+        model.system,
+        _scheme(cfg, model, cfg.alpha[0]),
+        model.y0,
         grid,
         cfg.seed,
-        ref_factor=cfg.ref_factor or 1000,
+        ref_factor=1000 if cfg.ref_factor is None else cfg.ref_factor,
         tol=cfg.tol,
     )
-    d = setup.system.dim
+    d = model.system.dim
     header = ["t"] + [f"y{i + 1}" for i in range(d)] + [f"y{i + 1}_ref" for i in range(d)]
     rows = np.column_stack([result.times, result.states, result.reference])
     _write_csv(
@@ -298,7 +229,7 @@ def cmd_paths(cfg: ExperimentConfig) -> int:
         header,
         rows,
         metadata=[
-            f"system={setup.name} alpha={cfg.alpha[0]} h={grid.h} T={grid.T} seed={cfg.seed}",
+            f"system={model.name} alpha={cfg.alpha[0]} h={grid.h} T={grid.T} seed={cfg.seed}",
             f"reference=midpoint ref_step={result.ref_step}",
         ],
     )
@@ -306,19 +237,19 @@ def cmd_paths(cfg: ExperimentConfig) -> int:
 
 
 def cmd_casimir(cfg: ExperimentConfig) -> int:
-    setup = build_setup(cfg)
-    if setup.y0 is None or setup.casimir is None:
+    model = build_setup(cfg)
+    if model.y0 is None or not model.system.casimirs:
         raise ConfigError("casimir needs an initial state and a Casimir function")
-    T = cfg.T if cfg.T is not None else setup.default_T["casimir"]
+    T = cfg.T if cfg.T is not None else model.default_T["casimir"]
     grid = _grid(T, cfg.h[0] if cfg.h else 0.01)
     schemes = {
-        "casimir_scheme": setup.alpha_scheme(setup.y0, _alpha_config(cfg, cfg.alpha[0])),
-        "casimir_em": experiments.em_stepper(setup.system),
+        "casimir_scheme": _scheme(cfg, model, cfg.alpha[0]),
+        "casimir_em": experiments.em_stepper(model.system),
     }
-    if setup.name == "slv":
-        schemes["casimir_iem"] = experiments.iem_stepper(setup.system, tol=cfg.tol)
+    if model.name == "slv":
+        schemes["casimir_iem"] = experiments.iem_stepper(model.system, tol=cfg.tol)
     result = experiments.casimir_experiment(
-        setup.system, schemes, setup.casimir, setup.y0, grid, cfg.seed
+        model.system, schemes, model.system.casimirs[0], model.y0, grid, cfg.seed
     )
     header = ["t"] + list(schemes)
     rows = np.column_stack([result.times] + [result.columns[k] for k in schemes])
@@ -326,18 +257,18 @@ def cmd_casimir(cfg: ExperimentConfig) -> int:
         cfg.output,
         header,
         rows,
-        metadata=[f"system={setup.name} alpha={cfg.alpha[0]} h={grid.h} T={grid.T} seed={cfg.seed}"],
+        metadata=[f"system={model.name} alpha={cfg.alpha[0]} h={grid.h} T={grid.T} seed={cfg.seed}"],
     )
     return EXIT_OK
 
 
 def cmd_order(cfg: ExperimentConfig) -> int:
-    setup = build_setup(cfg)
-    if setup.y0 is None:
+    model = build_setup(cfg)
+    if model.y0 is None:
         raise ConfigError("order needs an initial state y0")
     hs = cfg.h or (0.005, 0.01, 0.02, 0.04)
-    T = cfg.T if cfg.T is not None else setup.default_T["order"]
-    ref_factor = cfg.ref_factor or 8
+    T = cfg.T if cfg.T is not None else model.default_T["order"]
+    ref_factor = 8 if cfg.ref_factor is None else cfg.ref_factor
     if cfg.samples < 1:
         raise ConfigError(f"samples must be >= 1, got {cfg.samples}")
     if len(set(hs)) < len(hs):
@@ -345,18 +276,17 @@ def cmd_order(cfg: ExperimentConfig) -> int:
     for h in hs:  # the reference step min(hs) / ref_factor must divide every h
         _grid(T, h)
         _grid(h, min(hs) / ref_factor)
-    schemes = {
-        f"alpha={alpha:g}": setup.alpha_scheme(setup.y0, _alpha_config(cfg, alpha))
-        for alpha in cfg.alpha
-    }
+    schemes = {f"alpha={alpha:g}": _scheme(cfg, model, alpha) for alpha in cfg.alpha}
     if cfg.spherical:
-        if setup.spherical_scheme is None:
+        if model.name != "srb":
             raise ConfigError("--spherical is only available for the srb system")
-        schemes["spherical"] = setup.spherical_scheme(setup.y0)
+        schemes["spherical"] = rigid_body.spherical_scheme(
+            _params(cfg), model.y0, tol=cfg.tol, truncation=TruncationPolicy(k=cfg.truncation_k)
+        )
     estimates = experiments.order_experiment(
-        setup.system,
+        model.system,
         schemes,
-        setup.y0,
+        model.y0,
         T,
         hs,
         cfg.samples,
@@ -373,7 +303,7 @@ def cmd_order(cfg: ExperimentConfig) -> int:
         header,
         rows,
         metadata=[
-            f"system={setup.name} T={T} samples={cfg.samples} seed={cfg.seed} "
+            f"system={model.name} T={T} samples={cfg.samples} seed={cfg.seed} "
             f"ref_factor={ref_factor}"
         ],
     )
@@ -383,33 +313,31 @@ def cmd_order(cfg: ExperimentConfig) -> int:
 
 
 def cmd_check(cfg: ExperimentConfig) -> int:
-    setup = build_setup(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    if setup.name == "srb":
-        points = rng.uniform(-1.5, 1.5, size=(400, 3))
-        points = points[points[:, 0] ** 2 + points[:, 2] ** 2 > 0.05][:100]
-    elif setup.name == "slv":
-        points = rng.uniform(0.2, 2.5, size=(100, 3))
-    else:
-        d = setup.system.dim
-        points = rng.uniform(0.2, 1.5, size=(100, d))
-        if setup.system.domain is not None:
-            points = points[setup.system.domain(points)]
-            if len(points) == 0:
-                raise ConfigError("no random check points inside the declared domain")
-    if setup.chart is not None and setup.chart.domain is not None:
-        points = points[setup.chart.domain(points)]
-
-    composed_factory = None
-    if setup.scheme_map is not None:
-        composed_factory = lambda: setup.scheme_map(_alpha_config(cfg, 0.5))
-    canonical_ok = setup.canonical_stepper is not None and setup.chart is not None
+    model = build_setup(cfg)
+    points = model.check_points(np.random.default_rng(cfg.seed))
+    if model.system.domain is not None:
+        points = points[model.system.domain(points)]
+        if len(points) == 0:
+            raise ConfigError("no random check points inside the declared domain")
+    chart = stepper_factory = scheme_factory = None
+    if model.chart is not None:
+        cv = model.casimir_value(model.y0)
+        chart = model.chart(cv)
+        if chart.domain is not None:
+            points = points[chart.domain(points)]
+        # Map-based diagnostics (symplecticity, Poisson-map residual) need
+        # analytic derivative data to reach their thresholds; with fd-backed
+        # Hamiltonians the check suite covers the structural validators only.
+        if model.shs is not None:
+            shs = model.shs(cv)
+            stepper_factory = lambda alpha: make_alpha_stepper(shs, _alpha_config(cfg, alpha))
+            scheme_factory = lambda: alpha_scheme_map(model, _alpha_config(cfg, 0.5))
     lines = experiments.check_suite(
-        setup.system,
+        model.system,
         points,
-        chart=setup.chart,
-        canonical_stepper_factory=setup.canonical_stepper if canonical_ok else None,
-        composed_scheme_factory=composed_factory,
+        chart=chart,
+        canonical_stepper_factory=stepper_factory,
+        composed_scheme_factory=scheme_factory,
         alphas=cfg.alpha,
         h=cfg.h[0] if cfg.h else 0.01,
         seed=cfg.seed,
@@ -468,10 +396,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except IntegrationError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except StepError as exc:
+    except (IntegrationError, StepError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

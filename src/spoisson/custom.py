@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import Chart
+from .canonical import Chart, Model
 from .poisson import PoissonSystem, fd_field
 
 _ALLOWED_FUNCS = {
@@ -131,13 +131,11 @@ def compile_vector(exprs: list[str], dim: int, var: str = "y"):
 
 
 def compile_matrix(rows: list[list[str]], dim: int, var: str = "y"):
-    fns = [[compile_expr(e, dim, var) for e in row] for row in rows]
+    fns = [compile_vector(row, dim, var) for row in rows]
 
     def f(y):
         y = np.asarray(y, dtype=float)
-        return np.stack(
-            [np.stack([fn(y) for fn in row], axis=-1) for row in fns], axis=-2
-        )
+        return np.stack([fn(y) for fn in fns], axis=-2)
 
     return f
 
@@ -147,6 +145,19 @@ class CustomSystem:
     system: PoissonSystem
     chart: Chart | None
     keys: dict[str, str]
+
+    def model(self, y0) -> Model:
+        """This system as a :class:`Model`: no analytic transformed system, so
+        the scheme derives it from the chart by finite differences."""
+        return Model(
+            name="custom",
+            system=self.system,
+            chart=None if self.chart is None else lambda cv: self.chart,
+            shs=None,
+            y0=None if y0 is None else np.asarray(y0, dtype=float),
+            default_T={"paths": 10.0, "casimir": 10.0, "order": 2.0},
+            check_points=lambda rng: rng.uniform(0.2, 1.5, size=(100, self.system.dim)),
+        )
 
 
 def load_custom_system(path: str) -> CustomSystem:

@@ -29,9 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..alpha_gf import AlphaSchemeConfig, make_alpha_stepper
-from ..canonical import CanonicalSHS, Chart, poisson_integrator
-from ..noise import truncate_increments
+from ..canonical import CanonicalSHS, Chart, Model
 from ..poisson import PoissonSystem, ScalarField, scale_field
 from ..sde import DivergenceError, DomainError
 
@@ -201,16 +199,11 @@ def chart(casimir_value: float, params: LVParams) -> Chart:
 
     def jacobian(y):
         y = _require_positive(y)
-        y1, y2, y3 = y[..., 0], y[..., 1], y[..., 2]
-        z = np.zeros_like(y1)
-        return np.stack(
-            [
-                np.stack([z, z, 1.0 / y3], axis=-1),
-                np.stack([z, -1.0 / y2, z], axis=-1),
-                np.stack([1.0 / (r * y1), -b / y2, 1.0 / y3], axis=-1),
-            ],
-            axis=-2,
-        )
+        A = np.zeros(y.shape + (3,))
+        A[..., 0, 2] = 1.0 / y[..., 2]
+        A[..., 1, 1] = -1.0 / y[..., 1]
+        A[..., 2, :] = cas.grad(y)
+        return A
 
     b0 = np.zeros((3, 3))
     b0[0, 1] = 1.0
@@ -262,32 +255,15 @@ def transformed_shs(params: LVParams, casimir_value: float) -> CanonicalSHS:
     )
 
 
-def alpha_scheme(params: LVParams, y0, config: AlphaSchemeConfig) -> Callable:
-    """Composed alpha-generating one-step map; iterates stay positive."""
-    y0 = _require_positive(np.asarray(y0, dtype=float))
-    cv = float(casimir(params).value(y0))
-    ch = chart(cv, params)
-    shs = transformed_shs(params, cv)
-    inner = poisson_integrator(system(params), ch, make_alpha_stepper(shs, config), [cv])
-
-    def step(y, h, dw):
-        return inner(y, h, truncate_increments(dw, h, config.truncation))
-
-    return step
-
-
-def alpha_scheme_map(params: LVParams, config: AlphaSchemeConfig) -> Callable:
-    """Self-starting variant of :func:`alpha_scheme` for Jacobian diagnostics:
-    Casimir parameters come from the input state on every call.  Batched
-    inputs step row by row."""
-
-    def step(y, h, dw):
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            return alpha_scheme(params, y, config)(y, h, dw)
-        dw = np.broadcast_to(np.asarray(dw, dtype=float), y.shape[:-1] + (1,))
-        return np.stack(
-            [alpha_scheme(params, yi, config)(yi, h, di) for yi, di in zip(y, dw)]
-        )
-
-    return step
+def model(params: LVParams, y0) -> Model:
+    """The Lotka-Volterra system with its analytic chart and transformed
+    system; ``check`` samples the box [0.2, 2.5]^3."""
+    return Model(
+        name="slv",
+        system=system(params),
+        chart=lambda cv: chart(cv, params),
+        shs=lambda cv: transformed_shs(params, cv),
+        y0=np.asarray(y0, dtype=float),
+        default_T={"paths": 10.0, "casimir": 10.0, "order": 2.0},
+        check_points=lambda rng: rng.uniform(0.2, 2.5, size=(100, 3)),
+    )

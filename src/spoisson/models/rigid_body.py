@@ -23,8 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..alpha_gf import AlphaSchemeConfig, make_alpha_stepper
-from ..canonical import CanonicalSHS, Chart, poisson_integrator
+from ..canonical import CanonicalSHS, Chart, Model
 from ..noise import TruncationPolicy, truncate_increments
 from ..poisson import PoissonSystem, ScalarField, scale_field
 from ..sde import DomainError, StratonovichSDE, midpoint_step
@@ -133,18 +132,14 @@ def chart(casimir_value: float) -> Chart:
 
     def jacobian(y):
         y = np.asarray(y, dtype=float)
-        y1, y2, y3 = y[..., 0], y[..., 1], y[..., 2]
+        y1, y3 = y[..., 0], y[..., 2]
         rho2 = y1**2 + y3**2
-        z = np.zeros_like(y1)
-        one = np.ones_like(y1)
-        return np.stack(
-            [
-                np.stack([z, one, z], axis=-1),
-                np.stack([-y3 / rho2, z, y1 / rho2], axis=-1),
-                np.stack([y1, y2, y3], axis=-1),
-            ],
-            axis=-2,
-        )
+        A = np.zeros(y.shape + (3,))
+        A[..., 0, 1] = 1.0
+        A[..., 1, 0] = -y3 / rho2
+        A[..., 1, 2] = y1 / rho2
+        A[..., 2, :] = y
+        return A
 
     def domain(y):
         y = np.asarray(y, dtype=float)
@@ -200,43 +195,23 @@ def transformed_shs(params: RigidBodyParams, casimir_value: float) -> CanonicalS
     )
 
 
-def alpha_scheme(params: RigidBodyParams, y0, config: AlphaSchemeConfig) -> Callable:
-    """Composed alpha-generating one-step map on the original state y."""
-    y0 = np.asarray(y0, dtype=float)
-    cv = float(CASIMIR.value(y0))
-    ch = chart(cv)
-    if not np.all(ch.domain(y0)):
-        raise DomainError("initial state outside chart domain", state=y0)
-    shs = transformed_shs(params, cv)
-    inner = poisson_integrator(system(params), ch, make_alpha_stepper(shs, config), [cv])
-
-    def step(y, h, dw):
-        return inner(y, h, truncate_increments(dw, h, config.truncation))
-
-    return step
+def _check_points(rng) -> np.ndarray:
+    """States for ``check``, clear of the chart's (y1, y3) = (0, 0) axis."""
+    points = rng.uniform(-1.5, 1.5, size=(400, 3))
+    return points[points[:, 0] ** 2 + points[:, 2] ** 2 > 0.05][:100]
 
 
-def alpha_scheme_map(params: RigidBodyParams, config: AlphaSchemeConfig) -> Callable:
-    """The alpha scheme as a self-starting map: Casimir parameters are derived
-    from the input state on every call.
-
-    Along a trajectory this coincides with :func:`alpha_scheme` (the Casimir
-    is preserved exactly), but off the initial level set it is the map the
-    scheme defines on the whole domain, which is what Jacobian diagnostics
-    probe.  Batched inputs step row by row; use :func:`alpha_scheme` for
-    production runs.
-    """
-
-    def step(y, h, dw):
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            return alpha_scheme(params, y, config)(y, h, dw)
-        dw = np.broadcast_to(np.asarray(dw, dtype=float), y.shape[:-1] + (1,))
-        return np.stack(
-            [alpha_scheme(params, yi, config)(yi, h, di) for yi, di in zip(y, dw)]
-        )
-
-    return step
+def model(params: RigidBodyParams, y0) -> Model:
+    """The rigid body with its analytic chart and transformed system."""
+    return Model(
+        name="srb",
+        system=system(params),
+        chart=chart,
+        shs=lambda cv: transformed_shs(params, cv),
+        y0=np.asarray(y0, dtype=float),
+        default_T={"paths": 10.0, "casimir": 500.0, "order": 10.0},
+        check_points=_check_points,
+    )
 
 
 def spherical_system(params: RigidBodyParams, radius: float) -> StratonovichSDE:
@@ -281,7 +256,7 @@ def spherical_scheme(
     params: RigidBodyParams,
     y0,
     tol: float = 1e-12,
-    truncation: TruncationPolicy | None = None,
+    truncation: TruncationPolicy = TruncationPolicy(),
 ) -> Callable:
     """Midpoint rule in spherical angles, mapped back to y each step.
 
@@ -291,8 +266,6 @@ def spherical_scheme(
     radius = float(np.linalg.norm(y0))
     if radius == 0:
         raise ValueError("y0 must be nonzero")
-    if truncation is None:
-        truncation = TruncationPolicy()
     sph = spherical_system(params, radius)
 
     def step(y, h, dw):

@@ -49,16 +49,7 @@ def scale_field(f: ScalarField, c: float) -> ScalarField:
 
 def fd_gradient(value: Callable, y, eps: float | None = None) -> np.ndarray:
     """Central-difference gradient of a scalar field, batch-capable."""
-    y = np.asarray(y, dtype=float)
-    d = y.shape[-1]
-    if eps is None:
-        eps = _default_eps(y)
-    cols = []
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = eps
-        cols.append((value(y + e) - value(y - e)) / (2.0 * eps))
-    return np.stack(cols, axis=-1)
+    return fd_vector_jacobian(value, y, eps)
 
 
 def fd_field(value: Callable, eps: float | None = None) -> ScalarField:
@@ -69,20 +60,6 @@ def fd_field(value: Callable, eps: float | None = None) -> ScalarField:
         grad=grad,
         hess=lambda y: fd_vector_jacobian(grad, y, eps),
     )
-
-
-def fd_structure_derivative(structure: Callable, y, eps: float | None = None) -> np.ndarray:
-    """Central differences of a matrix field; [..., i, j, s] = dB_ij/dy_s."""
-    y = np.asarray(y, dtype=float)
-    d = y.shape[-1]
-    if eps is None:
-        eps = _default_eps(y)
-    slabs = []
-    for s in range(d):
-        e = np.zeros(d)
-        e[s] = eps
-        slabs.append((structure(y + e) - structure(y - e)) / (2.0 * eps))
-    return np.stack(slabs, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -160,11 +137,6 @@ def field_jacobian(sys: PoissonSystem, K: ScalarField) -> Callable:
     return jac
 
 
-def variational_matrices(sys: PoissonSystem, y) -> list[np.ndarray]:
-    """M_i(y) = B'(y)(grad K_i) + B(y) hess K_i for each Hamiltonian."""
-    return [field_jacobian(sys, K)(y) for K in sys.hamiltonians]
-
-
 def bracket(F: ScalarField, G: ScalarField, sys: PoissonSystem, y):
     """Poisson bracket {F, G}(y) = grad F(y)^T B(y) grad G(y)."""
     y = np.asarray(y, dtype=float)
@@ -179,19 +151,18 @@ def check_skew(sys: PoissonSystem, points) -> CheckReport:
     return _report(res, points)
 
 
-def check_jacobi(sys: PoissonSystem, points, fd_fallback: bool = True) -> CheckReport:
+def check_jacobi(sys: PoissonSystem, points) -> CheckReport:
     """Worst cyclic-sum residual of the Jacobi condition over the points.
 
     Residual per point and index triple (i, j, k):
-    sum_s (dB_ij/dy_s B_sk + dB_jk/dy_s B_si + dB_ki/dy_s B_sj).
+    sum_s (dB_ij/dy_s B_sk + dB_jk/dy_s B_si + dB_ki/dy_s B_sj), with dB from
+    central differences when the system does not supply it.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if sys.structure_derivative is not None:
         dB = sys.structure_derivative(points)
-    elif fd_fallback:
-        dB = fd_structure_derivative(sys.structure, points)
     else:
-        raise ValueError("structure derivative unavailable and finite differences disabled")
+        dB = fd_vector_jacobian(sys.structure, points)
     B = sys.structure(points)
     T = np.einsum("...ijs,...sk->...ijk", dB, B)
     R = T + np.moveaxis(T, (-3, -2, -1), (-1, -3, -2)) + np.moveaxis(T, (-3, -2, -1), (-2, -1, -3))

@@ -104,10 +104,11 @@ def _default_eps(y) -> float:
 
 
 def fd_vector_jacobian(f: Callable, y: np.ndarray, eps: float | None = None) -> np.ndarray:
-    """Central-difference Jacobian of a vector field, batch-capable.
+    """Central-difference derivative of a field, batch-capable.
 
-    ``f`` maps (..., d) -> (..., d); the result has shape (..., d, d) with
-    entry [..., i, j] = df_i/dy_j.
+    ``f`` maps (..., d) -> (..., *out); the result has shape (..., *out, d)
+    with last index j the derivative in y_j (a gradient for scalar fields, a
+    Jacobian [..., i, j] = df_i/dy_j for vector fields).
     """
     y = np.asarray(y, dtype=float)
     d = y.shape[-1]
@@ -121,28 +122,24 @@ def fd_vector_jacobian(f: Callable, y: np.ndarray, eps: float | None = None) -> 
     return np.stack(cols, axis=-1)
 
 
-def strat_to_ito_drift(sde: StratonovichSDE, y, fd_fallback: bool = True):
+def strat_to_ito_drift(sde: StratonovichSDE, y):
     """Ito drift a(y) + 1/2 sum_r b_r'(y) b_r(y) of a Stratonovich system."""
     y = np.asarray(y, dtype=float)
     out = np.asarray(sde.drift(y), dtype=float).copy()
     for r, b in enumerate(sde.diffusions):
         if sde.diffusion_jacobians is not None:
             jac = sde.diffusion_jacobians[r](y)
-        elif fd_fallback:
-            jac = fd_vector_jacobian(b, y)
         else:
-            raise ValueError(
-                "diffusion Jacobians unavailable and finite differences disabled"
-            )
+            jac = fd_vector_jacobian(b, y)
         out += 0.5 * np.einsum("...ij,...j->...i", jac, b(y))
     return out
 
 
-def ito_form(sde: StratonovichSDE, fd_fallback: bool = True) -> ItoSDE:
+def ito_form(sde: StratonovichSDE) -> ItoSDE:
     """Equivalent Ito system of a Stratonovich one (drift correction baked in)."""
     return ItoSDE(
         dim=sde.dim,
-        drift=lambda y: strat_to_ito_drift(sde, y, fd_fallback),
+        drift=lambda y: strat_to_ito_drift(sde, y),
         diffusions=sde.diffusions,
         diffusion_jacobians=sde.diffusion_jacobians,
     )
@@ -157,7 +154,7 @@ def euler_maruyama_step(sde: ItoSDE, y, h: float, dw):
     return out
 
 
-def milstein_step(sde: ItoSDE, y, h: float, dw, fd_fallback: bool = True):
+def milstein_step(sde: ItoSDE, y, h: float, dw):
     """Milstein update for a single noise channel (needs the diffusion Jacobian)."""
     if len(sde.diffusions) != 1:
         raise ValueError("milstein_step supports a single noise channel only")
@@ -166,10 +163,8 @@ def milstein_step(sde: ItoSDE, y, h: float, dw, fd_fallback: bool = True):
     b = sde.diffusions[0]
     if sde.diffusion_jacobians is not None:
         jac = sde.diffusion_jacobians[0](y)
-    elif fd_fallback:
-        jac = fd_vector_jacobian(b, y)
     else:
-        raise ValueError("diffusion Jacobian unavailable and finite differences disabled")
+        jac = fd_vector_jacobian(b, y)
     bb = np.einsum("...ij,...j->...i", jac, b(y))
     dw0 = dw[..., 0, None]
     return euler_maruyama_step(sde, y, h, dw) + 0.5 * bb * (dw0**2 - h)
@@ -270,7 +265,12 @@ def fit_order(step_sizes, errors) -> float:
 
 def _run_endpoint(stepper, y, h, values):
     for j in range(values.shape[0]):
-        y = stepper(y, h, values[j])
+        try:
+            y = stepper(y, h, values[j])
+        except StepError:  # carries the sample mask that "drop" needs
+            raise
+        except Exception as exc:
+            raise IntegrationError(j, exc) from exc
     return y
 
 
@@ -369,32 +369,3 @@ def ms_error_many(
         )
     return out
 
-
-def ms_error(
-    scheme: Callable,
-    reference: Callable,
-    m: int,
-    y0,
-    T: float,
-    step_sizes,
-    n_samples: int,
-    seed: int,
-    t0: float = 0.0,
-    ref_factor: int = 8,
-    on_sample_error: str = "raise",
-) -> OrderEstimate:
-    """Root-mean-square endpoint error of one scheme against a coupled
-    reference; see :func:`ms_error_many`."""
-    return ms_error_many(
-        {"scheme": scheme},
-        reference,
-        m,
-        y0,
-        T,
-        step_sizes,
-        n_samples,
-        seed,
-        t0=t0,
-        ref_factor=ref_factor,
-        on_sample_error=on_sample_error,
-    )["scheme"]

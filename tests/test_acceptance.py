@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spoisson.alpha_gf import AlphaSchemeConfig, make_alpha_stepper, symplectic_residual
-from spoisson.canonical import verify_chart
+from spoisson.canonical import alpha_scheme, alpha_scheme_map, verify_chart
 from spoisson.experiments import em_stepper, iem_stepper, order_experiment
 from spoisson.noise import TimeGrid, sample_increments, sample_seed
 from spoisson.poisson import (
@@ -40,7 +40,11 @@ def _ok(name, detail):
 @pytest.fixture(scope="module")
 def srb_order_estimates():
     schemes = {
-        alpha: rb.alpha_scheme(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0, AlphaSchemeConfig(alpha=alpha))
+        alpha: alpha_scheme(
+            rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0),
+            rb.REFERENCE_Y0,
+            AlphaSchemeConfig(alpha=alpha),
+        )
         for alpha in (0.0, 0.5, 1.0)
     }
     schemes["spherical"] = rb.spherical_scheme(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0)
@@ -53,7 +57,11 @@ def srb_order_estimates():
 @pytest.fixture(scope="module")
 def slv_order_estimates():
     schemes = {
-        alpha: lv.alpha_scheme(lv.REFERENCE_PARAMS, lv.REFERENCE_Y0, AlphaSchemeConfig(alpha=alpha))
+        alpha: alpha_scheme(
+            lv.model(lv.REFERENCE_PARAMS, lv.REFERENCE_Y0),
+            lv.REFERENCE_Y0,
+            AlphaSchemeConfig(alpha=alpha),
+        )
         for alpha in (0.0, 0.5, 1.0)
     }
     return order_experiment(
@@ -69,7 +77,11 @@ def test_criterion_1_casimir_preservation():
     noise = sample_increments(grid, 1, SEED)
     drifts, times = [], []
     for alpha in (0.0, 0.5, 1.0):
-        step = rb.alpha_scheme(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0, AlphaSchemeConfig(alpha=alpha))
+        step = alpha_scheme(
+            rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0),
+            rb.REFERENCE_Y0,
+            AlphaSchemeConfig(alpha=alpha),
+        )
         start = time.perf_counter()
         traj = integrate(step, rb.REFERENCE_Y0, grid, noise, record={"C": rb.CASIMIR.value})
         elapsed = time.perf_counter() - start
@@ -151,7 +163,10 @@ def test_criterion_5_poisson_map_property():
     rng = np.random.default_rng(SEED)
 
     sys_rb = rb.system(rb.REFERENCE_PARAMS)
-    scheme_rb = rb.alpha_scheme_map(rb.REFERENCE_PARAMS, AlphaSchemeConfig(alpha=0.5))
+    scheme_rb = alpha_scheme_map(
+        rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0),
+        AlphaSchemeConfig(alpha=0.5),
+    )
     em_rb = em_stepper(sys_rb)
     worst_scheme, worst_em = 0.0, 0.0
     for y in _random_srb_states(rng):
@@ -163,7 +178,10 @@ def test_criterion_5_poisson_map_property():
     srb_detail = f"srb scheme {worst_scheme:.1e} < 1e-6, EM control {worst_em:.1e} > 1e-3"
 
     sys_lv = lv.system(lv.REFERENCE_PARAMS)
-    scheme_lv = lv.alpha_scheme_map(lv.REFERENCE_PARAMS, AlphaSchemeConfig(alpha=0.5))
+    scheme_lv = alpha_scheme_map(
+        lv.model(lv.REFERENCE_PARAMS, lv.REFERENCE_Y0),
+        AlphaSchemeConfig(alpha=0.5),
+    )
     em_lv = em_stepper(sys_lv)
     worst_scheme, worst_em = 0.0, 0.0
     for _ in range(20):
@@ -251,7 +269,11 @@ def test_criterion_7_structural_validators():
 
 def test_criterion_8_positivity():
     # 100 seeds, h = 0.04, T = 10: every iterate of every run positive.
-    step = lv.alpha_scheme(lv.REFERENCE_PARAMS, lv.REFERENCE_Y0, AlphaSchemeConfig(alpha=0.5))
+    step = alpha_scheme(
+        lv.model(lv.REFERENCE_PARAMS, lv.REFERENCE_Y0),
+        lv.REFERENCE_Y0,
+        AlphaSchemeConfig(alpha=0.5),
+    )
     grid = TimeGrid(0.0, 10.0, 250)
     values = np.stack(
         [sample_increments(grid, 1, sample_seed(SEED + 3, i)).values for i in range(100)],

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from spoisson.alpha_gf import AlphaSchemeConfig
 from spoisson.canonical import (
     Chart,
-    generic_alpha_scheme,
+    alpha_scheme,
     j_inverse,
     poisson_integrator,
     transform_system,
@@ -214,11 +216,13 @@ def test_poisson_integrator_reports_domain_exit():
 
 def test_generic_alpha_scheme_tracks_analytic_model():
     params = rb.REFERENCE_PARAMS
-    sysm = rb.system(params)
-    chart = rb.chart(0.5)
     config = AlphaSchemeConfig(alpha=0.5)
-    generic = generic_alpha_scheme(sysm, chart, rb.REFERENCE_Y0, config)
-    analytic = rb.alpha_scheme(params, rb.REFERENCE_Y0, config)
+    generic = alpha_scheme(
+        replace(rb.model(params, rb.REFERENCE_Y0), shs=None),
+        rb.REFERENCE_Y0,
+        config,
+    )
+    analytic = alpha_scheme(rb.model(params, rb.REFERENCE_Y0), rb.REFERENCE_Y0, config)
     grid = TimeGrid(0.0, 0.5, 50)
     noise = sample_increments(grid, 1, 7)
     t1 = integrate(generic, rb.REFERENCE_Y0, grid, noise)

@@ -143,6 +143,14 @@ def test_config_errors_exit_3(tmp_path):
         ["paths", "--truncation-k", "0.5"],
         ["paths", "--tol", "-1"],
         ["paths", "--h", "0"],
+        ["paths", "--T", "0.1", "--ref-factor", "0"],
+        ["paths", "--T", "0.1", "--ref-factor", "-5"],
+        ["order", "--T", "0.08", "--ref-factor", "0"],
+        ["check", "--param", "i1=2"],  # constants are case-sensitive: I1
+        ["check", "--param", "I1=-1"],
+        ["check", "--param", "I1=1,2"],
+        ["check", "--param", "y0=1,2"],
+        ["check", "--param", "y0=0,0,0"],
     ],
     ids="_".join,
 )
@@ -153,14 +161,27 @@ def test_bad_config_values_exit_3(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "system, argv",
+    [("slv", ["check", "--param", "r=0"])],
+    ids=lambda v: v if isinstance(v, str) else "_".join(v),
+)
+def test_bad_model_values_exit_3(system, argv, capsys):
+    assert main(argv + ["--system", system]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error")
+    assert "Traceback" not in err
+
+
 def test_numerical_failure_exits_2(tmp_path):
     # h >= 1 makes the increment truncation (and the implicit solve) blow up.
     out = tmp_path / "x.csv"
-    code = main(
-        ["paths", "--system", "srb", "--T", "10", "--h", "10", "--ref-factor", "1",
-         "--output", str(out)]
-    )
-    assert code == EXIT_NUMERICAL
+    for argv in (
+        ["paths", "--system", "srb", "--T", "10", "--h", "10", "--ref-factor", "1"],
+        ["order", "--system", "srb", "--h", "2,1", "--T", "2", "--samples", "2"],
+    ):
+        code = main(argv + ["--output", str(out)])
+        assert code == EXIT_NUMERICAL
 
 
 def test_custom_system_check_passes(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spoisson.alpha_gf import AlphaSchemeConfig
-from spoisson.canonical import generic_alpha_scheme, verify_chart
+from spoisson.canonical import alpha_scheme, verify_chart
 from spoisson.custom import (
     SpecFileError,
     compile_expr,
@@ -79,7 +79,7 @@ def test_load_custom_system_and_validate(tmp_path):
 def test_custom_composed_scheme_preserves_casimir(tmp_path):
     custom = load_custom_system(_write(tmp_path, RIGID_BODY_SPEC))
     y0 = np.array([1.0 / np.sqrt(2), 1.0 / np.sqrt(2), 0.0])
-    step = generic_alpha_scheme(custom.system, custom.chart, y0, AlphaSchemeConfig(alpha=0.5))
+    step = alpha_scheme(custom.model(y0), y0, AlphaSchemeConfig(alpha=0.5))
     grid = TimeGrid(0.0, 1.0, 100)
     noise = sample_increments(grid, 1, 5)
     cas = custom.system.casimirs[0]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spoisson.alpha_gf import AlphaSchemeConfig
-from spoisson.canonical import verify_chart
+from spoisson.canonical import alpha_scheme, verify_chart
 from spoisson.experiments import em_stepper, iem_stepper
 from spoisson.noise import TimeGrid, sample_increments, sample_seed
 from spoisson.poisson import check_casimir, check_jacobi, check_skew, fd_gradient
@@ -147,14 +147,22 @@ def test_alpha_scheme_reference_run():
     noise = sample_increments(grid, 1, 5)
     cas = lv.casimir(lv.REFERENCE_PARAMS)
     for alpha in (0.0, 0.5, 1.0):
-        step = lv.alpha_scheme(lv.REFERENCE_PARAMS, lv.REFERENCE_Y0, AlphaSchemeConfig(alpha=alpha))
+        step = alpha_scheme(
+            lv.model(lv.REFERENCE_PARAMS, lv.REFERENCE_Y0),
+            lv.REFERENCE_Y0,
+            AlphaSchemeConfig(alpha=alpha),
+        )
         traj = integrate(step, lv.REFERENCE_Y0, grid, noise, record={"C": cas.value})
         assert np.max(np.abs(traj.functionals["C"] - C2_REFERENCE)) < 1e-10
         assert np.min(traj.states) > 0.0
 
 
 def test_positivity_across_seeds():
-    step = lv.alpha_scheme(lv.REFERENCE_PARAMS, lv.REFERENCE_Y0, AlphaSchemeConfig(alpha=0.5))
+    step = alpha_scheme(
+        lv.model(lv.REFERENCE_PARAMS, lv.REFERENCE_Y0),
+        lv.REFERENCE_Y0,
+        AlphaSchemeConfig(alpha=0.5),
+    )
     grid = TimeGrid(0.0, 10.0, 250)  # h = 0.04
     for i in range(10):
         noise = sample_increments(grid, 1, sample_seed(99, i))
@@ -180,4 +188,8 @@ def test_exponential_guard_raises_range_error():
 
 def test_scheme_rejects_nonpositive_start():
     with pytest.raises(DomainError):
-        lv.alpha_scheme(lv.REFERENCE_PARAMS, np.array([1.0, 0.0, 1.0]), AlphaSchemeConfig(alpha=0.5))
+        alpha_scheme(
+            lv.model(lv.REFERENCE_PARAMS, lv.REFERENCE_Y0),
+            np.array([1.0, 0.0, 1.0]),
+            AlphaSchemeConfig(alpha=0.5),
+        )

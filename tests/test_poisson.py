@@ -346,10 +346,14 @@ def test_poisson_map_residual_exact_rotation():
 
 def test_poisson_map_residual_alpha_scheme_vs_em():
     from spoisson.alpha_gf import AlphaSchemeConfig
+    from spoisson.canonical import alpha_scheme_map
     from spoisson.sde import euler_maruyama_step, ito_form
 
     sysm = rb.system(rb.REFERENCE_PARAMS)
-    scheme = rb.alpha_scheme_map(rb.REFERENCE_PARAMS, AlphaSchemeConfig(alpha=0.5))
+    scheme = alpha_scheme_map(
+        rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0),
+        AlphaSchemeConfig(alpha=0.5),
+    )
     em_sde = ito_form(drift_and_diffusions(sysm))
     em = lambda y, h, dw: euler_maruyama_step(em_sde, y, h, dw)
     rng = np.random.default_rng(7)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spoisson.alpha_gf import AlphaSchemeConfig
-from spoisson.canonical import verify_chart
+from spoisson.canonical import alpha_scheme, alpha_scheme_map, verify_chart
 from spoisson.experiments import paths_experiment
 from spoisson.noise import TimeGrid, TruncationPolicy, sample_increments
 from spoisson.poisson import (
@@ -127,7 +127,11 @@ def test_alpha_scheme_preserves_casimir():
     grid = TimeGrid(0.0, 5.0, 500)
     noise = sample_increments(grid, 1, 21)
     for alpha in (0.0, 0.5, 1.0):
-        step = rb.alpha_scheme(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0, AlphaSchemeConfig(alpha=alpha))
+        step = alpha_scheme(
+            rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0),
+            rb.REFERENCE_Y0,
+            AlphaSchemeConfig(alpha=alpha),
+        )
         traj = integrate(step, rb.REFERENCE_Y0, grid, noise, record={"C": rb.CASIMIR.value})
         assert np.max(np.abs(traj.functionals["C"] - 0.5)) < 1e-10
 
@@ -135,7 +139,11 @@ def test_alpha_scheme_preserves_casimir():
 def test_alpha_scheme_tracks_reference_path():
     # Coupled endpoint comparison against the fine midpoint reference.
     grid = TimeGrid(0.0, 10.0, 1000)
-    scheme = rb.alpha_scheme(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0, AlphaSchemeConfig(alpha=0.5))
+    scheme = alpha_scheme(
+        rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0),
+        rb.REFERENCE_Y0,
+        AlphaSchemeConfig(alpha=0.5),
+    )
     result = paths_experiment(
         rb.system(rb.REFERENCE_PARAMS), scheme, rb.REFERENCE_Y0, grid, seed=4, ref_factor=50
     )
@@ -148,7 +156,11 @@ def test_alpha_scheme_noise_free_limit_is_deterministic():
     params = rb.RigidBodyParams(i1=rb.REFERENCE_PARAMS.i1, i2=rb.REFERENCE_PARAMS.i2,
                                 i3=rb.REFERENCE_PARAMS.i3, c1=0.0)
     grid = TimeGrid(0.0, 2.0, 200)
-    step = rb.alpha_scheme(params, rb.REFERENCE_Y0, AlphaSchemeConfig(alpha=0.5))
+    step = alpha_scheme(
+        rb.model(params, rb.REFERENCE_Y0),
+        rb.REFERENCE_Y0,
+        AlphaSchemeConfig(alpha=0.5),
+    )
     t1 = integrate(step, rb.REFERENCE_Y0, grid, sample_increments(grid, 1, 1))
     t2 = integrate(step, rb.REFERENCE_Y0, grid, sample_increments(grid, 1, 2))
     assert np.array_equal(t1.states, t2.states)
@@ -202,8 +214,8 @@ def test_one_step_jacobian_matches_variational():
     noise = sample_increments(grid, 1, 9)
     sysm = rb.system(rb.REFERENCE_PARAMS)
     Z = variational_jacobian(sysm, rb.REFERENCE_Y0, grid, noise)
-    step = rb.alpha_scheme_map(
-        rb.REFERENCE_PARAMS,
+    step = alpha_scheme_map(
+        rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0),
         AlphaSchemeConfig(alpha=0.5, truncation=TruncationPolicy(enabled=False)),
     )
     M = step_jacobian_fd(step, rb.REFERENCE_Y0, h, noise.values[0], eps=1e-5)
@@ -212,4 +224,8 @@ def test_one_step_jacobian_matches_variational():
 
 def test_scheme_rejects_start_outside_chart_domain():
     with pytest.raises(DomainError):
-        rb.alpha_scheme(rb.REFERENCE_PARAMS, np.array([0.0, 1.0, 0.0]), AlphaSchemeConfig(alpha=0.5))
+        alpha_scheme(
+            rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0),
+            np.array([0.0, 1.0, 0.0]),
+            AlphaSchemeConfig(alpha=0.5),
+        )

@@ -19,7 +19,7 @@ from spoisson.sde import (
     integrate,
     midpoint_step,
     milstein_step,
-    ms_error,
+    ms_error_many,
     strat_to_ito_drift,
 )
 from spoisson.models import lotka_volterra as lv
@@ -247,7 +247,9 @@ def test_milstein_strong_order_one_on_geometric_sde():
 def test_ms_error_self_comparison_is_exactly_zero():
     sde = drift_and_diffusions(rb.system(rb.REFERENCE_PARAMS))
     step = lambda y, h, dw: midpoint_step(sde, y, h, dw)
-    est = ms_error(step, step, 1, rb.REFERENCE_Y0, 0.5, [0.05], 8, 99, ref_factor=1)
+    est = ms_error_many(
+        {"scheme": step}, step, 1, rb.REFERENCE_Y0, 0.5, [0.05], 8, 99, ref_factor=1
+    )["scheme"]
     assert est.errors[0] == 0.0
     assert math.isnan(est.slope)
 
@@ -261,10 +263,14 @@ def test_fit_order_exact_on_synthetic_log_linear_data():
 def test_ms_error_orders_steps_and_validates():
     sde = drift_and_diffusions(rb.system(rb.REFERENCE_PARAMS))
     step = lambda y, h, dw: midpoint_step(sde, y, h, dw)
-    est = ms_error(step, step, 1, rb.REFERENCE_Y0, 0.4, [0.01, 0.04, 0.02], 4, 1, ref_factor=4)
+    est = ms_error_many(
+        {"scheme": step}, step, 1, rb.REFERENCE_Y0, 0.4, [0.01, 0.04, 0.02], 4, 1, ref_factor=4
+    )["scheme"]
     assert np.all(np.diff(est.step_sizes) < 0)
     with pytest.raises(ValueError):
-        ms_error(step, step, 1, rb.REFERENCE_Y0, 0.4, [0.03, 0.04], 4, 1, ref_factor=4)
+        ms_error_many(
+            {"scheme": step}, step, 1, rb.REFERENCE_Y0, 0.4, [0.03, 0.04], 4, 1, ref_factor=4
+        )["scheme"]
 
 
 def test_ms_error_sample_failure_policies():
@@ -280,11 +286,13 @@ def test_ms_error_sample_failure_policies():
         return midpoint_step(sde, y, h, dw)
 
     with pytest.raises(NonConvergenceError):
-        ms_error(flaky, ref, 1, rb.REFERENCE_Y0, 0.2, [0.02], 6, 5, ref_factor=2)
-    est = ms_error(
-        flaky, ref, 1, rb.REFERENCE_Y0, 0.2, [0.02], 6, 5, ref_factor=2,
+        ms_error_many(
+            {"scheme": flaky}, ref, 1, rb.REFERENCE_Y0, 0.2, [0.02], 6, 5, ref_factor=2
+        )["scheme"]
+    est = ms_error_many(
+        {"scheme": flaky}, ref, 1, rb.REFERENCE_Y0, 0.2, [0.02], 6, 5, ref_factor=2,
         on_sample_error="drop",
-    )
+    )["scheme"]
     assert 1 <= est.n_dropped <= 5
     assert est.n_dropped == 6 - est.n_samples
     assert est.errors[0] > 0
