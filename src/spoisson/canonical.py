@@ -106,9 +106,8 @@ def transform_system(sys: PoissonSystem, chart: Chart, y0) -> CanonicalSHS:
 
     H_r(Z) = s K_r(theta^-1(Z, C)) with s the chart block sign; gradients come
     from the chain rule with the chart Jacobian, Hessians from central
-    differences of that gradient.  Models may instead supply fully analytic
-    Hamiltonians; this generic route exists for user systems and as a
-    cross-check.
+    differences of that gradient.  Models supply exact transformed systems;
+    this generic route is the cross-check that tests compare them against.
     """
     y0 = np.asarray(y0, dtype=float)
     if chart.domain is not None and not np.all(chart.domain(y0)):
@@ -147,9 +146,7 @@ def transform_system(sys: PoissonSystem, chart: Chart, y0) -> CanonicalSHS:
     )
 
 
-def poisson_integrator(
-    sys: PoissonSystem, chart: Chart, symplectic_stepper: Callable, frozen_c
-) -> Callable:
+def poisson_integrator(chart: Chart, symplectic_stepper: Callable, frozen_c) -> Callable:
     """Compose a symplectic one-step map on (P, Q) into a map on y.
 
     The returned map sends y to theta^-1(stepper(Z(theta(y))), C) with C the
@@ -178,17 +175,17 @@ class Model:
     """A Poisson system with what the composed scheme and the CLI need.
 
     ``chart(cv)`` builds the canonical chart for the Casimir value cv of the
-    initial state (``None``: the system has no chart).  ``shs(cv)`` is the
-    analytic transformed system; ``None`` derives it from the chart with
-    :func:`transform_system` by finite differences.  ``default_T`` maps each
-    CLI command to its default final time, and ``check_points(rng)`` samples
-    the (k, d) states that ``check`` validates at.
+    initial state (``None``: the system has no chart).  ``shs(y)`` is the
+    transformed system with exact derivatives and the Casimirs frozen at
+    their values at the state y.  ``default_T`` maps each CLI command to its
+    default final time, and ``check_points(rng)`` samples the (k, d) states
+    that ``check`` validates at.  A ``y0`` outside either domain is a ValueError.
     """
 
     name: str
     system: PoissonSystem
     chart: Callable | None
-    shs: Callable | None
+    shs: Callable
     y0: np.ndarray | None
     default_T: dict
     check_points: Callable
@@ -198,8 +195,12 @@ class Model:
             return
         if np.shape(self.y0) != (self.system.dim,):
             raise ValueError(f"y0 must have {self.system.dim} components, got {self.y0}")
+        if self.system.domain is not None and not self.system.domain(self.y0):
+            raise ValueError(f"initial state {self.y0} outside the system domain")
         if self.chart is not None:  # the chart owns the rules on its level set
-            self.chart(self.casimir_value(self.y0))
+            chart = self.chart(self.casimir_value(self.y0))
+            if chart.domain is not None and not chart.domain(self.y0):
+                raise ValueError(f"initial state {self.y0} outside the chart domain")
 
     def casimir_value(self, y) -> float | None:
         """The first Casimir at y, which selects the chart; ``None`` without
@@ -215,16 +216,15 @@ def alpha_scheme(model: Model, y0, config: AlphaSchemeConfig) -> Callable:
     if model.system.n_noise != 1:
         raise ValueError("alpha-generating schemes support a single noise channel")
     y0 = np.asarray(y0, dtype=float)
-    cv = model.casimir_value(y0)
-    chart = model.chart(cv)
+    chart = model.chart(model.casimir_value(y0))
     if chart.domain is not None and not np.all(chart.domain(y0)):
         raise DomainError("initial state outside chart domain", state=y0)
-    shs = transform_system(model.system, chart, y0) if model.shs is None else model.shs(cv)
+    shs = model.shs(y0)
 
     def zstep(z, h, dw):
         return alpha_step(shs, z, h, dw[..., 0], config)
 
-    inner = poisson_integrator(model.system, chart, zstep, shs.casimir_values)
+    inner = poisson_integrator(chart, zstep, shs.casimir_values)
 
     def step(y, h, dw):
         return inner(y, h, truncate_increments(dw, h, config.truncation))

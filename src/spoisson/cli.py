@@ -175,10 +175,7 @@ def _scheme(cfg: ExperimentConfig, model: Model, alpha: float):
     """The composed alpha scheme of the model from its initial state."""
     if model.chart is None:
         raise ConfigError("custom system has no chart; only 'check' is available")
-    # finite-difference derivative data (no analytic shs) puts the attainable
-    # fixed-point accuracy near 1e-10; a tighter tol would never be met
-    tol = cfg.tol if model.shs is not None else max(cfg.tol, 1e-9)
-    return alpha_scheme(model, model.y0, replace(_alpha_config(cfg, alpha), tol=tol))
+    return alpha_scheme(model, model.y0, _alpha_config(cfg, alpha))
 
 
 def _fmt(x: float) -> str:
@@ -317,21 +314,24 @@ def cmd_check(cfg: ExperimentConfig) -> int:
     points = model.check_points(np.random.default_rng(cfg.seed))
     if model.system.domain is not None:
         points = points[model.system.domain(points)]
-        if len(points) == 0:
-            raise ConfigError("no random check points inside the declared domain")
-    chart = stepper_factory = scheme_factory = None
-    if model.chart is not None:
-        cv = model.casimir_value(model.y0)
-        chart = model.chart(cv)
+    chart = stepper_factory = scheme_factory = map_points = None
+    if model.chart is not None and len(points):
+        y0 = points[0] if model.y0 is None else model.y0
+        chart = model.chart(model.casimir_value(y0))
         if chart.domain is not None:
             points = points[chart.domain(points)]
-        # Map-based diagnostics (symplecticity, Poisson-map residual) need
-        # analytic derivative data to reach their thresholds; with fd-backed
-        # Hamiltonians the check suite covers the structural validators only.
-        if model.shs is not None:
-            shs = model.shs(cv)
-            stepper_factory = lambda alpha: make_alpha_stepper(shs, _alpha_config(cfg, alpha))
-            scheme_factory = lambda: alpha_scheme_map(model, _alpha_config(cfg, 0.5))
+        shs = model.shs(y0)
+        stepper_factory = lambda alpha: make_alpha_stepper(shs, _alpha_config(cfg, alpha))
+        scheme_factory = lambda: alpha_scheme_map(model, _alpha_config(cfg, 0.5))
+        # the symplectic check steps chart coordinates with the Casimirs frozen
+        # at y0: keep the states whose inverse chart is defined there
+        c = np.tile(shs.casimir_values, (len(points), 1))
+        with np.errstate(all="ignore"):
+            ys = chart.inverse(np.hstack([chart.forward(points)[:, : 2 * chart.n], c]))
+            ok = np.isfinite(ys).all(axis=-1) & (chart.domain is None or chart.domain(ys))
+        map_points = points[ok]
+    if len(points) == 0 or map_points is not None and len(map_points) == 0:
+        raise ConfigError("no random check points inside the domain or on y0's chart level")
     lines = experiments.check_suite(
         model.system,
         points,
@@ -341,6 +341,7 @@ def cmd_check(cfg: ExperimentConfig) -> int:
         alphas=cfg.alpha,
         h=cfg.h[0] if cfg.h else 0.01,
         seed=cfg.seed,
+        map_points=map_points,
     )
     failed = False
     for line in lines:

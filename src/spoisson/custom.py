@@ -2,9 +2,10 @@
 
 A custom system file is key = value text.  Matrix and vector entries are
 expressions in the state variables y1..yd (z1..zd for chart inverses) plus a
-whitelisted set of numpy functions; no other names are allowed.  Derivative
-data (gradients, Hessians, dB) falls back to central finite differences, so
-custom runs trade speed and some accuracy for convenience.
+whitelisted set of numpy functions; no other names are allowed.  Loading a
+file differentiates them exactly on their syntax trees (gradients, Hessians,
+dB, the chart Jacobian and H_r(z, c) = s K_r(theta^-1(z, c)) in z1..z2n) and
+compiles each field to one function.
 
 Example::
 
@@ -27,12 +28,13 @@ solved for).
 """
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import Chart, Model
-from .poisson import PoissonSystem, fd_field
+from .canonical import CanonicalSHS, Chart, Model, _block_sign
+from .poisson import PoissonSystem, ScalarField
 
 _ALLOWED_FUNCS = {
     name: getattr(np, name)
@@ -44,6 +46,26 @@ _ALLOWED_FUNCS = {
 }
 _ALLOWED_FUNCS["pi"] = np.pi
 _ALLOWED_FUNCS["e"] = np.e
+_GLOBALS = {"__builtins__": {}, **_ALLOWED_FUNCS}
+
+# d f(a, b) in the operands a, b and their derivatives da, db.  A comparison
+# is scaled by the float 1.0, which is never folded, so that sums of them add.
+_RULES = {
+    key: (ast.parse(rule, mode="eval").body, 1 + ("db" in rule))  # (tree, arity)
+    for key, rule in {
+        "Add": "da + db", "Sub": "da - db", "Mult": "da*b + a*db", "Div": "da/b - a*db/b**2",
+        "Pow": "b*a**(b - 1)*da + a**b*log(a)*db", "UAdd": "da", "USub": "-da",
+        "sin": "cos(a)*da", "cos": "-sin(a)*da", "tan": "da/cos(a)**2", "exp": "exp(a)*da",
+        "log": "da/a", "sqrt": "0.5*da/sqrt(a)", "arctan": "da/(1 + a**2)",
+        "arcsin": "da/sqrt(1 - a**2)", "arccos": "-da/sqrt(1 - a**2)", "sinh": "cosh(a)*da",
+        "cosh": "sinh(a)*da", "tanh": "da/cosh(a)**2", "abs": "sign(a)*da", "sign": "0",
+        "arctan2": "(b*da - a*db)/(a**2 + b**2)",
+        "minimum": "1.0*(a <= b)*da + 1.0*(a > b)*db",
+        "maximum": "1.0*(a >= b)*da + 1.0*(a < b)*db",
+    }.items()
+}
+_LOC = {"lineno": 1, "col_offset": 0, "end_lineno": 1, "end_col_offset": 0}  # for compile()
+_ZERO, _ONE = ast.Constant(0, **_LOC), ast.Constant(1, **_LOC)
 
 
 class SpecFileError(ValueError):
@@ -67,77 +89,119 @@ def parse_keyvalues(text: str) -> dict[str, str]:
     return out
 
 
-def compile_expr(expr: str, dim: int, var: str = "y"):
-    """Compile an expression of y1..yd into a batched callable (..., d) -> (...)."""
+def _is(tree, value: int) -> bool:
+    return isinstance(tree, ast.Constant) and type(tree.value) is int and tree.value == value
+
+
+def _subst(t, env: dict):
+    """A copy of tree t with its names replaced by the trees of env (shared,
+    not copied) and the int constants 0 and 1 folded out of its operations."""
+    if isinstance(t, ast.Name):
+        return env.get(t.id, t)
+    if isinstance(t, ast.UnaryOp):
+        return ast.UnaryOp(t.op, _subst(t.operand, env), **_LOC)
+    if isinstance(t, ast.Call):
+        return ast.Call(t.func, [_subst(a, env) for a in t.args], t.keywords, **_LOC)
+    if isinstance(t, ast.Compare):
+        comparators = [_subst(c, env) for c in t.comparators]
+        return ast.Compare(_subst(t.left, env), t.ops, comparators, **_LOC)
+    if not isinstance(t, ast.BinOp):
+        return t
+    a, b, op = _subst(t.left, env), _subst(t.right, env), type(t.op)
+    if op in (ast.Add, ast.Sub) and _is(b, 0) or op in (ast.Mult, ast.Div) and _is(b, 1):
+        return a
+    if op is ast.Add and _is(a, 0) or op is ast.Mult and _is(a, 1):
+        return b
+    if op in (ast.Mult, ast.Div) and _is(a, 0) or op is ast.Mult and _is(b, 0):
+        return _ZERO
+    return ast.BinOp(a, t.op, b, **_LOC)
+
+
+def _diff(e, v: str):
+    """The tree of de/dv."""
+    if isinstance(e, ast.Name):
+        return _ONE if e.id == v else _ZERO
+    if isinstance(e, (ast.Constant, ast.Compare)):  # comparisons are piecewise constant
+        return _ZERO
+    key, args = None, ()
+    if isinstance(e, (ast.BinOp, ast.UnaryOp)):
+        key = type(e.op).__name__
+        args = [e.left, e.right] if isinstance(e, ast.BinOp) else [e.operand]
+    elif isinstance(e, ast.Call) and isinstance(e.func, ast.Name) and not e.keywords:
+        key, args = e.func.id, e.args
+    rule, arity = _RULES.get(key, (None, -1))
+    if len(args) != arity:
+        raise SpecFileError(f"cannot differentiate {ast.unparse(e)!r}")
+    env = {**dict(zip("ab", args)), **dict(zip(("da", "db"), (_diff(x, v) for x in args)))}
+    return _subst(rule, env)
+
+
+def _jacobian(trees: np.ndarray, names) -> np.ndarray:
+    """Object array of the trees d trees[...] / d names[j], j the last axis."""
+    out = np.empty(trees.shape + (len(names),), dtype=object)
+    for idx, tree in np.ndenumerate(trees):
+        out[idx] = [_diff(tree, v) for v in names]
+    return out
+
+
+def _parse(expr: str):
     try:
-        code = compile(expr, "<expr>", "eval")
+        return ast.parse(expr.strip(), mode="eval").body
     except SyntaxError as exc:
         raise SpecFileError(f"bad expression {expr!r}: {exc}") from exc
-    allowed = set(_ALLOWED_FUNCS) | {f"{var}{i + 1}" for i in range(dim)}
-    unknown = set(code.co_names) - allowed
-    if unknown:
-        raise SpecFileError(f"unknown name(s) {sorted(unknown)} in {expr!r}")
-
-    def f(y):
-        y = np.asarray(y, dtype=float)
-        env = dict(_ALLOWED_FUNCS)
-        for i in range(dim):
-            env[f"{var}{i + 1}"] = y[..., i]
-        out = eval(code, {"__builtins__": {}}, env)  # names whitelisted above
-        return np.broadcast_to(np.asarray(out, dtype=float), y.shape[:-1]).copy()
-
-    return f
 
 
-def _split_top_level(s: str, sep: str = ",") -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in s:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts]
-
-
-def parse_vector_exprs(s: str) -> list[str]:
-    s = s.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise SpecFileError(f"expected [e1, e2, ...], got {s!r}")
-    return _split_top_level(s[1:-1])
+def _entries(text: str, ndim: int) -> np.ndarray:
+    """Object array of the entry trees of a [e, ...] (ndim 1) or [[e, ...], ...] value."""
+    tree = _parse(text)
+    rows = getattr(tree, "elts", None) if ndim == 2 else [tree]
+    if not isinstance(tree, ast.List) or not all(isinstance(r, ast.List) for r in rows):
+        raise SpecFileError(f"expected a {ndim}-level [...] list, got {text!r}")
+    return np.array([r.elts for r in rows] if ndim == 2 else tree.elts, dtype=object)
 
 
 def parse_matrix_exprs(s: str) -> list[list[str]]:
-    s = s.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise SpecFileError(f"expected [[...], [...]], got {s!r}")
-    rows = _split_top_level(s[1:-1])
-    return [parse_vector_exprs(r) for r in rows]
+    return [[ast.unparse(e) for e in row] for row in _entries(s, 2)]
 
 
-def compile_vector(exprs: list[str], dim: int, var: str = "y"):
-    fns = [compile_expr(e, dim, var) for e in exprs]
+def compile_field(trees, names):
+    """One compiled function (..., k) -> (..., *shape) of an array of trees in
+    the variables ``names``: the state holds the first k, the rest are passed
+    as extra arguments.  Constant entries broadcast over the batch."""
+    trees = np.array(trees, dtype=object)
+    args = ast.arguments([], [ast.arg(n, **_LOC) for n in names], None, [], [], None, [])
+    lam = ast.Expression(ast.Lambda(args, ast.Tuple(list(trees.flat), ast.Load(), **_LOC), **_LOC))
+    fn = eval(compile(lam, "<expr>", "eval"), _GLOBALS)
+    unknown = set(fn.__code__.co_names) - set(_ALLOWED_FUNCS)
+    if unknown:
+        exprs = ", ".join(map(ast.unparse, trees.flat))
+        raise SpecFileError(f"unknown name(s) {sorted(unknown)} in {exprs!r}")
 
-    def f(y):
+    def f(y, *bound):
         y = np.asarray(y, dtype=float)
-        return np.stack([fn(y) for fn in fns], axis=-1)
+        out = np.empty(y.shape[:-1] + trees.shape)
+        flat = out.reshape(y.shape[:-1] + (trees.size,))
+        for i, value in enumerate(fn(*y.transpose(-1, *range(y.ndim - 1)), *bound)):
+            flat[..., i] = value
+        return out
 
     return f
 
 
-def compile_matrix(rows: list[list[str]], dim: int, var: str = "y"):
-    fns = [compile_vector(row, dim, var) for row in rows]
+def compile_expr(expr: str, dim: int):
+    """Compile an expression of y1..yd into a batched callable (..., d) -> (...)."""
+    return compile_field(_parse(expr), [f"y{i + 1}" for i in range(dim)])
 
-    def f(y):
-        y = np.asarray(y, dtype=float)
-        return np.stack([fn(y) for fn in fns], axis=-2)
 
-    return f
+def _scalar_field(tree, names, k: int | None = None) -> ScalarField:
+    """Compiled value, gradient and Hessian of a tree, the derivatives in the
+    first k names; the Hessian is symmetric by construction."""
+    value = compile_field(tree, names)
+    grad = _jacobian(np.array(tree, dtype=object), names[:k])
+    hess = np.empty(2 * grad.shape, dtype=object)
+    for i, j in zip(*np.triu_indices(len(grad))):
+        hess[i, j] = hess[j, i] = _diff(grad[i], names[j])
+    return ScalarField(value, compile_field(grad, names), compile_field(hess, names))
 
 
 @dataclass(frozen=True)
@@ -145,15 +209,24 @@ class CustomSystem:
     system: PoissonSystem
     chart: Chart | None
     keys: dict[str, str]
+    chart_hamiltonians: tuple[ScalarField, ...] = ()  # H_r(z, c), c passed after z
+
+    def shs(self, y) -> CanonicalSHS:
+        """The compiled H_r with the chart Casimirs bound to theta(y)[2n:]."""
+        c = self.chart.forward(np.asarray(y, dtype=float))[2 * self.chart.n:]
+        bind = lambda f: lambda z: f(z, *c)
+        fields = tuple(
+            ScalarField(bind(H.value), bind(H.grad), bind(H.hess)) for H in self.chart_hamiltonians
+        )
+        return CanonicalSHS(self.chart.n, self.system.n_noise, c, fields)
 
     def model(self, y0) -> Model:
-        """This system as a :class:`Model`: no analytic transformed system, so
-        the scheme derives it from the chart by finite differences."""
+        """This system as a :class:`Model` whose transformed system is :meth:`shs`."""
         return Model(
             name="custom",
             system=self.system,
             chart=None if self.chart is None else lambda cv: self.chart,
-            shs=None,
+            shs=self.shs,
             y0=None if y0 is None else np.asarray(y0, dtype=float),
             default_T={"paths": 10.0, "casimir": 10.0, "order": 2.0},
             check_points=lambda rng: rng.uniform(0.2, 1.5, size=(100, self.system.dim)),
@@ -169,24 +242,15 @@ def load_custom_system(path: str) -> CustomSystem:
         raise SpecFileError("missing required key 'dim'")
     m = int(keys.get("m", 1))
     rank = int(keys.get("rank", dim - dim % 2))
+    ys = [f"y{i + 1}" for i in range(dim)]
 
-    if "B" not in keys:
-        raise SpecFileError("missing required key 'B' (structure matrix)")
-    b_rows = parse_matrix_exprs(keys["B"])
-    if len(b_rows) != dim or any(len(r) != dim for r in b_rows):
-        raise SpecFileError(f"B must be {dim}x{dim}")
-    structure = compile_matrix(b_rows, dim)
-
-    hamiltonians = []
-    for r in range(m + 1):
-        key = f"K{r}"
+    for key in ("B", *(f"K{r}" for r in range(m + 1))):
         if key not in keys:
-            raise SpecFileError(f"missing required key '{key}'")
-        hamiltonians.append(fd_field(compile_expr(keys[key], dim)))
-
-    casimirs = []
-    for key in sorted(k for k in keys if k.startswith("casimir")):
-        casimirs.append(fd_field(compile_expr(keys[key], dim)))
+            raise SpecFileError(f"missing required key {key!r}")
+    B = _entries(keys["B"], 2)
+    if B.shape != (dim, dim):
+        raise SpecFileError(f"B must be {dim}x{dim}")
+    casimirs = sorted(k for k in keys if k.startswith("casimir"))
 
     domain = None
     if "domain" in keys:
@@ -196,26 +260,29 @@ def load_custom_system(path: str) -> CustomSystem:
     system = PoissonSystem(
         dim=dim,
         n_noise=m,
-        structure=structure,
-        hamiltonians=tuple(hamiltonians),
+        structure=compile_field(B, ys),
+        hamiltonians=tuple(_scalar_field(_parse(keys[f"K{r}"]), ys) for r in range(m + 1)),
         rank=rank,
-        casimirs=tuple(casimirs),
+        structure_derivative=compile_field(_jacobian(B, ys), ys),
+        casimirs=tuple(_scalar_field(_parse(keys[k]), ys) for k in casimirs),
         domain=domain,
     )
 
-    chart = None
-    if "chart_forward" in keys:
-        for req in ("chart_inverse", "chart_b0", "chart_n"):
-            if req not in keys:
-                raise SpecFileError(f"chart requires key '{req}'")
-        n = int(keys["chart_n"])
-        fwd = compile_vector(parse_vector_exprs(keys["chart_forward"]), dim)
-        inv = compile_vector(parse_vector_exprs(keys["chart_inverse"]), dim, var="z")
-        b0_rows = parse_matrix_exprs(keys["chart_b0"])
-        b0 = np.array([[float(eval(e, {"__builtins__": {}}, {})) for e in row] for row in b0_rows])
-        if b0.shape != (dim, dim):
-            raise SpecFileError(f"chart_b0 must be {dim}x{dim}")
-        chart = Chart(
-            dim=dim, n=n, forward=fwd, inverse=inv, b0=b0, domain=domain
-        )
-    return CustomSystem(system=system, chart=chart, keys=keys)
+    if "chart_forward" not in keys:
+        return CustomSystem(system=system, chart=None, keys=keys)
+    for req in ("chart_inverse", "chart_b0", "chart_n"):
+        if req not in keys:
+            raise SpecFileError(f"chart requires key '{req}'")
+    n, zs = int(keys["chart_n"]), [f"z{i + 1}" for i in range(dim)]
+    fwd, inv = _entries(keys["chart_forward"], 1), _entries(keys["chart_inverse"], 1)
+    b0 = _entries(keys["chart_b0"], 2)
+    if fwd.shape != (dim,) or inv.shape != (dim,) or b0.shape != (dim, dim):
+        raise SpecFileError(f"the chart needs {dim}, {dim} and {dim}x{dim} entries")
+    jacobian = compile_field(_jacobian(fwd, ys), ys)
+    chart = Chart(dim=dim, n=n, forward=compile_field(fwd, ys), inverse=compile_field(inv, zs),
+                  b0=compile_field(b0, [])(np.zeros(0)), jacobian=jacobian, domain=domain)
+    # H_r(z, c) = s K_r(theta^-1(z, c)), s the sign of the chart block
+    sign, inverse = ast.Constant(_block_sign(chart), **_LOC), dict(zip(ys, inv))
+    trees = (_subst(_parse(keys[f"K{r}"]), inverse) for r in range(m + 1))
+    fields = tuple(_scalar_field(ast.BinOp(sign, ast.Mult(), t, **_LOC), zs, 2 * n) for t in trees)
+    return CustomSystem(system=system, chart=chart, keys=keys, chart_hamiltonians=fields)

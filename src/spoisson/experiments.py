@@ -176,13 +176,15 @@ def check_suite(
     h: float = 0.01,
     seed: int = 0,
     n_map_states: int = 20,
+    map_points: np.ndarray | None = None,
 ) -> list[CheckLine]:
     """Structural validators with pass/fail thresholds.
 
     ``canonical_stepper_factory(alpha)`` builds a one-step map on (P, Q) for
     the symplecticity check; ``composed_scheme_factory()`` a one-step map on y
-    for the Poisson-map check.  Chart-dependent checks are skipped when no
-    chart is supplied.
+    for the Poisson-map check; both step states drawn from ``map_points``
+    (default ``points``).  Chart-dependent checks are skipped when no chart
+    is supplied.
     """
     rng = np.random.default_rng(seed)
     lines = [
@@ -208,9 +210,8 @@ def check_suite(
                 THRESHOLDS["chart"],
             )
         )
-    map_states = points[
-        rng.choice(len(points), size=min(n_map_states, len(points)), replace=False)
-    ]
+    pool = points if map_points is None else map_points
+    map_states = pool[rng.choice(len(pool), size=min(n_map_states, len(pool)), replace=False)]
     if canonical_stepper_factory is not None and chart is not None:
         # symplecticity is checked in chart coordinates
         zs = chart.forward(map_states)[..., : 2 * chart.n]

@@ -262,7 +262,7 @@ def model(params: LVParams, y0) -> Model:
         name="slv",
         system=system(params),
         chart=lambda cv: chart(cv, params),
-        shs=lambda cv: transformed_shs(params, cv),
+        shs=lambda y: transformed_shs(params, float(casimir(params).value(y))),
         y0=np.asarray(y0, dtype=float),
         default_T={"paths": 10.0, "casimir": 10.0, "order": 2.0},
         check_points=lambda rng: rng.uniform(0.2, 2.5, size=(100, 3)),

@@ -207,7 +207,7 @@ def model(params: RigidBodyParams, y0) -> Model:
         name="srb",
         system=system(params),
         chart=chart,
-        shs=lambda cv: transformed_shs(params, cv),
+        shs=lambda y: transformed_shs(params, float(CASIMIR.value(y))),
         y0=np.asarray(y0, dtype=float),
         default_T={"paths": 10.0, "casimir": 500.0, "order": 10.0},
         check_points=_check_points,

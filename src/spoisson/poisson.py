@@ -52,16 +52,6 @@ def fd_gradient(value: Callable, y, eps: float | None = None) -> np.ndarray:
     return fd_vector_jacobian(value, y, eps)
 
 
-def fd_field(value: Callable, eps: float | None = None) -> ScalarField:
-    """Scalar field with finite-difference gradient and Hessian."""
-    grad = lambda y: fd_gradient(value, y, eps)
-    return ScalarField(
-        value=value,
-        grad=grad,
-        hess=lambda y: fd_vector_jacobian(grad, y, eps),
-    )
-
-
 @dataclass(frozen=True)
 class PoissonSystem:
     """Structure matrix, Hamiltonians, and optional derivative data.

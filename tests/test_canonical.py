@@ -1,7 +1,9 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spoisson.alpha_gf import AlphaSchemeConfig
 from spoisson.canonical import (
@@ -12,6 +14,7 @@ from spoisson.canonical import (
     transform_system,
     verify_chart,
 )
+from spoisson.custom import load_custom_system
 from spoisson.noise import TimeGrid, sample_increments
 from spoisson.poisson import PoissonSystem, ScalarField
 from spoisson.sde import DomainError, integrate
@@ -162,8 +165,7 @@ def test_transform_system_rejects_out_of_domain_start():
 
 def test_poisson_integrator_identity_stepper_fixes_level_set():
     chart = rb.chart(0.5)
-    sysm = rb.system(rb.REFERENCE_PARAMS)
-    step = poisson_integrator(sysm, chart, lambda z, h, dw: z, [0.5])
+    step = poisson_integrator(chart, lambda z, h, dw: z, [0.5])
     rng = np.random.default_rng(5)
     for _ in range(10):
         # states on the level set C = 1/2
@@ -177,12 +179,11 @@ def test_poisson_integrator_conjugacy_and_casimir_exactness():
     params = rb.REFERENCE_PARAMS
     cv = 0.5
     chart = rb.chart(cv)
-    sysm = rb.system(params)
     shs = rb.transformed_shs(params, cv)
     from spoisson.alpha_gf import make_alpha_stepper
 
     stepper = make_alpha_stepper(shs, AlphaSchemeConfig(alpha=0.3))
-    composed = poisson_integrator(sysm, chart, stepper, [cv])
+    composed = poisson_integrator(chart, stepper, [cv])
     rng = np.random.default_rng(6)
     y = rb.REFERENCE_Y0
     for _ in range(50):
@@ -199,17 +200,15 @@ def test_poisson_integrator_conjugacy_and_casimir_exactness():
 
 def test_poisson_integrator_rejects_out_of_domain_state():
     chart = rb.chart(0.5)
-    sysm = rb.system(rb.REFERENCE_PARAMS)
-    step = poisson_integrator(sysm, chart, lambda z, h, dw: z, [0.5])
+    step = poisson_integrator(chart, lambda z, h, dw: z, [0.5])
     with pytest.raises(DomainError):
         step(np.array([0.0, 2.0, 0.0]), 0.01, np.zeros(1))  # y2^2 > 2C
 
 
 def test_poisson_integrator_reports_domain_exit():
     chart = rb.chart(0.5)
-    sysm = rb.system(rb.REFERENCE_PARAMS)
     runaway = lambda z, h, dw: z + np.array([10.0, 0.0])  # pushes P out of range
-    step = poisson_integrator(sysm, chart, runaway, [0.5])
+    step = poisson_integrator(chart, runaway, [0.5])
     with pytest.raises(DomainError):
         step(rb.REFERENCE_Y0, 0.01, np.zeros(1))
 
@@ -217,14 +216,40 @@ def test_poisson_integrator_reports_domain_exit():
 def test_generic_alpha_scheme_tracks_analytic_model():
     params = rb.REFERENCE_PARAMS
     config = AlphaSchemeConfig(alpha=0.5)
+    model = rb.model(params, rb.REFERENCE_Y0)
     generic = alpha_scheme(
-        replace(rb.model(params, rb.REFERENCE_Y0), shs=None),
+        replace(model, shs=lambda y: transform_system(model.system, rb.chart(0.5), y)),
         rb.REFERENCE_Y0,
         config,
     )
-    analytic = alpha_scheme(rb.model(params, rb.REFERENCE_Y0), rb.REFERENCE_Y0, config)
+    analytic = alpha_scheme(model, rb.REFERENCE_Y0, config)
     grid = TimeGrid(0.0, 0.5, 50)
     noise = sample_increments(grid, 1, 7)
     t1 = integrate(generic, rb.REFERENCE_Y0, grid, noise)
     t2 = integrate(analytic, rb.REFERENCE_Y0, grid, noise)
     assert np.max(np.abs(t1.states - t2.states)) < 1e-8
+
+
+SRB_CUSTOM = Path(__file__).resolve().parents[1] / "bench" / "srb_custom.txt"
+BATCH_MODELS = {
+    "srb": lambda: rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0),
+    "slv": lambda: lv.model(lv.REFERENCE_PARAMS, lv.REFERENCE_Y0),
+    "custom": lambda: load_custom_system(str(SRB_CUSTOM)).model([0.7, 0.3, 0.2]),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("name", sorted(BATCH_MODELS))
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_batched_rows_equal_single_rows_bit_for_bit(name, alpha, seed):
+    model = BATCH_MODELS[name]()
+    step = alpha_scheme(model, model.y0, AlphaSchemeConfig(alpha=alpha))
+    rng = np.random.default_rng(seed)
+    ys = model.y0 + 0.05 * rng.standard_normal((16, 3))
+    for _ in range(3):
+        dw = 0.2 * rng.standard_normal((16, 1))
+        batched = step(ys, 0.04, dw)
+        single = np.stack([step(y, 0.04, d) for y, d in zip(ys, dw)])
+        assert np.array_equal(batched, single)
+        ys = batched

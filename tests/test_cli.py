@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,7 @@ def test_config_errors_exit_3(tmp_path):
         ["check", "--param", "I1=1,2"],
         ["check", "--param", "y0=1,2"],
         ["check", "--param", "y0=0,0,0"],
+        ["paths", "--param", "y0=0,1,0"],  # on the chart's singular axis y1 = y3 = 0
     ],
     ids="_".join,
 )
@@ -161,9 +164,18 @@ def test_bad_config_values_exit_3(argv, capsys):
     assert "Traceback" not in err
 
 
+SRB_CUSTOM = str(Path(__file__).resolve().parents[1] / "bench" / "srb_custom.txt")
+
+
 @pytest.mark.parametrize(
     "system, argv",
-    [("slv", ["check", "--param", "r=0"])],
+    [
+        ("slv", ["check", "--param", "r=0"]),
+        ("slv", ["paths", "--param", "y0=-1,1,1"]),  # off the positive octant
+        pytest.param(SRB_CUSTOM, ["casimir", "--param", "y0=0,0.3,0"], id="srb_custom-casimir_--param_y0=0,0.3,0"),
+        # 2C = 0.0225 < y2^2 for every check state: no state for the map checks
+        pytest.param(SRB_CUSTOM, ["check", "--param", "y0=0.1,0.05,0.1"], id="srb_custom-check_--param_y0=0.1,0.05,0.1"),
+    ],
     ids=lambda v: v if isinstance(v, str) else "_".join(v),
 )
 def test_bad_model_values_exit_3(system, argv, capsys):
@@ -189,12 +201,10 @@ def test_custom_system_check_passes(tmp_path, capsys):
 
     spec = tmp_path / "rb.txt"
     spec.write_text(RIGID_BODY_SPEC)
-    assert main(
-        ["check", "--system", str(spec), "--seed", "3", "--param", "y0=0.7,0.7,0.1"]
-    ) == EXIT_OK
-    printed = capsys.readouterr().out
-    # structural validators run; map diagnostics need analytic derivatives
-    for name in ("skew", "jacobi", "casimir[0]", "chart"):
-        assert any(name in line and "PASS" in line for line in printed.splitlines())
-    assert "symplectic" not in printed
-    assert "poisson_map" not in printed
+    # at y0 = (0.7, 0.3, 0.2) the frozen level 2C = 0.62 is below the domain's
+    # y2^2 < 0.9, so some check states have no inverse chart on that level
+    for y0 in ("0.7,0.7,0.1", "0.7,0.3,0.2"):
+        assert main(["check", "--system", str(spec), "--seed", "3", "--param", f"y0={y0}"]) == EXIT_OK
+        printed = capsys.readouterr().out
+        for name in ("skew", "jacobi", "casimir[0]", "chart", "symplectic", "poisson_map"):
+            assert any(name in line and "PASS" in line for line in printed.splitlines())
