@@ -95,11 +95,13 @@ def _is(tree, value: int) -> bool:
 
 def _subst(t, env: dict):
     """A copy of tree t with its names replaced by the trees of env (shared,
-    not copied) and the int constants 0 and 1 folded out of its operations."""
+    not copied) and the int constants 0 and 1 folded out of its operations
+    (so that a constant exponent such as -2 leaves no log(a) term)."""
     if isinstance(t, ast.Name):
         return env.get(t.id, t)
     if isinstance(t, ast.UnaryOp):
-        return ast.UnaryOp(t.op, _subst(t.operand, env), **_LOC)
+        x = _subst(t.operand, env)
+        return _ZERO if isinstance(t.op, ast.USub) and _is(x, 0) else ast.UnaryOp(t.op, x, **_LOC)
     if isinstance(t, ast.Call):
         return ast.Call(t.func, [_subst(a, env) for a in t.args], t.keywords, **_LOC)
     if isinstance(t, ast.Compare):
@@ -158,10 +160,6 @@ def _entries(text: str, ndim: int) -> np.ndarray:
     if not isinstance(tree, ast.List) or not all(isinstance(r, ast.List) for r in rows):
         raise SpecFileError(f"expected a {ndim}-level [...] list, got {text!r}")
     return np.array([r.elts for r in rows] if ndim == 2 else tree.elts, dtype=object)
-
-
-def parse_matrix_exprs(s: str) -> list[list[str]]:
-    return [[ast.unparse(e) for e in row] for row in _entries(s, 2)]
 
 
 def compile_field(trees, names):

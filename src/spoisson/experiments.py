@@ -149,6 +149,7 @@ class CheckLine:
     name: str
     residual: float
     threshold: float
+    note: str = ""
 
     @property
     def passed(self) -> bool:
@@ -169,6 +170,7 @@ THRESHOLDS = {
 def check_suite(
     sys: PoissonSystem,
     points: np.ndarray,
+    on_level: np.ndarray,
     chart: Chart | None = None,
     canonical_stepper_factory: Callable | None = None,
     composed_scheme_factory: Callable | None = None,
@@ -176,15 +178,15 @@ def check_suite(
     h: float = 0.01,
     seed: int = 0,
     n_map_states: int = 20,
-    map_points: np.ndarray | None = None,
 ) -> list[CheckLine]:
     """Structural validators with pass/fail thresholds.
 
     ``canonical_stepper_factory(alpha)`` builds a one-step map on (P, Q) for
     the symplecticity check; ``composed_scheme_factory()`` a one-step map on y
-    for the Poisson-map check; both step states drawn from ``map_points``
-    (default ``points``).  Chart-dependent checks are skipped when no chart
-    is supplied.
+    for the Poisson-map check.  Both step states drawn from ``points``, the
+    symplecticity check only those marked ``on_level`` (their inverse chart is
+    defined at the Casimirs that its stepper freezes).  Chart-dependent checks
+    are skipped when no chart is supplied.
     """
     rng = np.random.default_rng(seed)
     lines = [
@@ -210,22 +212,21 @@ def check_suite(
                 THRESHOLDS["chart"],
             )
         )
-    pool = points if map_points is None else map_points
-    map_states = pool[rng.choice(len(pool), size=min(n_map_states, len(pool)), replace=False)]
+    pick = rng.choice(len(points), size=min(n_map_states, len(points)), replace=False)
     if canonical_stepper_factory is not None and chart is not None:
         # symplecticity is checked in chart coordinates
-        zs = chart.forward(map_states)[..., : 2 * chart.n]
-        worst = 0.0
+        zs = chart.forward(points[pick[on_level[pick]]])[..., : 2 * chart.n]
+        worst, note = (0.0, "") if len(zs) else (np.nan, "no sampled state on the frozen level")
         for alpha in alphas:
             stepper = canonical_stepper_factory(alpha)
             for z in zs:
                 dw = np.sqrt(h) * rng.standard_normal(1)
                 worst = max(worst, symplectic_residual(stepper, z, h, dw, eps=1e-6))
-        lines.append(CheckLine("symplectic", worst, THRESHOLDS["symplectic"]))
+        lines.append(CheckLine("symplectic", worst, THRESHOLDS["symplectic"], note))
     if composed_scheme_factory is not None:
         scheme = composed_scheme_factory()
         worst = 0.0
-        for y in map_states:
+        for y in points[pick]:
             dw = np.sqrt(h) * rng.standard_normal(1)
             worst = max(worst, poisson_map_residual(scheme, sys, y, h, dw, eps=1e-6))
         lines.append(CheckLine("poisson_map", worst, THRESHOLDS["poisson_map"]))

@@ -173,8 +173,6 @@ SRB_CUSTOM = str(Path(__file__).resolve().parents[1] / "bench" / "srb_custom.txt
         ("slv", ["check", "--param", "r=0"]),
         ("slv", ["paths", "--param", "y0=-1,1,1"]),  # off the positive octant
         pytest.param(SRB_CUSTOM, ["casimir", "--param", "y0=0,0.3,0"], id="srb_custom-casimir_--param_y0=0,0.3,0"),
-        # 2C = 0.0225 < y2^2 for every check state: no state for the map checks
-        pytest.param(SRB_CUSTOM, ["check", "--param", "y0=0.1,0.05,0.1"], id="srb_custom-check_--param_y0=0.1,0.05,0.1"),
     ],
     ids=lambda v: v if isinstance(v, str) else "_".join(v),
 )
@@ -208,3 +206,14 @@ def test_custom_system_check_passes(tmp_path, capsys):
         printed = capsys.readouterr().out
         for name in ("skew", "jacobi", "casimir[0]", "chart", "symplectic", "poisson_map"):
             assert any(name in line and "PASS" in line for line in printed.splitlines())
+
+
+def test_custom_check_without_states_on_the_level_fails_symplectic_only(capsys):
+    # 2C = 0.0225 < y2^2 for every check state: the frozen-level inverse chart
+    # is undefined at all of them, while the other lines need no frozen level
+    assert main(["check", "--system", SRB_CUSTOM, "--param", "y0=0.1,0.05,0.1"]) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines if "FAIL" in line] == ["symplectic"]
+    assert "frozen level" in lines[4]
+    for name in ("skew", "jacobi", "casimir[0]", "chart", "poisson_map"):
+        assert any(line.startswith(name) and line.endswith("PASS") for line in lines)
