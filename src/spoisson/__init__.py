@@ -3,16 +3,15 @@
 from .alpha_gf import AlphaSchemeConfig, SbarGradient, alpha_step, j_inverse, make_alpha_stepper, sbar_gradient, symplectic_residual
 from .canonical import CanonicalSHS, Chart, Model, alpha_scheme, alpha_scheme_map, poisson_integrator, transform_system, verify_chart
 from .noise import TimeGrid, TruncationPolicy, WienerIncrements, coarsen, coarsen_values, sample_increments, sample_seed, truncate, truncate_increments, truncation_bound
-from .poisson import CheckReport, PoissonSystem, ScalarField, bracket, check_casimir, check_jacobi, check_skew, drift_and_diffusions, fd_gradient, poisson_map_residual, scale_field, step_jacobian_fd, variational_jacobian
+from .poisson import CheckReport, PoissonSystem, ScalarField, bracket, check_casimir, check_jacobi, check_skew, drift_and_diffusions, poisson_map_residual, scale_field, variational_jacobian
 from .sde import (
     DivergenceError,
     DomainError,
     IntegrationError,
-    ItoSDE,
     NonConvergenceError,
     OrderEstimate,
+    SDE,
     StepError,
-    StratonovichSDE,
     Trajectory,
     euler_maruyama_step,
     fd_vector_jacobian,

@@ -20,14 +20,14 @@ are expected already truncated by the caller's policy.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .noise import TruncationPolicy
-from .sde import fixed_point
-from .poisson import step_jacobian_fd
+from .sde import fd_vector_jacobian, fixed_point
 
 
 def j_inverse(n: int) -> np.ndarray:
@@ -48,8 +48,8 @@ class AlphaSchemeConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -117,5 +117,5 @@ def symplectic_residual(step: Callable, z, h: float, dw, eps: float | None = Non
     """Max-abs entry of M J^-1 M^T - J^-1 with M the fd Jacobian of the step."""
     z = np.asarray(z, dtype=float)
     Jinv = j_inverse(z.shape[-1] // 2)
-    M = step_jacobian_fd(step, z, h, dw, eps)
+    M = fd_vector_jacobian(lambda x: step(x, h, dw), z, eps)
     return float(np.max(np.abs(M @ Jinv @ M.T - Jinv)))

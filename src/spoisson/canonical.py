@@ -29,9 +29,10 @@ class Chart:
     """Coordinate change y -> (P, Q, C) with target constant matrix b0.
 
     ``forward`` maps (..., d) -> (..., d) and its last d - 2n components are
-    the Casimir functions; ``inverse`` undoes it.  ``jacobian`` (when given)
-    is the analytic A(y) = d theta / dy, otherwise finite differences of
-    ``forward`` are used.  ``domain`` is a boolean predicate on y.
+    the Casimir functions; ``inverse`` undoes it.  ``jacobian`` is the exact
+    A(y) = d theta / dy, mapping (..., d) -> (..., d, d), which chart
+    validation and the generic transformed gradients read.  ``domain`` is a
+    boolean predicate on y.
     """
 
     dim: int
@@ -39,7 +40,7 @@ class Chart:
     forward: Callable
     inverse: Callable
     b0: np.ndarray
-    jacobian: Callable | None = None
+    jacobian: Callable
     domain: Callable | None = None
 
     @property
@@ -62,12 +63,6 @@ class CanonicalSHS:
             raise ValueError("need exactly m+1 Hamiltonians H_0..H_m")
 
 
-def chart_jacobian_at(chart: Chart, points) -> np.ndarray:
-    if chart.jacobian is not None:
-        return chart.jacobian(points)
-    return fd_vector_jacobian(chart.forward, points)
-
-
 def verify_chart(
     chart: Chart,
     sys: PoissonSystem,
@@ -76,7 +71,7 @@ def verify_chart(
 ) -> CheckReport:
     """Worst entry of A(y) B(y) A(y)^T - B0 over the points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    A = chart_jacobian_at(chart, points)
+    A = chart.jacobian(points)
     cond = np.linalg.cond(A)
     if np.max(cond) > cond_threshold:
         worst = points[int(np.argmax(cond))]
@@ -128,7 +123,7 @@ def transform_system(sys: PoissonSystem, chart: Chart, y0) -> CanonicalSHS:
 
         def grad(z):
             y = to_state(z)
-            A = chart_jacobian_at(chart, y)
+            A = chart.jacobian(y)
             g = np.linalg.solve(np.swapaxes(A, -1, -2), K.grad(y)[..., None])[..., 0]
             return sign * g[..., :tn]
 

@@ -10,11 +10,12 @@ floats round-trip losslessly), and a single header row.  Lines starting with
 '#' are metadata.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical failure,
-3 configuration error.
+3 configuration error (a command-line usage error included).
 """
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -122,6 +123,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = replace(cfg, params=params, **overrides)
     if cfg.ref_factor is not None and cfg.ref_factor < 1:
         raise ConfigError(f"ref_factor must be >= 1, got {cfg.ref_factor}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     try:  # the scheme config owns the rules for alpha, tol and truncation_k
         for alpha in cfg.alpha:
             _alpha_config(cfg, alpha)
@@ -197,6 +200,8 @@ def _write_csv(path: str, header: list[str], rows, metadata: list[str] = ()):
 
 def _grid(T: float, h: float) -> TimeGrid:
     """The grid on [0, T] with step h, which must divide T."""
+    if not math.isfinite(T):
+        raise ConfigError(f"T must be finite, got {T}")
     n_steps = round(T / h) if h > 0 else 0
     if n_steps < 1 or abs(n_steps * h - T) > 1e-9 * T:
         raise ConfigError(f"step h={h} does not divide [0, {T}]")
@@ -354,8 +359,16 @@ def cmd_check(cfg: ExperimentConfig) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3 (configuration), not argparse's 2 (numerical)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spoisson",
         description="Structure-preserving integrators for stochastic Poisson systems",
     )

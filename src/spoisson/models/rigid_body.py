@@ -26,7 +26,7 @@ import numpy as np
 from ..canonical import CanonicalSHS, Chart, Model
 from ..noise import TruncationPolicy, truncate_increments
 from ..poisson import PoissonSystem, ScalarField, scale_field
-from ..sde import DomainError, StratonovichSDE, midpoint_step
+from ..sde import DomainError, SDE, midpoint_step
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ def model(params: RigidBodyParams, y0) -> Model:
     )
 
 
-def spherical_system(params: RigidBodyParams, radius: float) -> StratonovichSDE:
+def spherical_system(params: RigidBodyParams, radius: float) -> SDE:
     """Angle dynamics (theta1, theta2) of the sphere |y| = radius."""
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -229,7 +229,7 @@ def spherical_system(params: RigidBodyParams, radius: float) -> StratonovichSDE:
         )
         return np.stack([f1, f2], axis=-1)
 
-    return StratonovichSDE(
+    return SDE(
         dim=2,
         drift=field,
         diffusions=(lambda th: params.c1 * field(th),),

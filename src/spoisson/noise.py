@@ -52,8 +52,8 @@ class TruncationPolicy:
     enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"truncation strength k must be >= 1, got {self.k}")
+        if not 1 <= self.k < math.inf:
+            raise ValueError(f"truncation strength k must be finite and >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)

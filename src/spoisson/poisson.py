@@ -16,13 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .noise import TimeGrid, WienerIncrements
-from .sde import (
-    StratonovichSDE,
-    _default_eps,
-    fd_vector_jacobian,
-    integrate,
-    midpoint_step,
-)
+from .sde import SDE, fd_vector_jacobian, integrate, midpoint_step
 
 
 @dataclass(frozen=True)
@@ -47,19 +41,15 @@ def scale_field(f: ScalarField, c: float) -> ScalarField:
     )
 
 
-def fd_gradient(value: Callable, y, eps: float | None = None) -> np.ndarray:
-    """Central-difference gradient of a scalar field, batch-capable."""
-    return fd_vector_jacobian(value, y, eps)
-
-
 @dataclass(frozen=True)
 class PoissonSystem:
-    """Structure matrix, Hamiltonians, and optional derivative data.
+    """Structure matrix with its exact derivative, and the Hamiltonians.
 
-    ``structure`` maps (..., d) -> (..., d, d); ``structure_derivative``
-    (when given) maps (..., d) -> (..., d, d, d) with [..., i, j, s] =
-    dB_ij/dy_s.  ``hamiltonians`` holds K_0 .. K_m.  ``rank`` is the declared
-    constant rank 2n of B, so d = 2n + l.
+    ``structure`` maps (..., d) -> (..., d, d); ``structure_derivative`` maps
+    (..., d) -> (..., d, d, d) with [..., i, j, s] = dB_ij/dy_s, which the
+    Jacobi check, the Ito correction and the variational equation read.
+    ``hamiltonians`` holds K_0 .. K_m.  ``rank`` is the declared constant
+    rank 2n of B, so d = 2n + l.
     """
 
     dim: int
@@ -67,7 +57,7 @@ class PoissonSystem:
     structure: Callable
     hamiltonians: tuple[ScalarField, ...]
     rank: int
-    structure_derivative: Callable | None = None
+    structure_derivative: Callable
     casimirs: tuple[ScalarField, ...] = ()
     domain: Callable | None = None
 
@@ -94,18 +84,16 @@ def _report(residuals: np.ndarray, points: np.ndarray) -> CheckReport:
     )
 
 
-def drift_and_diffusions(sys: PoissonSystem) -> StratonovichSDE:
+def drift_and_diffusions(sys: PoissonSystem) -> SDE:
     """Coefficient fields a = B grad K_0 and b_r = B grad K_r of the system."""
 
     def make_field(K: ScalarField) -> Callable:
         return lambda y: np.einsum("...ij,...j->...i", sys.structure(y), K.grad(y))
 
     jacobians = None
-    if sys.structure_derivative is not None and all(
-        K.hess is not None for K in sys.hamiltonians
-    ):
+    if all(K.hess is not None for K in sys.hamiltonians):
         jacobians = tuple(field_jacobian(sys, K) for K in sys.hamiltonians[1:])
-    return StratonovichSDE(
+    return SDE(
         dim=sys.dim,
         drift=make_field(sys.hamiltonians[0]),
         diffusions=tuple(make_field(K) for K in sys.hamiltonians[1:]),
@@ -114,9 +102,9 @@ def drift_and_diffusions(sys: PoissonSystem) -> StratonovichSDE:
 
 
 def field_jacobian(sys: PoissonSystem, K: ScalarField) -> Callable:
-    """Analytic Jacobian of y -> B(y) grad K(y) (needs dB and the Hessian)."""
-    if sys.structure_derivative is None or K.hess is None:
-        raise ValueError("field_jacobian needs structure_derivative and the Hessian")
+    """Analytic Jacobian of y -> B(y) grad K(y) (needs the Hessian of K)."""
+    if K.hess is None:
+        raise ValueError("field_jacobian needs the Hessian")
 
     def jac(y):
         y = np.asarray(y, dtype=float)
@@ -145,14 +133,10 @@ def check_jacobi(sys: PoissonSystem, points) -> CheckReport:
     """Worst cyclic-sum residual of the Jacobi condition over the points.
 
     Residual per point and index triple (i, j, k):
-    sum_s (dB_ij/dy_s B_sk + dB_jk/dy_s B_si + dB_ki/dy_s B_sj), with dB from
-    central differences when the system does not supply it.
+    sum_s (dB_ij/dy_s B_sk + dB_jk/dy_s B_si + dB_ki/dy_s B_sj).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if sys.structure_derivative is not None:
-        dB = sys.structure_derivative(points)
-    else:
-        dB = fd_vector_jacobian(sys.structure, points)
+    dB = sys.structure_derivative(points)
     B = sys.structure(points)
     T = np.einsum("...ijs,...sk->...ijk", dB, B)
     R = T + np.moveaxis(T, (-3, -2, -1), (-1, -3, -2)) + np.moveaxis(T, (-3, -2, -1), (-2, -1, -3))
@@ -170,20 +154,6 @@ def check_casimir(cgrad, sys: PoissonSystem, points) -> CheckReport:
     return _report(res, points)
 
 
-def step_jacobian_fd(step: Callable, y, h: float, dw, eps: float | None = None) -> np.ndarray:
-    """Central-difference Jacobian of a one-step map at fixed (h, dw)."""
-    y = np.asarray(y, dtype=float)
-    d = y.shape[-1]
-    if eps is None:
-        eps = _default_eps(y)
-    E = eps * np.eye(d)
-    batch = np.concatenate([y + E, y - E], axis=0)
-    dw = np.asarray(dw, dtype=float)
-    dw_batch = np.broadcast_to(dw, (2 * d,) + dw.shape)
-    out = step(batch, h, dw_batch)
-    return (out[:d] - out[d:]).T / (2.0 * eps)
-
-
 def variational_jacobian(
     sys: PoissonSystem,
     y0,
@@ -199,8 +169,8 @@ def variational_jacobian(
     midpoint rule by default, which makes the result the exact Jacobian of
     that discretized flow (up to the iteration tolerance).
     """
-    if sys.structure_derivative is None or any(K.hess is None for K in sys.hamiltonians):
-        raise ValueError("variational equation needs dB and the Hamiltonian Hessians")
+    if any(K.hess is None for K in sys.hamiltonians):
+        raise ValueError("variational equation needs the Hamiltonian Hessians")
     d = sys.dim
 
     def aug_field(K: ScalarField) -> Callable:
@@ -215,7 +185,7 @@ def variational_jacobian(
 
         return f
 
-    aug = StratonovichSDE(
+    aug = SDE(
         dim=d + d * d,
         drift=aug_field(sys.hamiltonians[0]),
         diffusions=tuple(aug_field(K) for K in sys.hamiltonians[1:]),
@@ -232,7 +202,7 @@ def poisson_map_residual(
 ) -> float:
     """Max-abs entry of M B(y) M^T - B(step(y)) with M the fd step Jacobian."""
     y = np.asarray(y, dtype=float)
-    M = step_jacobian_fd(step, y, h, dw, eps)
+    M = fd_vector_jacobian(lambda x: step(x, h, dw), y, eps)
     y_new = step(y, h, np.asarray(dw, dtype=float))
     res = M @ sys.structure(y) @ M.T - sys.structure(y_new)
     return float(np.max(np.abs(res)))

@@ -9,7 +9,7 @@ batch membership).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -58,18 +58,9 @@ class IntegrationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class StratonovichSDE:
-    """dy = a(y) dt + sum_r b_r(y) o dW_r with optional Jacobians b_r'(y)."""
-
-    dim: int
-    drift: Callable
-    diffusions: tuple[Callable, ...]
-    diffusion_jacobians: tuple[Callable, ...] | None = None
-
-
-@dataclass(frozen=True)
-class ItoSDE:
-    """dy = a(y) dt + sum_r b_r(y) dW_r in the Ito sense."""
+class SDE:
+    """dy = a(y) dt + sum_r b_r(y) dW_r with optional Jacobians b_r'(y); each
+    stepper says whether it reads the fields as Ito or Stratonovich ones."""
 
     dim: int
     drift: Callable
@@ -98,54 +89,47 @@ class OrderEstimate:
 _FD_EPS = float(np.cbrt(np.finfo(float).eps))
 
 
-def _default_eps(y) -> float:
-    # Central differences balance truncation vs round-off at eps ~ cbrt(ulp).
-    return _FD_EPS * (1.0 + float(np.max(np.abs(y))))
-
-
 def fd_vector_jacobian(f: Callable, y: np.ndarray, eps: float | None = None) -> np.ndarray:
-    """Central-difference derivative of a field, batch-capable.
+    """Central-difference derivative of a field: the library's only finite
+    differences, for the one-step-map diagnostics and the test oracles.
 
-    ``f`` maps (..., d) -> (..., *out); the result has shape (..., *out, d)
-    with last index j the derivative in y_j (a gradient for scalar fields, a
-    Jacobian [..., i, j] = df_i/dy_j for vector fields).
+    ``f`` maps (..., d) -> (..., *out) and is called once, on the 2d states
+    y +- eps e_j stacked on a new axis before the last.  The result has shape
+    (..., *out, d) with last index j the derivative in y_j (a gradient for
+    scalar fields, a Jacobian [..., i, j] = df_i/dy_j for vector fields).
+    The default eps = cbrt(ulp) (1 + max|y|) balances truncation and round-off.
     """
     y = np.asarray(y, dtype=float)
-    d = y.shape[-1]
     if eps is None:
-        eps = _default_eps(y)
-    cols = []
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = eps
-        cols.append((f(y + e) - f(y - e)) / (2.0 * eps))
-    return np.stack(cols, axis=-1)
+        eps = _FD_EPS * (1.0 + float(np.max(np.abs(y))))
+    E = eps * np.eye(y.shape[-1])
+    out = np.asarray(f(np.concatenate([y[..., None, :] + E, y[..., None, :] - E], axis=-2)))
+    plus, minus = np.split(out, 2, axis=y.ndim - 1)
+    return np.moveaxis((plus - minus) / (2.0 * eps), y.ndim - 1, -1)
 
 
-def strat_to_ito_drift(sde: StratonovichSDE, y):
+def _diffusion_jacobian(sde: SDE, r: int, y):
+    if sde.diffusion_jacobians is None:
+        raise ValueError("the Ito correction needs the diffusion Jacobians")
+    return sde.diffusion_jacobians[r](y)
+
+
+def strat_to_ito_drift(sde: SDE, y):
     """Ito drift a(y) + 1/2 sum_r b_r'(y) b_r(y) of a Stratonovich system."""
     y = np.asarray(y, dtype=float)
     out = np.asarray(sde.drift(y), dtype=float).copy()
     for r, b in enumerate(sde.diffusions):
-        if sde.diffusion_jacobians is not None:
-            jac = sde.diffusion_jacobians[r](y)
-        else:
-            jac = fd_vector_jacobian(b, y)
-        out += 0.5 * np.einsum("...ij,...j->...i", jac, b(y))
+        out += 0.5 * np.einsum("...ij,...j->...i", _diffusion_jacobian(sde, r, y), b(y))
     return out
 
 
-def ito_form(sde: StratonovichSDE) -> ItoSDE:
+def ito_form(sde: SDE) -> SDE:
     """Equivalent Ito system of a Stratonovich one (drift correction baked in)."""
-    return ItoSDE(
-        dim=sde.dim,
-        drift=lambda y: strat_to_ito_drift(sde, y),
-        diffusions=sde.diffusions,
-        diffusion_jacobians=sde.diffusion_jacobians,
-    )
+    return replace(sde, drift=lambda y: strat_to_ito_drift(sde, y))
 
 
-def euler_maruyama_step(sde: ItoSDE, y, h: float, dw):
+def euler_maruyama_step(sde: SDE, y, h: float, dw):
+    """Euler-Maruyama step; reads the fields as Ito coefficients."""
     y = np.asarray(y, dtype=float)
     dw = np.asarray(dw, dtype=float)
     out = y + h * sde.drift(y)
@@ -154,18 +138,14 @@ def euler_maruyama_step(sde: ItoSDE, y, h: float, dw):
     return out
 
 
-def milstein_step(sde: ItoSDE, y, h: float, dw):
-    """Milstein update for a single noise channel (needs the diffusion Jacobian)."""
+def milstein_step(sde: SDE, y, h: float, dw):
+    """Milstein step for a single noise channel; reads the fields as Ito
+    coefficients and needs the diffusion Jacobian."""
     if len(sde.diffusions) != 1:
         raise ValueError("milstein_step supports a single noise channel only")
     y = np.asarray(y, dtype=float)
     dw = np.asarray(dw, dtype=float)
-    b = sde.diffusions[0]
-    if sde.diffusion_jacobians is not None:
-        jac = sde.diffusion_jacobians[0](y)
-    else:
-        jac = fd_vector_jacobian(b, y)
-    bb = np.einsum("...ij,...j->...i", jac, b(y))
+    bb = np.einsum("...ij,...j->...i", _diffusion_jacobian(sde, 0, y), sde.diffusions[0](y))
     dw0 = dw[..., 0, None]
     return euler_maruyama_step(sde, y, h, dw) + 0.5 * bb * (dw0**2 - h)
 
@@ -192,10 +172,9 @@ def fixed_point(update: Callable, x0: np.ndarray, tol: float, max_iter: int) -> 
     )
 
 
-def midpoint_step(
-    sde: StratonovichSDE, y, h: float, dw, tol: float = 1e-12, max_iter: int = 100
-):
-    """Implicit midpoint rule for the Stratonovich system, by fixed point."""
+def midpoint_step(sde: SDE, y, h: float, dw, tol: float = 1e-12, max_iter: int = 100):
+    """Implicit midpoint rule, by fixed point; reads the fields as
+    Stratonovich coefficients."""
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     y = np.asarray(y, dtype=float)
@@ -211,10 +190,9 @@ def midpoint_step(
     return fixed_point(update, y, tol, max_iter)
 
 
-def implicit_euler_maruyama_step(
-    sde: ItoSDE, y, h: float, dw, tol: float = 1e-12, max_iter: int = 100
-):
-    """Drift-implicit, diffusion-explicit Euler for the Ito system."""
+def implicit_euler_maruyama_step(sde: SDE, y, h: float, dw, tol: float = 1e-12, max_iter: int = 100):
+    """Drift-implicit, diffusion-explicit Euler; reads the fields as Ito
+    coefficients."""
     y = np.asarray(y, dtype=float)
     dw = np.asarray(dw, dtype=float)
     noise = np.zeros_like(y)

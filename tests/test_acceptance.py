@@ -18,10 +18,9 @@ from spoisson.poisson import (
     bracket,
     check_jacobi,
     poisson_map_residual,
-    step_jacobian_fd,
     variational_jacobian,
 )
-from spoisson.sde import integrate, midpoint_step
+from spoisson.sde import fd_vector_jacobian, integrate, midpoint_step
 from spoisson.poisson import drift_and_diffusions
 from spoisson.models import lotka_volterra as lv
 from spoisson.models import rigid_body as rb
@@ -323,18 +322,18 @@ def test_criterion_9_oracle_equivalences():
             y = midpoint_step(sde, y, grid.h, step_dw)
         return y
 
-    M = step_jacobian_fd(flow, rb.REFERENCE_Y0, grid.h, np.zeros(1), eps=1e-5)
+    M = fd_vector_jacobian(lambda y: flow(y, grid.h, np.zeros(1)), rb.REFERENCE_Y0, eps=1e-5)
     var_diff = float(np.max(np.abs(Z - M)))
     assert var_diff < 1e-4
 
     # (c) alpha = 1/2 equals the midpoint rule on the canonical system
     from spoisson.alpha_gf import alpha_step
     from spoisson.canonical import j_inverse
-    from spoisson.sde import StratonovichSDE
+    from spoisson.sde import SDE
 
     tol = 1e-12
     Jinv = j_inverse(1)
-    canon = StratonovichSDE(
+    canon = SDE(
         dim=2,
         drift=lambda z: np.einsum("ij,...j->...i", Jinv, shs_rb.hamiltonians[0].grad(z)),
         diffusions=(lambda z: np.einsum("ij,...j->...i", Jinv, shs_rb.hamiltonians[1].grad(z)),),

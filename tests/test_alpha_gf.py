@@ -16,7 +16,7 @@ from spoisson.poisson import ScalarField
 from spoisson.sde import (
     DivergenceError,
     NonConvergenceError,
-    StratonovichSDE,
+    SDE,
     euler_maruyama_step,
     ito_form,
     midpoint_step,
@@ -199,7 +199,7 @@ def test_alpha_duality_adjoint_pairs():
 def test_alpha_half_matches_midpoint_on_canonical_system():
     shs = rb.transformed_shs(rb.REFERENCE_PARAMS, 0.5)
     Jinv = j_inverse(1)
-    sde = StratonovichSDE(
+    sde = SDE(
         dim=2,
         drift=lambda z: np.einsum("ij,...j->...i", Jinv, shs.hamiltonians[0].grad(z)),
         diffusions=(lambda z: np.einsum("ij,...j->...i", Jinv, shs.hamiltonians[1].grad(z)),),
@@ -222,10 +222,11 @@ def test_symplectic_residual_alpha_vs_em():
     shs = rb.transformed_shs(rb.REFERENCE_PARAMS, 0.5)
     stepper = make_alpha_stepper(shs, AlphaSchemeConfig(alpha=0.25))
     Jinv = j_inverse(1)
-    sde = StratonovichSDE(
+    sde = SDE(
         dim=2,
         drift=lambda z: np.einsum("ij,...j->...i", Jinv, shs.hamiltonians[0].grad(z)),
         diffusions=(lambda z: np.einsum("ij,...j->...i", Jinv, shs.hamiltonians[1].grad(z)),),
+        diffusion_jacobians=(lambda z: Jinv @ shs.hamiltonians[1].hess(z),),
     )
     em_sde = ito_form(sde)
     em = lambda z, h, dw: euler_maruyama_step(em_sde, z, h, dw)

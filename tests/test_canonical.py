@@ -48,6 +48,7 @@ def _canonical_system():
         structure=lambda y: np.broadcast_to(j_inverse(1), np.shape(y)[:-1] + (2, 2)),
         hamiltonians=(H, H),
         rank=2,
+        structure_derivative=lambda y: np.zeros(np.shape(y)[:-1] + (2, 2, 2)),
     )
 
 
@@ -82,6 +83,7 @@ def test_verify_chart_rejects_singular_jacobian():
         forward=lambda y: np.stack([y[..., 0], y[..., 0]], axis=-1),
         inverse=lambda y: y,
         b0=j_inverse(1),
+        jacobian=lambda y: np.broadcast_to([[1.0, 0.0], [1.0, 0.0]], np.shape(y)[:-1] + (2, 2)),
     )
     with pytest.raises(ValueError):
         verify_chart(chart, _canonical_system(), np.ones((3, 2)))
@@ -151,6 +153,7 @@ def test_transform_system_rejects_bad_block():
         forward=lambda y: y,
         inverse=lambda y: y,
         b0=np.array([[0.0, 2.0], [-2.0, 0.0]]),
+        jacobian=lambda y: np.broadcast_to(np.eye(2), np.shape(y)[:-1] + (2, 2)),
     )
     with pytest.raises(ValueError):
         transform_system(_canonical_system(), bad, np.array([0.1, 0.2]))

@@ -154,6 +154,12 @@ def test_config_errors_exit_3(tmp_path):
         ["check", "--param", "y0=1,2"],
         ["check", "--param", "y0=0,0,0"],
         ["paths", "--param", "y0=0,1,0"],  # on the chart's singular axis y1 = y3 = 0
+        ["casimir", "--T", "0.1", "--seed", "-1"],
+        ["paths", "--T", "0.1", "--T", "nan"],
+        ["order", "--T", "0.1", "--T", "inf"],
+        ["casimir", "--T", "0.1", "--tol", "nan"],
+        ["casimir", "--T", "0.1", "--truncation-k", "nan"],
+        ["casimir", "--T", "0.1", "--tol", "inf"],  # would accept every first iterate
     ],
     ids="_".join,
 )
@@ -162,6 +168,33 @@ def test_bad_config_values_exit_3(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["paths", "--seed", "1e3"],
+        ["order", "--samples", "abc"],
+        ["casimir", "--no-such-flag"],
+        ["no-such-command"],
+    ],
+    ids="_".join,
+)
+def test_usage_errors_exit_3_with_usage_on_stderr(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: spoisson")
+    assert "error:" in captured.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["paths", "--help"])
+    assert info.value.code == 0
+    assert "--truncation-k" in capsys.readouterr().out
 
 
 SRB_CUSTOM = str(Path(__file__).resolve().parents[1] / "bench" / "srb_custom.txt")

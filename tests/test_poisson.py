@@ -14,12 +14,10 @@ from spoisson.poisson import (
     check_jacobi,
     check_skew,
     drift_and_diffusions,
-    fd_gradient,
     poisson_map_residual,
-    step_jacobian_fd,
     variational_jacobian,
 )
-from spoisson.sde import midpoint_step
+from spoisson.sde import fd_vector_jacobian, midpoint_step
 from spoisson.models import lotka_volterra as lv
 from spoisson.models import rigid_body as rb
 
@@ -185,7 +183,7 @@ def test_bracket_jacobi_identity_via_fd_gradients():
 
     def nested(F1, F2):
         value = lambda y: bracket(F1, F2, sys, y)
-        return ScalarField(value=value, grad=lambda y: fd_gradient(value, y))
+        return ScalarField(value=value, grad=lambda y: fd_vector_jacobian(value, y))
 
     for y in _srb_points(10, seed=10):
         total = (
@@ -209,6 +207,7 @@ def test_check_skew_detects_corruption():
         structure=lambda y: sysm.structure(y) + np.eye(3),
         hamiltonians=sysm.hamiltonians,
         rank=2,
+        structure_derivative=sysm.structure_derivative,
     )
     report = check_skew(corrupted, _srb_points(20))
     assert report.max_residual >= 2.0
@@ -232,12 +231,21 @@ def test_check_jacobi_detects_violation():
         out[..., 1, 0] = -(y[..., 0] ** 2)
         return out
 
+    def structure_derivative(y):
+        dB = np.array(rb._structure_derivative(y), dtype=float, copy=True)
+        dB[..., 0, 1, :] = 0.0
+        dB[..., 1, 0, :] = 0.0
+        dB[..., 0, 1, 0] = 2.0 * y[..., 0]
+        dB[..., 1, 0, 0] = -2.0 * y[..., 0]
+        return dB
+
     sysm = PoissonSystem(
         dim=3,
         n_noise=1,
         structure=structure,
         hamiltonians=rb.system(rb.REFERENCE_PARAMS).hamiltonians,
         rank=2,
+        structure_derivative=structure_derivative,
     )
     report = check_jacobi(sysm, _srb_points(50, seed=12))
     assert report.max_residual > 0.1
@@ -255,14 +263,14 @@ def test_hamiltonian_is_not_a_casimir():
     assert report.max_residual > 0.1
 
 
-def test_step_jacobian_fd_identity_and_linear_maps():
+def test_fd_step_jacobian_identity_and_linear_maps():
     identity = lambda y, h, dw: y
-    J = step_jacobian_fd(identity, np.array([0.3, -0.7]), 0.1, np.zeros(1), eps=1e-6)
+    J = fd_vector_jacobian(lambda y: identity(y, 0.1, np.zeros(1)), np.array([0.3, -0.7]), eps=1e-6)
     assert np.allclose(J, np.eye(2), atol=1e-12)
 
     M = np.array([[1.0, 2.0], [-0.5, 0.25]])
     linear = lambda y, h, dw: np.einsum("ij,...j->...i", M, y)
-    J = step_jacobian_fd(linear, np.array([0.3, -0.7]), 0.1, np.zeros(1), eps=1e-6)
+    J = fd_vector_jacobian(lambda y: linear(y, 0.1, np.zeros(1)), np.array([0.3, -0.7]), eps=1e-6)
     assert np.allclose(J, M, atol=1e-9)
 
 
@@ -310,17 +318,21 @@ def test_variational_jacobian_matches_fd_of_composed_flow():
             y = midpoint_step(sde, y, grid.h, step_dw)
         return y
 
-    M = step_jacobian_fd(flow, rb.REFERENCE_Y0, grid.h, np.zeros(1), eps=1e-5)
+    M = fd_vector_jacobian(lambda y: flow(y, grid.h, np.zeros(1)), rb.REFERENCE_Y0, eps=1e-5)
     assert np.max(np.abs(Z - M)) < 1e-4
 
 
 def test_variational_jacobian_requires_derivative_data():
+    no_hessian = tuple(
+        ScalarField(value=K.value, grad=K.grad) for K in rb.system(rb.REFERENCE_PARAMS).hamiltonians
+    )
     sysm = PoissonSystem(
         dim=3,
         n_noise=1,
         structure=rb._structure,
-        hamiltonians=rb.system(rb.REFERENCE_PARAMS).hamiltonians,
+        hamiltonians=no_hessian,
         rank=2,
+        structure_derivative=rb._structure_derivative,
     )
     grid = TimeGrid(0.0, 0.1, 10)
     noise = sample_increments(grid, 1, 0)
