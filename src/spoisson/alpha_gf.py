@@ -9,7 +9,7 @@ channel) the truncated generating function at mean-square order 1 is
 the only iterated-integral combination surviving the truncation being
 dW^2 / 2.  The update solves the implicit system
 
-    P+ = P - dSbar/dQhat,   Q+ = Q + dSbar/dPhat,
+    P+ = P - dSbar/dQhat,   Q+ = Q + dSbar/dPhat,   i.e.  Z+ = Z + J^-1 grad Sbar,
 
 evaluated at the mixed point Phat = (1-alpha) P + alpha P+,
 Qhat = alpha Q + (1-alpha) Q+.  The gradient ordering is fixed as
@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .noise import TruncationPolicy
-from .sde import fd_vector_jacobian, fixed_point
+from .sde import MAX_ITER, fd_vector_jacobian, fixed_point
 
 
 def j_inverse(n: int) -> np.ndarray:
@@ -42,7 +42,6 @@ def j_inverse(n: int) -> np.ndarray:
 class AlphaSchemeConfig:
     alpha: float
     tol: float = 1e-12
-    max_iter: int = 100
     truncation: TruncationPolicy = field(default_factory=TruncationPolicy)
 
     def __post_init__(self) -> None:
@@ -52,16 +51,9 @@ class AlphaSchemeConfig:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
-@dataclass(frozen=True)
-class SbarGradient:
-    """Partial derivatives of the truncated generating function."""
-
-    dP: np.ndarray
-    dQ: np.ndarray
-
-
-def sbar_gradient(shs, phat, qhat, h: float, dw, alpha: float) -> SbarGradient:
-    """Exact gradient of Sbar at the mixed point (phat, qhat).
+def sbar_gradient(shs, zhat, h: float, dw, alpha: float) -> np.ndarray:
+    """Exact gradient (dSbar/dPhat, dSbar/dQhat) of Sbar at the mixed point
+    zhat = (Phat, Qhat); zhat and the gradient have shape (..., 2n).
 
     ``shs`` provides n and the Hamiltonians H_0, H_1 (the extra term needs
     the H_1 Hessian unless alpha = 1/2, where its coefficient vanishes).
@@ -71,46 +63,43 @@ def sbar_gradient(shs, phat, qhat, h: float, dw, alpha: float) -> SbarGradient:
     if shs.n_noise != 1:
         raise ValueError("the truncated generating function is for one noise channel")
     H0, H1 = shs.hamiltonians
-    z = np.concatenate([np.asarray(phat, dtype=float), np.asarray(qhat, dtype=float)], axis=-1)
     dw = np.asarray(dw, dtype=float)
-    g1 = H1.grad(z)
-    grad = H0.grad(z) * h + g1 * dw[..., None]
+    g1 = H1.grad(zhat)
+    grad = H0.grad(zhat) * h + g1 * dw[..., None]
     if alpha != 0.5:
         if H1.hess is None:
             raise ValueError("alpha != 1/2 needs the Hessian of the noise Hamiltonian")
-        hs = H1.hess(z)
+        hs = H1.hess(zhat)
         # grad of G = dH1/dQ . dH1/dP:  dG/dz_j = sum_k (hs[n+k, j] gP_k + gQ_k hs[k, j])
         #           = sum_i hs[i, j] u_i   with u = (gQ, gP)
         u = np.concatenate([g1[..., n:], g1[..., :n]], axis=-1)
         gradG = np.einsum("...ij,...i->...j", hs, u)
         grad = grad + (2.0 * alpha - 1.0) * 0.5 * (dw**2)[..., None] * gradG
-    return SbarGradient(dP=grad[..., :n], dQ=grad[..., n:])
+    return grad
 
 
 def alpha_step(shs, z, h: float, dw, config: AlphaSchemeConfig):
     """One implicit step of the alpha-generating scheme from state z = (P, Q).
 
-    Solved by fixed-point iteration from z, stopping when successive iterates
-    differ by < tol in max norm; non-contractive inputs surface as
+    Solves z_new = z + J^-1 grad Sbar(zhat) at the mixed point
+    zhat = (1-alpha, alpha) z + (alpha, 1-alpha) z_new (per half) by
+    fixed-point iteration from z, stopping when successive iterates differ
+    by < tol in max norm; non-contractive inputs surface as
     NonConvergenceError or DivergenceError, never as silent wrong answers.
     """
     z = np.asarray(z, dtype=float)
     n = shs.n
-    P, Q = z[..., :n], z[..., n:]
     alpha = config.alpha
+    za = np.repeat([1.0 - alpha, alpha], n) * z
+    b = np.repeat([alpha, 1.0 - alpha], n)
+    swap = np.r_[n:2 * n, :n]  # (gP, gQ) -> (gQ, gP)
+    sign = np.repeat([-1.0, 1.0], n)
 
     def update(z_new):
-        phat = (1.0 - alpha) * P + alpha * z_new[..., :n]
-        qhat = alpha * Q + (1.0 - alpha) * z_new[..., n:]
-        g = sbar_gradient(shs, phat, qhat, h, dw, alpha)
-        return np.concatenate([P - g.dQ, Q + g.dP], axis=-1)
+        g = sbar_gradient(shs, za + b * z_new, h, dw, alpha)
+        return z + g[..., swap] * sign
 
-    return fixed_point(update, z, config.tol, config.max_iter)
-
-
-def make_alpha_stepper(shs, config: AlphaSchemeConfig) -> Callable:
-    """One-step map (z, h, dw) -> z_new with dw of shape (..., 1)."""
-    return lambda z, h, dw: alpha_step(shs, z, h, np.asarray(dw)[..., 0], config)
+    return fixed_point(update, z, config.tol, MAX_ITER)
 
 
 def symplectic_residual(step: Callable, z, h: float, dw, eps: float | None = None) -> float:

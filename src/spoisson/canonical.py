@@ -43,10 +43,6 @@ class Chart:
     jacobian: Callable
     domain: Callable | None = None
 
-    @property
-    def n_casimirs(self) -> int:
-        return self.dim - 2 * self.n
-
 
 @dataclass(frozen=True)
 class CanonicalSHS:
@@ -205,26 +201,22 @@ class Model:
         return float(self.system.casimirs[0].value(y))
 
 
+def make_alpha_stepper(shs: CanonicalSHS, config: AlphaSchemeConfig) -> Callable:
+    """The alpha-generating one-step map (z, h, dw) -> z_new on chart
+    coordinates, dw of shape (..., 1)."""
+    return lambda z, h, dw: alpha_step(shs, z, h, np.asarray(dw)[..., 0], config)
+
+
 def alpha_scheme(model: Model, y0, config: AlphaSchemeConfig) -> Callable:
     """Composed alpha-generating one-step map on y: chart, symplectic step with
-    the Casimirs frozen at their values at y0, inverse chart."""
+    the Casimirs frozen at their values at y0, inverse chart.  A state outside
+    the chart domain is a DomainError at the step that takes it."""
     if model.system.n_noise != 1:
         raise ValueError("alpha-generating schemes support a single noise channel")
-    y0 = np.asarray(y0, dtype=float)
     chart = model.chart(model.casimir_value(y0))
-    if chart.domain is not None and not np.all(chart.domain(y0)):
-        raise DomainError("initial state outside chart domain", state=y0)
     shs = model.shs(y0)
-
-    def zstep(z, h, dw):
-        return alpha_step(shs, z, h, dw[..., 0], config)
-
-    inner = poisson_integrator(chart, zstep, shs.casimir_values)
-
-    def step(y, h, dw):
-        return inner(y, h, truncate_increments(dw, h, config.truncation))
-
-    return step
+    inner = poisson_integrator(chart, make_alpha_stepper(shs, config), shs.casimir_values)
+    return lambda y, h, dw: inner(y, h, truncate_increments(dw, h, config.truncation))
 
 
 def alpha_scheme_map(model: Model, config: AlphaSchemeConfig) -> Callable:
@@ -239,8 +231,6 @@ def alpha_scheme_map(model: Model, config: AlphaSchemeConfig) -> Callable:
         if y.ndim == 1:
             return alpha_scheme(model, y, config)(y, h, dw)
         dw = np.broadcast_to(np.asarray(dw, dtype=float), y.shape[:-1] + (1,))
-        return np.stack(
-            [alpha_scheme(model, yi, config)(yi, h, di) for yi, di in zip(y, dw)]
-        )
+        return np.stack([step(yi, h, di) for yi, di in zip(y, dw)])
 
     return step

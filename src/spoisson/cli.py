@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import experiments
-from .alpha_gf import AlphaSchemeConfig, make_alpha_stepper
-from .canonical import Model, alpha_scheme, alpha_scheme_map
+from .alpha_gf import AlphaSchemeConfig
+from .canonical import Model, alpha_scheme
 from .custom import SpecFileError, load_custom_system, parse_keyvalues
 from .models import lotka_volterra, rigid_body
 from .noise import TimeGrid, TruncationPolicy
@@ -55,10 +55,15 @@ class ExperimentConfig:
     spherical: bool = False
 
 
+def float_list(s) -> tuple:
+    """A comma-separated list of numbers."""
+    return tuple(float(x) for x in str(s).split(","))
+
+
 _FIELD_PARSERS = {
     "system": str,
-    "alpha": lambda s: tuple(float(x) for x in str(s).split(",")),
-    "h": lambda s: tuple(float(x) for x in str(s).split(",")),
+    "alpha": float_list,
+    "h": float_list,
     "T": float,
     "samples": int,
     "seed": int,
@@ -104,14 +109,11 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         params.update(file_values.pop("params", {}))
         cfg = replace(cfg, params=params, **file_values)
     overrides = {}
-    for name in ("system", "T", "samples", "seed", "truncation_k", "tol", "output", "ref_factor"):
+    for name in ("system", "alpha", "h", "T", "samples", "seed", "truncation_k", "tol", "output",
+                 "ref_factor"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    for name in ("alpha", "h"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = _FIELD_PARSERS[name](value)
     if getattr(args, "spherical", False):
         overrides["spherical"] = True
     params = dict(cfg.params)
@@ -315,37 +317,26 @@ def cmd_order(cfg: ExperimentConfig) -> int:
 
 
 def cmd_check(cfg: ExperimentConfig) -> int:
+    h = cfg.h[0] if cfg.h else 0.01
+    if not 0 < h < 1:  # the increment truncation needs h < 1
+        raise ConfigError(f"check needs 0 < h < 1, got {h}")
     model = build_setup(cfg)
     points = model.check_points(np.random.default_rng(cfg.seed))
     if model.system.domain is not None:
         points = points[model.system.domain(points)]
-    chart = stepper_factory = scheme_factory = None
-    on_level = np.ones(len(points), dtype=bool)
     if model.chart is not None and len(points):
         y0 = points[0] if model.y0 is None else model.y0
         chart = model.chart(model.casimir_value(y0))
         if chart.domain is not None:
             points = points[chart.domain(points)]
-        shs = model.shs(y0)
-        stepper_factory = lambda alpha: make_alpha_stepper(shs, _alpha_config(cfg, alpha))
-        scheme_factory = lambda: alpha_scheme_map(model, _alpha_config(cfg, 0.5))
-        # the symplectic check steps chart coordinates with the Casimirs frozen
-        # at y0, so it takes only the states whose inverse chart is defined there
-        c = np.tile(shs.casimir_values, (len(points), 1))
-        with np.errstate(all="ignore"):
-            ys = chart.inverse(np.hstack([chart.forward(points)[:, : 2 * chart.n], c]))
-            on_level = np.isfinite(ys).all(axis=-1) & (chart.domain is None or chart.domain(ys))
     if len(points) == 0:
         raise ConfigError("no random check points inside the declared domain")
     lines = experiments.check_suite(
-        model.system,
+        model,
         points,
-        on_level,
-        chart=chart,
-        canonical_stepper_factory=stepper_factory,
-        composed_scheme_factory=scheme_factory,
+        lambda alpha: _alpha_config(cfg, alpha),
         alphas=cfg.alpha,
-        h=cfg.h[0] if cfg.h else 0.01,
+        h=h,
         seed=cfg.seed,
     )
     failed = False
@@ -383,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--system", help="srb | slv | path to a custom system file")
-        p.add_argument("--alpha", help="comma-separated alpha values")
-        p.add_argument("--h", help="comma-separated step sizes")
+        p.add_argument("--alpha", type=float_list, help="comma-separated alpha values")
+        p.add_argument("--h", type=float_list, help="comma-separated step sizes")
         p.add_argument("--T", type=float, help="final time")
         p.add_argument("--samples", type=int, help="Monte Carlo sample count")
         p.add_argument("--seed", type=int, help="base seed")

@@ -46,7 +46,15 @@ _ALLOWED_FUNCS = {
 }
 _ALLOWED_FUNCS["pi"] = np.pi
 _ALLOWED_FUNCS["e"] = np.e
-_GLOBALS = {"__builtins__": {}, **_ALLOWED_FUNCS}
+
+
+def _pow(a, b):
+    """a ** b as the ndarray operator computes it (a * a for b = 2), which the
+    own ** of the numpy scalars of a single state can miss by an ulp."""
+    return a * a if type(b) is int and b == 2 else np.asarray(a, dtype=float) ** b
+
+
+_GLOBALS = {"__builtins__": {}, "_pow": _pow, **_ALLOWED_FUNCS}
 
 # d f(a, b) in the operands a, b and their derivatives da, db.  A comparison
 # is scaled by the float 1.0, which is never folded, so that sums of them add.
@@ -95,8 +103,9 @@ def _is(tree, value: int) -> bool:
 
 def _subst(t, env: dict):
     """A copy of tree t with its names replaced by the trees of env (shared,
-    not copied) and the int constants 0 and 1 folded out of its operations
-    (so that a constant exponent such as -2 leaves no log(a) term)."""
+    not copied), int differences folded, and 0 and 1 folded out of its
+    operations (so that a constant exponent such as -2 leaves no log(a) term
+    and a ** (2 - 1) becomes a)."""
     if isinstance(t, ast.Name):
         return env.get(t.id, t)
     if isinstance(t, ast.UnaryOp):
@@ -110,7 +119,9 @@ def _subst(t, env: dict):
     if not isinstance(t, ast.BinOp):
         return t
     a, b, op = _subst(t.left, env), _subst(t.right, env), type(t.op)
-    if op in (ast.Add, ast.Sub) and _is(b, 0) or op in (ast.Mult, ast.Div) and _is(b, 1):
+    if op is ast.Sub and all(isinstance(x, ast.Constant) and type(x.value) is int for x in (a, b)):
+        return ast.Constant(a.value - b.value, **_LOC)  # the b - 1 of a constant exponent
+    if op in (ast.Add, ast.Sub) and _is(b, 0) or op in (ast.Mult, ast.Div, ast.Pow) and _is(b, 1):
         return a
     if op is ast.Add and _is(a, 0) or op is ast.Mult and _is(a, 1):
         return b
@@ -162,15 +173,33 @@ def _entries(text: str, ndim: int) -> np.ndarray:
     return np.array([r.elts for r in rows] if ndim == 2 else tree.elts, dtype=object)
 
 
+def _array_pow(t, memo: dict):
+    """A copy of tree t with each a ** b as _pow(a, b), so that the numpy
+    scalars of a single state take the power of the array path.  Shared
+    subtrees are rewritten once and stay shared."""
+    if not isinstance(t, ast.expr) or isinstance(t, (ast.Name, ast.Constant)):
+        return t
+    if id(t) not in memo:
+        f = {k: [_array_pow(x, memo) for x in v] if isinstance(v, list) else _array_pow(v, memo)
+             for k, v in ast.iter_fields(t)}
+        out = type(t)(**f, **_LOC)
+        if isinstance(out, ast.BinOp) and isinstance(out.op, ast.Pow):
+            out = ast.Call(ast.Name("_pow", ast.Load(), **_LOC), [out.left, out.right], [], **_LOC)
+        memo[id(t)] = out
+    return memo[id(t)]
+
+
 def compile_field(trees, names):
     """One compiled function (..., k) -> (..., *shape) of an array of trees in
     the variables ``names``: the state holds the first k, the rest are passed
     as extra arguments.  Constant entries broadcast over the batch."""
     trees = np.array(trees, dtype=object)
     args = ast.arguments([], [ast.arg(n, **_LOC) for n in names], None, [], [], None, [])
-    lam = ast.Expression(ast.Lambda(args, ast.Tuple(list(trees.flat), ast.Load(), **_LOC), **_LOC))
+    memo: dict = {}
+    body = ast.Tuple([_array_pow(t, memo) for t in trees.flat], ast.Load(), **_LOC)
+    lam = ast.Expression(ast.Lambda(args, body, **_LOC))
     fn = eval(compile(lam, "<expr>", "eval"), _GLOBALS)
-    unknown = set(fn.__code__.co_names) - set(_ALLOWED_FUNCS)
+    unknown = set(fn.__code__.co_names) - set(_ALLOWED_FUNCS) - {"_pow"}
     if unknown:
         exprs = ", ".join(map(ast.unparse, trees.flat))
         raise SpecFileError(f"unknown name(s) {sorted(unknown)} in {exprs!r}")

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .alpha_gf import symplectic_residual
-from .canonical import Chart, verify_chart
+from .canonical import Model, alpha_scheme_map, make_alpha_stepper, verify_chart
 from .noise import TimeGrid, coarsen, sample_increments
 from .poisson import (
     PoissonSystem,
@@ -168,26 +168,20 @@ THRESHOLDS = {
 
 
 def check_suite(
-    sys: PoissonSystem,
+    model: Model,
     points: np.ndarray,
-    on_level: np.ndarray,
-    chart: Chart | None = None,
-    canonical_stepper_factory: Callable | None = None,
-    composed_scheme_factory: Callable | None = None,
+    config: Callable,
     alphas=(0.0, 0.5, 1.0),
     h: float = 0.01,
     seed: int = 0,
-    n_map_states: int = 20,
 ) -> list[CheckLine]:
-    """Structural validators with pass/fail thresholds.
-
-    ``canonical_stepper_factory(alpha)`` builds a one-step map on (P, Q) for
-    the symplecticity check; ``composed_scheme_factory()`` a one-step map on y
-    for the Poisson-map check.  Both step states drawn from ``points``, the
-    symplecticity check only those marked ``on_level`` (their inverse chart is
-    defined at the Casimirs that its stepper freezes).  Chart-dependent checks
-    are skipped when no chart is supplied.
-    """
+    """Structural validators with pass/fail thresholds at ``points`` (inside
+    the system's and the chart's domain); ``config(alpha)`` configures each
+    scheme.  With a chart, frozen at ``model.y0`` (else the first point), the
+    alpha steppers' symplecticity is checked at the picked states whose
+    inverse chart is defined on that level, and the composed scheme's
+    Poisson-map property at all picked states."""
+    sys = model.system
     rng = np.random.default_rng(seed)
     lines = [
         CheckLine("skew", check_skew(sys, points).max_residual, THRESHOLDS["skew"]),
@@ -201,33 +195,30 @@ def check_suite(
                 THRESHOLDS["casimir"],
             )
         )
-    if chart is not None:
-        in_domain = points
-        if chart.domain is not None:
-            in_domain = points[chart.domain(points)]
-        lines.append(
-            CheckLine(
-                "chart",
-                verify_chart(chart, sys, in_domain).max_residual,
-                THRESHOLDS["chart"],
-            )
-        )
-    pick = rng.choice(len(points), size=min(n_map_states, len(points)), replace=False)
-    if canonical_stepper_factory is not None and chart is not None:
-        # symplecticity is checked in chart coordinates
-        zs = chart.forward(points[pick[on_level[pick]]])[..., : 2 * chart.n]
-        worst, note = (0.0, "") if len(zs) else (np.nan, "no sampled state on the frozen level")
-        for alpha in alphas:
-            stepper = canonical_stepper_factory(alpha)
-            for z in zs:
-                dw = np.sqrt(h) * rng.standard_normal(1)
-                worst = max(worst, symplectic_residual(stepper, z, h, dw, eps=1e-6))
-        lines.append(CheckLine("symplectic", worst, THRESHOLDS["symplectic"], note))
-    if composed_scheme_factory is not None:
-        scheme = composed_scheme_factory()
-        worst = 0.0
-        for y in points[pick]:
+    if model.chart is None:
+        return lines
+    y0 = points[0] if model.y0 is None else model.y0
+    chart = model.chart(model.casimir_value(y0))
+    shs = model.shs(y0)
+    lines.append(
+        CheckLine("chart", verify_chart(chart, sys, points).max_residual, THRESHOLDS["chart"])
+    )
+    pick = rng.choice(len(points), size=min(20, len(points)), replace=False)
+    zs = chart.forward(points[pick])[:, : 2 * chart.n]
+    with np.errstate(all="ignore"):  # inverse chart at the frozen Casimirs
+        ys = chart.inverse(np.hstack([zs, np.tile(shs.casimir_values, (len(zs), 1))]))
+        zs = zs[np.isfinite(ys).all(axis=-1) & (chart.domain is None or chart.domain(ys))]
+    worst, note = (0.0, "") if len(zs) else (np.nan, "no sampled state on the frozen level")
+    for alpha in alphas:
+        stepper = make_alpha_stepper(shs, config(alpha))
+        for z in zs:
             dw = np.sqrt(h) * rng.standard_normal(1)
-            worst = max(worst, poisson_map_residual(scheme, sys, y, h, dw, eps=1e-6))
-        lines.append(CheckLine("poisson_map", worst, THRESHOLDS["poisson_map"]))
+            worst = max(worst, symplectic_residual(stepper, z, h, dw, eps=1e-6))
+    lines.append(CheckLine("symplectic", worst, THRESHOLDS["symplectic"], note))
+    scheme = alpha_scheme_map(model, config(0.5))
+    worst = 0.0
+    for y in points[pick]:
+        dw = np.sqrt(h) * rng.standard_normal(1)
+        worst = max(worst, poisson_map_residual(scheme, sys, y, h, dw, eps=1e-6))
+    lines.append(CheckLine("poisson_map", worst, THRESHOLDS["poisson_map"]))
     return lines

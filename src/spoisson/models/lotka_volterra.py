@@ -44,6 +44,8 @@ class LVParams:
     c2: float
 
     def __post_init__(self) -> None:
+        if not np.isfinite(list(vars(self).values())).all():
+            raise ValueError(f"constants must be finite, got {self}")
         if self.r == 0:
             raise ValueError("r must be nonzero (the Casimir carries 1/r)")
 

@@ -37,6 +37,8 @@ class RigidBodyParams:
     c1: float
 
     def __post_init__(self) -> None:
+        if not np.isfinite(list(vars(self).values())).all():
+            raise ValueError(f"constants must be finite, got {self}")
         if min(self.i1, self.i2, self.i3) <= 0:
             raise ValueError("moments of inertia must be positive")
 
@@ -164,7 +166,7 @@ def transformed_shs(params: RigidBodyParams, casimir_value: float) -> CanonicalS
     def value(z):
         z = np.asarray(z, dtype=float)
         p, q = z[..., 0], z[..., 1]
-        cos2, sin2 = np.cos(q) ** 2, np.sin(q) ** 2
+        cos2, sin2 = np.square(np.cos(q)), np.square(np.sin(q))
         return (two_c - p**2) * cos2 / (2 * i1) + p**2 / (2 * i2) + (
             two_c - p**2
         ) * sin2 / (2 * i3)
@@ -173,7 +175,7 @@ def transformed_shs(params: RigidBodyParams, casimir_value: float) -> CanonicalS
         z = np.asarray(z, dtype=float)
         p, q = z[..., 0], z[..., 1]
         out = np.empty_like(z)
-        out[..., 0] = (1 / i2 - np.cos(q) ** 2 / i1 - np.sin(q) ** 2 / i3) * p
+        out[..., 0] = (1 / i2 - np.square(np.cos(q)) / i1 - np.square(np.sin(q)) / i3) * p
         out[..., 1] = (0.5 / i3 - 0.5 / i1) * (two_c - p**2) * np.sin(2 * q)
         return out
 
@@ -181,7 +183,7 @@ def transformed_shs(params: RigidBodyParams, casimir_value: float) -> CanonicalS
         z = np.asarray(z, dtype=float)
         p, q = z[..., 0], z[..., 1]
         out = np.empty(z.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 1 / i2 - np.cos(q) ** 2 / i1 - np.sin(q) ** 2 / i3
+        out[..., 0, 0] = 1 / i2 - np.square(np.cos(q)) / i1 - np.square(np.sin(q)) / i3
         out[..., 1, 1] = (1 / i3 - 1 / i1) * (two_c - p**2) * np.cos(2 * q)
         out[..., 0, 1] = out[..., 1, 0] = (1 / i1 - 1 / i3) * p * np.sin(2 * q)
         return out
@@ -225,7 +227,7 @@ def spherical_system(params: RigidBodyParams, radius: float) -> SDE:
         t1, t2 = th[..., 0], th[..., 1]
         f1 = radius * (1 / i2 - 1 / i1) * np.cos(t1) * np.sin(t2) * np.cos(t2)
         f2 = radius * np.sin(t1) * (
-            (1 / i1 - 1 / i3) * np.cos(t2) ** 2 - (1 / i3 - 1 / i2) * np.sin(t2) ** 2
+            (1 / i1 - 1 / i3) * np.square(np.cos(t2)) - (1 / i3 - 1 / i2) * np.square(np.sin(t2))
         )
         return np.stack([f1, f2], axis=-1)
 

@@ -30,7 +30,7 @@ class StepError(RuntimeError):
 
 
 class NonConvergenceError(StepError):
-    """Implicit iteration exceeded max_iter; carries the last residual."""
+    """Implicit iteration exceeded its cap; carries the last residual."""
 
     def __init__(self, message: str, residual: float, mask=None):
         super().__init__(f"{message} (residual {residual:.3e})", mask)
@@ -87,6 +87,7 @@ class OrderEstimate:
 
 
 _FD_EPS = float(np.cbrt(np.finfo(float).eps))
+MAX_ITER = 100  # iteration cap of every implicit step
 
 
 def fd_vector_jacobian(f: Callable, y: np.ndarray, eps: float | None = None) -> np.ndarray:
@@ -153,6 +154,8 @@ def milstein_step(sde: SDE, y, h: float, dw):
 def fixed_point(update: Callable, x0: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     """Iterate x <- update(x) until successive iterates differ by < tol in max
     norm over the last axis, per batch entry (converged entries are frozen)."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     x = np.array(x0, dtype=float, copy=True)
     active = np.ones(x.shape[:-1], dtype=bool)
     for _ in range(max_iter):
@@ -172,11 +175,9 @@ def fixed_point(update: Callable, x0: np.ndarray, tol: float, max_iter: int) -> 
     )
 
 
-def midpoint_step(sde: SDE, y, h: float, dw, tol: float = 1e-12, max_iter: int = 100):
+def midpoint_step(sde: SDE, y, h: float, dw, tol: float = 1e-12):
     """Implicit midpoint rule, by fixed point; reads the fields as
     Stratonovich coefficients."""
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     y = np.asarray(y, dtype=float)
     dw = np.asarray(dw, dtype=float)
 
@@ -187,10 +188,10 @@ def midpoint_step(sde: SDE, y, h: float, dw, tol: float = 1e-12, max_iter: int =
             out = out + b(ybar) * dw[..., r, None]
         return out
 
-    return fixed_point(update, y, tol, max_iter)
+    return fixed_point(update, y, tol, MAX_ITER)
 
 
-def implicit_euler_maruyama_step(sde: SDE, y, h: float, dw, tol: float = 1e-12, max_iter: int = 100):
+def implicit_euler_maruyama_step(sde: SDE, y, h: float, dw, tol: float = 1e-12):
     """Drift-implicit, diffusion-explicit Euler; reads the fields as Ito
     coefficients."""
     y = np.asarray(y, dtype=float)
@@ -202,7 +203,7 @@ def implicit_euler_maruyama_step(sde: SDE, y, h: float, dw, tol: float = 1e-12, 
     def update(ynew):
         return y + h * sde.drift(ynew) + noise
 
-    return fixed_point(update, y, tol, max_iter)
+    return fixed_point(update, y, tol, MAX_ITER)
 
 
 def integrate(

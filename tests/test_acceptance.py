@@ -9,8 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from spoisson.alpha_gf import AlphaSchemeConfig, make_alpha_stepper, symplectic_residual
-from spoisson.canonical import alpha_scheme, alpha_scheme_map, verify_chart
+from spoisson.alpha_gf import AlphaSchemeConfig, symplectic_residual
+from spoisson.canonical import alpha_scheme, alpha_scheme_map, make_alpha_stepper, verify_chart
 from spoisson.experiments import em_stepper, iem_stepper, order_experiment
 from spoisson.noise import TimeGrid, sample_increments, sample_seed
 from spoisson.poisson import (

@@ -6,11 +6,10 @@ import pytest
 from spoisson.alpha_gf import (
     AlphaSchemeConfig,
     alpha_step,
-    make_alpha_stepper,
     sbar_gradient,
     symplectic_residual,
 )
-from spoisson.canonical import CanonicalSHS, j_inverse
+from spoisson.canonical import CanonicalSHS, j_inverse, make_alpha_stepper
 from spoisson.noise import TruncationPolicy
 from spoisson.poisson import ScalarField
 from spoisson.sde import (
@@ -87,26 +86,26 @@ def test_config_validation():
 def test_sbar_gradient_alpha_half_skips_hessian():
     h0 = _quad_field()
     h1 = ScalarField(value=h0.value, grad=h0.grad, hess=None)
-    g = sbar_gradient(_shs(h0, h1), np.array([0.4]), np.array([0.8]), 0.01, 0.05, 0.5)
+    g = sbar_gradient(_shs(h0, h1), np.array([0.4, 0.8]), 0.01, 0.05, 0.5)
     # plain H0 h + H1 dW gradient
     grad = h0.grad(np.array([0.4, 0.8]))
-    assert np.allclose(g.dP, grad[:1] * 0.01 + grad[:1] * 0.05, atol=1e-15)
-    assert np.allclose(g.dQ, grad[1:] * 0.01 + grad[1:] * 0.05, atol=1e-15)
+    assert np.allclose(g[:1], grad[:1] * 0.01 + grad[:1] * 0.05, atol=1e-15)
+    assert np.allclose(g[1:], grad[1:] * 0.01 + grad[1:] * 0.05, atol=1e-15)
 
 
 def test_sbar_gradient_requires_hessian_off_center():
     h0 = _quad_field()
     h1 = ScalarField(value=h0.value, grad=h0.grad, hess=None)
     with pytest.raises(ValueError):
-        sbar_gradient(_shs(h0, h1), np.array([0.4]), np.array([0.8]), 0.01, 0.05, 0.3)
+        sbar_gradient(_shs(h0, h1), np.array([0.4, 0.8]), 0.01, 0.05, 0.3)
 
 
 def test_sbar_gradient_zero_noise_hamiltonian_reduces_to_theta_scheme():
     h0 = _quad_field()
-    g = sbar_gradient(_shs(h0, _zero_field()), np.array([0.4]), np.array([0.8]), 0.02, 0.3, 0.1)
+    g = sbar_gradient(_shs(h0, _zero_field()), np.array([0.4, 0.8]), 0.02, 0.3, 0.1)
     grad = h0.grad(np.array([0.4, 0.8]))
-    assert np.allclose(g.dP, grad[:1] * 0.02, atol=1e-15)
-    assert np.allclose(g.dQ, grad[1:] * 0.02, atol=1e-15)
+    assert np.allclose(g[:1], grad[:1] * 0.02, atol=1e-15)
+    assert np.allclose(g[1:], grad[1:] * 0.02, atol=1e-15)
 
 
 def test_sbar_gradient_hand_expanded_polynomial_oracle():
@@ -119,10 +118,10 @@ def test_sbar_gradient_hand_expanded_polynomial_oracle():
     shs = _shs(_quad_field(), _poly_field())
     for alpha in (0.0, 0.25, 0.8, 1.0):
         p, q = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        g = sbar_gradient(shs, np.array([p]), np.array([q]), h, dw, alpha)
+        g = sbar_gradient(shs, np.array([p, q]), h, dw, alpha)
         c = (2 * alpha - 1) * 0.5 * dw**2
-        assert g.dP[0] == pytest.approx(2 * p * q * h + q**2 * dw + c * 2 * q**3, abs=1e-14)
-        assert g.dQ[0] == pytest.approx(p**2 * h + 2 * p * q * dw + c * 6 * p * q**2, abs=1e-14)
+        assert g[0] == pytest.approx(2 * p * q * h + q**2 * dw + c * 2 * q**3, abs=1e-14)
+        assert g[1] == pytest.approx(p**2 * h + 2 * p * q * dw + c * 6 * p * q**2, abs=1e-14)
 
 
 def test_alpha_step_zero_hamiltonians_is_identity():
@@ -176,7 +175,7 @@ def test_alpha_step_divergence_error():
 def test_alpha_step_nonconvergence_error():
     shs = _linear_shs()
     with pytest.raises(NonConvergenceError) as err:
-        alpha_step(shs, np.array([1.0, 0.5]), 2.4, 0.0, AlphaSchemeConfig(alpha=0.5, max_iter=40))
+        alpha_step(shs, np.array([1.0, 0.5]), 2.4, 0.0, AlphaSchemeConfig(alpha=0.5))
     assert err.value.residual > 0
 
 

@@ -3,13 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spoisson.alpha_gf import AlphaSchemeConfig
 from spoisson.canonical import (
     Chart,
     alpha_scheme,
     j_inverse,
+    make_alpha_stepper,
     poisson_integrator,
     transform_system,
     verify_chart,
@@ -183,8 +184,6 @@ def test_poisson_integrator_conjugacy_and_casimir_exactness():
     cv = 0.5
     chart = rb.chart(cv)
     shs = rb.transformed_shs(params, cv)
-    from spoisson.alpha_gf import make_alpha_stepper
-
     stepper = make_alpha_stepper(shs, AlphaSchemeConfig(alpha=0.3))
     composed = poisson_integrator(chart, stepper, [cv])
     rng = np.random.default_rng(6)
@@ -245,6 +244,8 @@ BATCH_MODELS = {
 @pytest.mark.parametrize("name", sorted(BATCH_MODELS))
 @settings(max_examples=3, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
+@example(seed=2679746384)  # srb, alpha = 1/2: a single state's cos(q) ** 2 missed by an ulp
+@example(seed=3934851)  # custom, alpha = 1: likewise for a compiled ** 2
 def test_batched_rows_equal_single_rows_bit_for_bit(name, alpha, seed):
     model = BATCH_MODELS[name]()
     step = alpha_scheme(model, model.y0, AlphaSchemeConfig(alpha=alpha))

@@ -160,6 +160,12 @@ def test_config_errors_exit_3(tmp_path):
         ["casimir", "--T", "0.1", "--tol", "nan"],
         ["casimir", "--T", "0.1", "--truncation-k", "nan"],
         ["casimir", "--T", "0.1", "--tol", "inf"],  # would accept every first iterate
+        ["check", "--param", "I1=nan"],
+        ["check", "--param", "c1=inf"],
+        ["casimir", "--T", "0.1", "--param", "I2=inf"],
+        ["check", "--h", "0"],
+        ["check", "--h", "1"],  # the truncation bound needs h < 1
+        ["check", "--h", "nan"],
     ],
     ids="_".join,
 )
@@ -177,6 +183,9 @@ def test_bad_config_values_exit_3(argv, capsys):
         ["order", "--samples", "abc"],
         ["casimir", "--no-such-flag"],
         ["no-such-command"],
+        ["paths", "--alpha", "abc"],
+        ["paths", "--h", "x"],
+        ["order", "--h", "0.01,abc"],
     ],
     ids="_".join,
 )
@@ -205,6 +214,9 @@ SRB_CUSTOM = str(Path(__file__).resolve().parents[1] / "bench" / "srb_custom.txt
     [
         ("slv", ["check", "--param", "r=0"]),
         ("slv", ["paths", "--param", "y0=-1,1,1"]),  # off the positive octant
+        ("slv", ["check", "--param", "a=nan"]),
+        ("slv", ["check", "--param", "nu=inf"]),
+        ("slv", ["check", "--param", "c2=nan"]),
         pytest.param(SRB_CUSTOM, ["casimir", "--param", "y0=0,0.3,0"], id="srb_custom-casimir_--param_y0=0,0.3,0"),
     ],
     ids=lambda v: v if isinstance(v, str) else "_".join(v),

@@ -221,9 +221,13 @@ def test_one_step_jacobian_matches_variational():
 
 
 def test_scheme_rejects_start_outside_chart_domain():
-    with pytest.raises(DomainError):
-        alpha_scheme(
-            rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0),
-            np.array([0.0, 1.0, 0.0]),
-            AlphaSchemeConfig(alpha=0.5),
-        )
+    y0 = np.array([0.0, 1.0, 0.0])
+    step = alpha_scheme(
+        rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0), y0, AlphaSchemeConfig(alpha=0.5)
+    )
+    with pytest.raises(DomainError) as err:
+        step(y0, 0.01, np.zeros(1))
+    assert err.value.mask.shape == () and err.value.mask
+    with pytest.raises(DomainError) as err:
+        step(np.stack([rb.REFERENCE_Y0, y0]), 0.01, np.zeros((2, 1)))
+    assert err.value.mask.tolist() == [False, True]

@@ -164,14 +164,23 @@ def test_midpoint_rigid_body_fine_run_conserves_casimir():
 def test_midpoint_reports_nonconvergence():
     sde = SDE(1, lambda y: 2.4 * y, (lambda y: np.zeros_like(y),))
     with pytest.raises(NonConvergenceError) as err:
-        midpoint_step(sde, np.array([1.0]), 1.0, np.zeros(1), max_iter=50)
+        midpoint_step(sde, np.array([1.0]), 1.0, np.zeros(1))
     assert err.value.residual > 0
 
 
 def test_midpoint_reports_divergence():
     sde = SDE(1, lambda y: 1e10 * y, (lambda y: np.zeros_like(y),))
     with np.errstate(over="ignore"), pytest.raises(DivergenceError):
-        midpoint_step(sde, np.array([1.0]), 1.0, np.zeros(1), max_iter=100)
+        midpoint_step(sde, np.array([1.0]), 1.0, np.zeros(1))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("step", [midpoint_step, implicit_euler_maruyama_step])
+def test_implicit_steppers_reject_bad_tol(step, tol):
+    # tol = inf would accept the first iterate; tol = nan would never converge
+    sde = SDE(1, lambda y: -y, (lambda y: np.zeros_like(y),))
+    with pytest.raises(ValueError, match="tol"):
+        step(sde, np.array([1.0]), 0.1, np.zeros(1), tol=tol)
 
 
 def test_implicit_em_zero_field_is_identity():

@@ -70,7 +70,5 @@ def mixed_point_update(shs, alpha, pbar, qbar, pn, qn, h, dw):
     """The generic update P - dSbar/dQhat, Q + dSbar/dPhat at (pbar, qbar)."""
     from spoisson.alpha_gf import sbar_gradient
 
-    g = sbar_gradient(
-        shs, np.atleast_1d(pbar), np.atleast_1d(qbar), h, np.asarray(dw), alpha
-    )
-    return pn - g.dQ[..., 0], qn + g.dP[..., 0]
+    g = sbar_gradient(shs, np.array([pbar, qbar]), h, np.asarray(dw), alpha)
+    return pn - g[1], qn + g[0]
