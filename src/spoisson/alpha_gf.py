@@ -60,8 +60,6 @@ def sbar_gradient(shs, zhat, h: float, dw, alpha: float) -> np.ndarray:
     ``dw`` is the scalar increment, batched over leading axes.
     """
     n = shs.n
-    if shs.n_noise != 1:
-        raise ValueError("the truncated generating function is for one noise channel")
     H0, H1 = shs.hamiltonians
     dw = np.asarray(dw, dtype=float)
     g1 = H1.grad(zhat)

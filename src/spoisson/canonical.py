@@ -35,7 +35,6 @@ class Chart:
     boolean predicate on y.
     """
 
-    dim: int
     n: int
     forward: Callable
     inverse: Callable
@@ -50,26 +49,22 @@ class CanonicalSHS:
     Casimir parameters frozen into the Hamiltonians."""
 
     n: int
-    n_noise: int
     casimir_values: np.ndarray
     hamiltonians: tuple[ScalarField, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.hamiltonians) != self.n_noise + 1:
-            raise ValueError("need exactly m+1 Hamiltonians H_0..H_m")
+    @property
+    def n_noise(self) -> int:
+        """The number m of noise channels."""
+        return len(self.hamiltonians) - 1
 
 
-def verify_chart(
-    chart: Chart,
-    sys: PoissonSystem,
-    points,
-    cond_threshold: float = 1e12,
-) -> CheckReport:
-    """Worst entry of A(y) B(y) A(y)^T - B0 over the points."""
+def verify_chart(chart: Chart, sys: PoissonSystem, points) -> CheckReport:
+    """Worst entry of A(y) B(y) A(y)^T - B0 over the points; a chart Jacobian
+    with condition number above 1e12 is a ValueError."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     A = chart.jacobian(points)
     cond = np.linalg.cond(A)
-    if np.max(cond) > cond_threshold:
+    if np.max(cond) > 1e12:
         worst = points[int(np.argmax(cond))]
         raise ValueError(f"chart Jacobian numerically singular at {worst}")
     res = A @ sys.structure(points) @ np.swapaxes(A, -1, -2) - chart.b0
@@ -131,7 +126,6 @@ def transform_system(sys: PoissonSystem, chart: Chart, y0) -> CanonicalSHS:
 
     return CanonicalSHS(
         n=chart.n,
-        n_noise=sys.n_noise,
         casimir_values=frozen_c,
         hamiltonians=tuple(make_field(K) for K in sys.hamiltonians),
     )
@@ -203,7 +197,10 @@ class Model:
 
 def make_alpha_stepper(shs: CanonicalSHS, config: AlphaSchemeConfig) -> Callable:
     """The alpha-generating one-step map (z, h, dw) -> z_new on chart
-    coordinates, dw of shape (..., 1)."""
+    coordinates, dw of shape (..., 1): the truncated generating function is
+    for a single noise channel."""
+    if shs.n_noise != 1:
+        raise ValueError(f"alpha-generating schemes need a single noise channel, got {shs.n_noise}")
     return lambda z, h, dw: alpha_step(shs, z, h, np.asarray(dw)[..., 0], config)
 
 
@@ -211,8 +208,6 @@ def alpha_scheme(model: Model, y0, config: AlphaSchemeConfig) -> Callable:
     """Composed alpha-generating one-step map on y: chart, symplectic step with
     the Casimirs frozen at their values at y0, inverse chart.  A state outside
     the chart domain is a DomainError at the step that takes it."""
-    if model.system.n_noise != 1:
-        raise ValueError("alpha-generating schemes support a single noise channel")
     chart = model.chart(model.casimir_value(y0))
     shs = model.shs(y0)
     inner = poisson_integrator(chart, make_alpha_stepper(shs, config), shs.casimir_values)

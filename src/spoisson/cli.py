@@ -2,15 +2,16 @@
 
 Configuration values resolve in three layers: built-in defaults (the
 reference experiment values), then a `key = value` config file given with
---config, then command-line flags.  Model constants and the initial state
-live in the same namespace (e.g. ``I1 = 1.5``, ``y0 = 2,0.9,0.5``).
+--config, then command-line flags; every flag is also a config-file key.
+Model constants and y0 are the other keys (``I1 = 1.5``, ``y0 = 2,0.9,0.5``).
 
 CSV output uses comma separators, '.' decimals, 17 significant digits (so
 floats round-trip losslessly), and a single header row.  Lines starting with
 '#' are metadata.
 
-Exit codes: 0 success, 1 validation failure, 2 numerical failure,
-3 configuration error (a command-line usage error included).
+Exit codes: 0 success, 1 validation failure, 2 numerical failure (a failure
+inside a step), 3 configuration error (a usage error or any value the library
+rejects with a ValueError).
 """
 from __future__ import annotations
 
@@ -35,8 +36,32 @@ EXIT_NUMERICAL = 2
 EXIT_CONFIG = 3
 
 
-class ConfigError(ValueError):
-    pass
+def float_list(s) -> tuple:
+    """A comma-separated list of numbers."""
+    return tuple(float(x) for x in str(s).split(","))
+
+
+def _yes(s) -> bool:
+    return str(s).lower() in ("1", "true", "yes")
+
+
+# Every setting: its --flag (dashes for underscores) and config-file key, the
+# parser of its value and its help.  A flag beats the file, the file the default.
+_OPTIONS = {
+    "system": (str, "srb | slv | path to a custom system file"),
+    "alpha": (float_list, "comma-separated alpha values"),
+    "h": (float_list, "comma-separated step sizes"),
+    "T": (float, "final time"),
+    "samples": (int, "Monte Carlo sample count"),
+    "seed": (int, "base seed"),
+    "truncation_k": (float, "increment truncation strength k >= 1"),
+    "tol": (float, "implicit iteration tolerance"),
+    "output": (str, "CSV output path ('-' for stdout)"),
+    "ref_factor": (int, "reference refinement factor"),
+    "spherical": (_yes, "include the spherical scheme column (srb)"),
+}
+_ORDER_ONLY = ("spherical",)  # flags of the order command alone
+_ORDER_DEFAULTS = {"h": (0.005, 0.01, 0.02, 0.04), "ref_factor": 8}
 
 
 @dataclass(frozen=True)
@@ -44,35 +69,23 @@ class ExperimentConfig:
     system: str = "srb"
     params: dict = field(default_factory=dict)
     alpha: tuple = (0.0, 0.5, 1.0)
-    h: tuple | None = None
-    T: float | None = None
+    h: tuple = (0.01,)
+    T: float | None = None  # None: the model's default for the command
     samples: int = 500
     seed: int = 2024
     truncation_k: float = 4.0
     tol: float = 1e-12
     output: str = "-"
-    ref_factor: int | None = None
+    ref_factor: int = 1000
     spherical: bool = False
 
-
-def float_list(s) -> tuple:
-    """A comma-separated list of numbers."""
-    return tuple(float(x) for x in str(s).split(","))
-
-
-_FIELD_PARSERS = {
-    "system": str,
-    "alpha": float_list,
-    "h": float_list,
-    "T": float,
-    "samples": int,
-    "seed": int,
-    "truncation_k": float,
-    "tol": float,
-    "output": str,
-    "ref_factor": int,
-    "spherical": lambda s: str(s).lower() in ("1", "true", "yes"),
-}
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.ref_factor < 1:
+            raise ValueError(f"ref_factor must be >= 1, got {self.ref_factor}")
+        for alpha in self.alpha:  # the scheme config owns the alpha, tol and k rules
+            _alpha_config(self, alpha)
 
 
 def load_config_file(path: str) -> dict:
@@ -80,14 +93,14 @@ def load_config_file(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             raw = parse_keyvalues(fh.read())
     except (OSError, SpecFileError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     out: dict = {"params": {}}
     for key, value in raw.items():
-        if key in _FIELD_PARSERS:
+        if key in _OPTIONS:
             try:
-                out[key] = _FIELD_PARSERS[key](value)
+                out[key] = _OPTIONS[key][0](value)
             except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {value!r}") from exc
+                raise ValueError(f"bad value for {key}: {value!r}") from exc
         else:  # model constants / initial state
             out["params"][key] = _param_value(key, value)
     return out
@@ -98,41 +111,22 @@ def _param_value(key: str, value: str):
     try:
         return tuple(float(x) for x in value.split(",")) if "," in value else float(value)
     except ValueError as exc:
-        raise ConfigError(f"bad numeric value for {key}: {value!r}") from exc
+        raise ValueError(f"bad numeric value for {key}: {value!r}") from exc
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig()
+    values = dict(_ORDER_DEFAULTS) if args.command == "order" else {}
     if args.config:
-        file_values = load_config_file(args.config)
-        params = dict(cfg.params)
-        params.update(file_values.pop("params", {}))
-        cfg = replace(cfg, params=params, **file_values)
-    overrides = {}
-    for name in ("system", "alpha", "h", "T", "samples", "seed", "truncation_k", "tol", "output",
-                 "ref_factor"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "spherical", False):
-        overrides["spherical"] = True
-    params = dict(cfg.params)
-    for item in getattr(args, "param", None) or []:
+        values.update(load_config_file(args.config))
+    params = values.pop("params", {})
+    flags = {k: getattr(args, k, None) for k in _OPTIONS}  # order alone has --spherical
+    values.update((k, v) for k, v in flags.items() if v is not None)
+    for item in args.param or []:
         if "=" not in item:
-            raise ConfigError(f"--param expects KEY=VALUE, got {item!r}")
+            raise ValueError(f"--param expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         params[key.strip()] = _param_value(key, value)
-    cfg = replace(cfg, params=params, **overrides)
-    if cfg.ref_factor is not None and cfg.ref_factor < 1:
-        raise ConfigError(f"ref_factor must be >= 1, got {cfg.ref_factor}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-    try:  # the scheme config owns the rules for alpha, tol and truncation_k
-        for alpha in cfg.alpha:
-            _alpha_config(cfg, alpha)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
+    return ExperimentConfig(params=params, **values)
 
 
 def _alpha_config(cfg: ExperimentConfig, alpha: float) -> AlphaSchemeConfig:
@@ -162,24 +156,22 @@ def _params(cfg: ExperimentConfig):
 def build_setup(cfg: ExperimentConfig) -> Model:
     """The model ``cfg.system`` names: srb, slv or a custom system file."""
     y0 = cfg.params.get("y0")
-    try:  # the params records, Model and charts own the rules on the values
-        if cfg.system in _BUILTIN:
-            module = _BUILTIN[cfg.system][0]
-            return module.model(_params(cfg), module.REFERENCE_Y0 if y0 is None else y0)
+    if cfg.system in _BUILTIN:  # the params records, Model and charts own the rules
+        module = _BUILTIN[cfg.system][0]
+        return module.model(_params(cfg), module.REFERENCE_Y0 if y0 is None else y0)
+    try:
         custom = load_custom_system(cfg.system)
-        if set(cfg.params) - {"y0"}:
-            raise ValueError(f"a custom system takes only y0, got {sorted(cfg.params)}")
-        return custom.model(y0)
     except (OSError, SpecFileError) as exc:
-        raise ConfigError(f"cannot load custom system {cfg.system!r}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError(f"cannot load custom system {cfg.system!r}: {exc}") from exc
+    if set(cfg.params) - {"y0"}:
+        raise ValueError(f"a custom system takes only y0, got {sorted(cfg.params)}")
+    return custom.model(y0)
 
 
 def _scheme(cfg: ExperimentConfig, model: Model, alpha: float):
     """The composed alpha scheme of the model from its initial state."""
     if model.chart is None:
-        raise ConfigError("custom system has no chart; only 'check' is available")
+        raise ValueError("custom system has no chart; only 'check' is available")
     return alpha_scheme(model, model.y0, _alpha_config(cfg, alpha))
 
 
@@ -203,26 +195,26 @@ def _write_csv(path: str, header: list[str], rows, metadata: list[str] = ()):
 def _grid(T: float, h: float) -> TimeGrid:
     """The grid on [0, T] with step h, which must divide T."""
     if not math.isfinite(T):
-        raise ConfigError(f"T must be finite, got {T}")
+        raise ValueError(f"T must be finite, got {T}")
     n_steps = round(T / h) if h > 0 else 0
     if n_steps < 1 or abs(n_steps * h - T) > 1e-9 * T:
-        raise ConfigError(f"step h={h} does not divide [0, {T}]")
+        raise ValueError(f"step h={h} does not divide [0, {T}]")
     return TimeGrid(0.0, T, n_steps)
 
 
 def cmd_paths(cfg: ExperimentConfig) -> int:
     model = build_setup(cfg)
     if model.y0 is None:
-        raise ConfigError("paths needs an initial state y0")
+        raise ValueError("paths needs an initial state y0")
     T = cfg.T if cfg.T is not None else model.default_T["paths"]
-    grid = _grid(T, cfg.h[0] if cfg.h else 0.01)
+    grid = _grid(T, cfg.h[0])
     result = experiments.paths_experiment(
         model.system,
         _scheme(cfg, model, cfg.alpha[0]),
         model.y0,
         grid,
         cfg.seed,
-        ref_factor=1000 if cfg.ref_factor is None else cfg.ref_factor,
+        ref_factor=cfg.ref_factor,
         tol=cfg.tol,
     )
     d = model.system.dim
@@ -243,9 +235,9 @@ def cmd_paths(cfg: ExperimentConfig) -> int:
 def cmd_casimir(cfg: ExperimentConfig) -> int:
     model = build_setup(cfg)
     if model.y0 is None or not model.system.casimirs:
-        raise ConfigError("casimir needs an initial state and a Casimir function")
+        raise ValueError("casimir needs an initial state and a Casimir function")
     T = cfg.T if cfg.T is not None else model.default_T["casimir"]
-    grid = _grid(T, cfg.h[0] if cfg.h else 0.01)
+    grid = _grid(T, cfg.h[0])
     schemes = {
         "casimir_scheme": _scheme(cfg, model, cfg.alpha[0]),
         "casimir_em": experiments.em_stepper(model.system),
@@ -269,21 +261,12 @@ def cmd_casimir(cfg: ExperimentConfig) -> int:
 def cmd_order(cfg: ExperimentConfig) -> int:
     model = build_setup(cfg)
     if model.y0 is None:
-        raise ConfigError("order needs an initial state y0")
-    hs = cfg.h or (0.005, 0.01, 0.02, 0.04)
+        raise ValueError("order needs an initial state y0")
     T = cfg.T if cfg.T is not None else model.default_T["order"]
-    ref_factor = 8 if cfg.ref_factor is None else cfg.ref_factor
-    if cfg.samples < 1:
-        raise ConfigError(f"samples must be >= 1, got {cfg.samples}")
-    if len(set(hs)) < len(hs):
-        raise ConfigError(f"step sizes must be distinct, got {hs}")
-    for h in hs:  # the reference step min(hs) / ref_factor must divide every h
-        _grid(T, h)
-        _grid(h, min(hs) / ref_factor)
     schemes = {f"alpha={alpha:g}": _scheme(cfg, model, alpha) for alpha in cfg.alpha}
     if cfg.spherical:
         if model.name != "srb":
-            raise ConfigError("--spherical is only available for the srb system")
+            raise ValueError("--spherical is only available for the srb system")
         schemes["spherical"] = rigid_body.spherical_scheme(
             _params(cfg), model.y0, tol=cfg.tol, truncation=TruncationPolicy(k=cfg.truncation_k)
         )
@@ -292,10 +275,10 @@ def cmd_order(cfg: ExperimentConfig) -> int:
         schemes,
         model.y0,
         T,
-        hs,
+        cfg.h,
         cfg.samples,
         cfg.seed,
-        ref_factor=ref_factor,
+        ref_factor=cfg.ref_factor,
         tol=cfg.tol,
     )
     names = list(schemes)
@@ -308,7 +291,7 @@ def cmd_order(cfg: ExperimentConfig) -> int:
         rows,
         metadata=[
             f"system={model.name} T={T} samples={cfg.samples} seed={cfg.seed} "
-            f"ref_factor={ref_factor}"
+            f"ref_factor={cfg.ref_factor}"
         ],
     )
     for n in names:
@@ -317,26 +300,13 @@ def cmd_order(cfg: ExperimentConfig) -> int:
 
 
 def cmd_check(cfg: ExperimentConfig) -> int:
-    h = cfg.h[0] if cfg.h else 0.01
-    if not 0 < h < 1:  # the increment truncation needs h < 1
-        raise ConfigError(f"check needs 0 < h < 1, got {h}")
     model = build_setup(cfg)
-    points = model.check_points(np.random.default_rng(cfg.seed))
-    if model.system.domain is not None:
-        points = points[model.system.domain(points)]
-    if model.chart is not None and len(points):
-        y0 = points[0] if model.y0 is None else model.y0
-        chart = model.chart(model.casimir_value(y0))
-        if chart.domain is not None:
-            points = points[chart.domain(points)]
-    if len(points) == 0:
-        raise ConfigError("no random check points inside the declared domain")
     lines = experiments.check_suite(
         model,
-        points,
+        model.check_points(np.random.default_rng(cfg.seed)),
         lambda alpha: _alpha_config(cfg, alpha),
         alphas=cfg.alpha,
-        h=h,
+        h=cfg.h[0],
         seed=cfg.seed,
     )
     failed = False
@@ -373,23 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--system", help="srb | slv | path to a custom system file")
-        p.add_argument("--alpha", type=float_list, help="comma-separated alpha values")
-        p.add_argument("--h", type=float_list, help="comma-separated step sizes")
-        p.add_argument("--T", type=float, help="final time")
-        p.add_argument("--samples", type=int, help="Monte Carlo sample count")
-        p.add_argument("--seed", type=int, help="base seed")
-        p.add_argument("--truncation-k", dest="truncation_k", type=float,
-                       help="increment truncation strength k >= 1")
-        p.add_argument("--tol", type=float, help="implicit iteration tolerance")
-        p.add_argument("--output", help="CSV output path ('-' for stdout)")
-        p.add_argument("--ref-factor", dest="ref_factor", type=int,
-                       help="reference refinement factor")
-        p.add_argument("--param", action="append",
-                       help="model constant KEY=VALUE (repeatable)")
-        if name == "order":
-            p.add_argument("--spherical", action="store_true",
-                           help="include the spherical scheme column (srb)")
+        for key, (parse, doc) in _OPTIONS.items():
+            if key in _ORDER_ONLY and name != "order":
+                continue
+            kind = {"action": "store_const", "const": True} if parse is _yes else {"type": parse}
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=doc, **kind)
+        p.add_argument("--param", action="append", help="model constant KEY=VALUE (repeatable)")
     return parser
 
 
@@ -398,7 +357,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         return args.fn(cfg)
-    except ConfigError as exc:
+    except ValueError as exc:  # a failure inside a step is an IntegrationError or StepError
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (IntegrationError, StepError) as exc:

@@ -235,7 +235,6 @@ def _scalar_field(tree, names, k: int | None = None) -> ScalarField:
 class CustomSystem:
     system: PoissonSystem
     chart: Chart | None
-    keys: dict[str, str]
     chart_hamiltonians: tuple[ScalarField, ...] = ()  # H_r(z, c), c passed after z
 
     def shs(self, y) -> CanonicalSHS:
@@ -245,7 +244,7 @@ class CustomSystem:
         fields = tuple(
             ScalarField(bind(H.value), bind(H.grad), bind(H.hess)) for H in self.chart_hamiltonians
         )
-        return CanonicalSHS(self.chart.n, self.system.n_noise, c, fields)
+        return CanonicalSHS(self.chart.n, c, fields)
 
     def model(self, y0) -> Model:
         """This system as a :class:`Model` whose transformed system is :meth:`shs`."""
@@ -286,7 +285,6 @@ def load_custom_system(path: str) -> CustomSystem:
 
     system = PoissonSystem(
         dim=dim,
-        n_noise=m,
         structure=compile_field(B, ys),
         hamiltonians=tuple(_scalar_field(_parse(keys[f"K{r}"]), ys) for r in range(m + 1)),
         rank=rank,
@@ -296,7 +294,7 @@ def load_custom_system(path: str) -> CustomSystem:
     )
 
     if "chart_forward" not in keys:
-        return CustomSystem(system=system, chart=None, keys=keys)
+        return CustomSystem(system=system, chart=None)
     for req in ("chart_inverse", "chart_b0", "chart_n"):
         if req not in keys:
             raise SpecFileError(f"chart requires key '{req}'")
@@ -306,10 +304,10 @@ def load_custom_system(path: str) -> CustomSystem:
     if fwd.shape != (dim,) or inv.shape != (dim,) or b0.shape != (dim, dim):
         raise SpecFileError(f"the chart needs {dim}, {dim} and {dim}x{dim} entries")
     jacobian = compile_field(_jacobian(fwd, ys), ys)
-    chart = Chart(dim=dim, n=n, forward=compile_field(fwd, ys), inverse=compile_field(inv, zs),
+    chart = Chart(n=n, forward=compile_field(fwd, ys), inverse=compile_field(inv, zs),
                   b0=compile_field(b0, [])(np.zeros(0)), jacobian=jacobian, domain=domain)
     # H_r(z, c) = s K_r(theta^-1(z, c)), s the sign of the chart block
     sign, inverse = ast.Constant(_block_sign(chart), **_LOC), dict(zip(ys, inv))
     trees = (_subst(_parse(keys[f"K{r}"]), inverse) for r in range(m + 1))
     fields = tuple(_scalar_field(ast.BinOp(sign, ast.Mult(), t, **_LOC), zs, 2 * n) for t in trees)
-    return CustomSystem(system=system, chart=chart, keys=keys, chart_hamiltonians=fields)
+    return CustomSystem(system=system, chart=chart, chart_hamiltonians=fields)

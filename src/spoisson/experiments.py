@@ -16,7 +16,7 @@ import numpy as np
 
 from .alpha_gf import symplectic_residual
 from .canonical import Model, alpha_scheme_map, make_alpha_stepper, verify_chart
-from .noise import TimeGrid, coarsen, sample_increments
+from .noise import TimeGrid, coarsen, sample_increments, truncate
 from .poisson import (
     PoissonSystem,
     ScalarField,
@@ -69,15 +69,14 @@ def paths_experiment(
     grid: TimeGrid,
     seed: int,
     ref_factor: int = 1000,
-    max_ref_steps: int = 10**6,
     tol: float = 1e-12,
 ) -> PathsResult:
     """One sample path of the scheme and a coupled fine-midpoint reference.
 
     The reference runs at h / ref_factor, with ref_factor reduced so the total
-    reference step count stays below ``max_ref_steps``.
+    reference step count stays below 10^6.
     """
-    ref_factor = max(1, min(ref_factor, max_ref_steps // grid.n_steps))
+    ref_factor = max(1, min(ref_factor, 10**6 // grid.n_steps))
     fine_grid = TimeGrid(grid.t0, grid.T, grid.n_steps * ref_factor)
     fine = sample_increments(fine_grid, sys.n_noise, seed)
     ref_traj = integrate(reference_stepper(sys, tol), y0, fine_grid, fine)
@@ -175,13 +174,22 @@ def check_suite(
     h: float = 0.01,
     seed: int = 0,
 ) -> list[CheckLine]:
-    """Structural validators with pass/fail thresholds at ``points`` (inside
-    the system's and the chart's domain); ``config(alpha)`` configures each
-    scheme.  With a chart, frozen at ``model.y0`` (else the first point), the
-    alpha steppers' symplecticity is checked at the picked states whose
-    inverse chart is defined on that level, and the composed scheme's
-    Poisson-map property at all picked states."""
+    """Structural validators with pass/fail thresholds at the ``points``
+    inside the system's and the chart's domain (none is a ValueError), each
+    scheme configured by ``config(alpha)``.  With a chart, frozen at
+    ``model.y0`` (else the first point), the alpha steppers' symplecticity is
+    checked at the picked states with an inverse chart on that level, the
+    Poisson map at all, both at truncated increments (so 0 < h < 1)."""
     sys = model.system
+    if sys.domain is not None:
+        points = points[sys.domain(points)]
+    if model.chart is not None and len(points):
+        y0 = points[0] if model.y0 is None else model.y0
+        chart, shs = model.chart(model.casimir_value(y0)), model.shs(y0)
+        if chart.domain is not None:
+            points = points[chart.domain(points)]
+    if len(points) == 0:
+        raise ValueError("no check point inside the declared domain")
     rng = np.random.default_rng(seed)
     lines = [
         CheckLine("skew", check_skew(sys, points).max_residual, THRESHOLDS["skew"]),
@@ -197,9 +205,6 @@ def check_suite(
         )
     if model.chart is None:
         return lines
-    y0 = points[0] if model.y0 is None else model.y0
-    chart = model.chart(model.casimir_value(y0))
-    shs = model.shs(y0)
     lines.append(
         CheckLine("chart", verify_chart(chart, sys, points).max_residual, THRESHOLDS["chart"])
     )
@@ -210,15 +215,17 @@ def check_suite(
         zs = zs[np.isfinite(ys).all(axis=-1) & (chart.domain is None or chart.domain(ys))]
     worst, note = (0.0, "") if len(zs) else (np.nan, "no sampled state on the frozen level")
     for alpha in alphas:
-        stepper = make_alpha_stepper(shs, config(alpha))
+        scheme_config = config(alpha)
+        stepper = make_alpha_stepper(shs, scheme_config)
         for z in zs:
-            dw = np.sqrt(h) * rng.standard_normal(1)
+            dw = truncate(rng.standard_normal(1), h, scheme_config.truncation) * np.sqrt(h)
             worst = max(worst, symplectic_residual(stepper, z, h, dw, eps=1e-6))
     lines.append(CheckLine("symplectic", worst, THRESHOLDS["symplectic"], note))
-    scheme = alpha_scheme_map(model, config(0.5))
+    scheme_config = config(0.5)
+    scheme = alpha_scheme_map(model, scheme_config)
     worst = 0.0
     for y in points[pick]:
-        dw = np.sqrt(h) * rng.standard_normal(1)
+        dw = truncate(rng.standard_normal(1), h, scheme_config.truncation) * np.sqrt(h)
         worst = max(worst, poisson_map_residual(scheme, sys, y, h, dw, eps=1e-6))
     lines.append(CheckLine("poisson_map", worst, THRESHOLDS["poisson_map"]))
     return lines

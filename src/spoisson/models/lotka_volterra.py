@@ -171,7 +171,6 @@ def system(params: LVParams) -> PoissonSystem:
     K = hamiltonian(params)
     return PoissonSystem(
         dim=3,
-        n_noise=1,
         structure=_structure_factory(params),
         hamiltonians=(K, scale_field(K, params.c2)),
         rank=2,
@@ -181,7 +180,7 @@ def system(params: LVParams) -> PoissonSystem:
     )
 
 
-def chart(casimir_value: float, params: LVParams) -> Chart:
+def chart(params: LVParams) -> Chart:
     """Canonical chart (P, Q, C) = (ln y3, -ln y2, C(y)); inverse exponential."""
     b, r = params.b, params.r
     cas = casimir(params)
@@ -210,8 +209,8 @@ def chart(casimir_value: float, params: LVParams) -> Chart:
     b0 = np.zeros((3, 3))
     b0[0, 1] = 1.0
     b0[1, 0] = -1.0
-    return Chart(dim=3, n=1, forward=forward, inverse=inverse, b0=b0,
-                 jacobian=jacobian, domain=_positive_domain)
+    return Chart(n=1, forward=forward, inverse=inverse, b0=b0, jacobian=jacobian,
+                 domain=_positive_domain)
 
 
 def transformed_shs(params: LVParams, casimir_value: float) -> CanonicalSHS:
@@ -251,7 +250,6 @@ def transformed_shs(params: LVParams, casimir_value: float) -> CanonicalSHS:
     H = ScalarField(value=value, grad=grad, hess=hess)
     return CanonicalSHS(
         n=1,
-        n_noise=1,
         casimir_values=np.array([casimir_value]),
         hamiltonians=(H, scale_field(H, params.c2)),
     )
@@ -263,7 +261,7 @@ def model(params: LVParams, y0) -> Model:
     return Model(
         name="slv",
         system=system(params),
-        chart=lambda cv: chart(cv, params),
+        chart=lambda cv: chart(params),
         shs=lambda y: transformed_shs(params, float(casimir(params).value(y))),
         y0=np.asarray(y0, dtype=float),
         default_T={"paths": 10.0, "casimir": 10.0, "order": 2.0},

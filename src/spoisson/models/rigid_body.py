@@ -98,7 +98,6 @@ def system(params: RigidBodyParams) -> PoissonSystem:
     K = kinetic_energy(params)
     return PoissonSystem(
         dim=3,
-        n_noise=1,
         structure=_structure,
         hamiltonians=(K, scale_field(K, params.c1)),
         rank=2,
@@ -150,8 +149,7 @@ def chart(casimir_value: float) -> Chart:
     b0 = np.zeros((3, 3))
     b0[0, 1] = -1.0
     b0[1, 0] = 1.0
-    return Chart(dim=3, n=1, forward=forward, inverse=inverse, b0=b0,
-                 jacobian=jacobian, domain=domain)
+    return Chart(n=1, forward=forward, inverse=inverse, b0=b0, jacobian=jacobian, domain=domain)
 
 
 def transformed_shs(params: RigidBodyParams, casimir_value: float) -> CanonicalSHS:
@@ -191,7 +189,6 @@ def transformed_shs(params: RigidBodyParams, casimir_value: float) -> CanonicalS
     H = ScalarField(value=value, grad=grad, hess=hess)
     return CanonicalSHS(
         n=1,
-        n_noise=1,
         casimir_values=np.array([casimir_value]),
         hamiltonians=(H, scale_field(H, params.c1)),
     )
@@ -232,7 +229,6 @@ def spherical_system(params: RigidBodyParams, radius: float) -> SDE:
         return np.stack([f1, f2], axis=-1)
 
     return SDE(
-        dim=2,
         drift=field,
         diffusions=(lambda th: params.c1 * field(th),),
     )

@@ -103,11 +103,9 @@ def sample_increments(grid: TimeGrid, m: int, seed) -> WienerIncrements:
 
 
 def truncation_bound(h: float, k: float) -> float:
-    """A_h = sqrt(2 k |ln h|).  Rejects h >= 1, where the bound degenerates."""
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got h={h}")
-    if h >= 1:
-        raise ValueError(f"truncation bound undefined for h >= 1, got h={h}")
+    """A_h = sqrt(2 k |ln h|), defined for 0 < h < 1 only."""
+    if not 0 < h < 1:
+        raise ValueError(f"the increment truncation needs 0 < h < 1, got h={h}")
     return math.sqrt(2.0 * k * abs(math.log(h)))
 
 
@@ -123,7 +121,7 @@ def truncate_increments(dw, h: float, policy: TruncationPolicy):
     """Clamp increments ΔW = sqrt(h) ξ to [-sqrt(h) A_h, sqrt(h) A_h]."""
     if not policy.enabled:
         return dw
-    a = math.sqrt(h) * truncation_bound(h, policy.k)
+    a = truncation_bound(h, policy.k) * math.sqrt(h)
     return np.clip(dw, -a, a)
 
 

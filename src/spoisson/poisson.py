@@ -53,7 +53,6 @@ class PoissonSystem:
     """
 
     dim: int
-    n_noise: int
     structure: Callable
     hamiltonians: tuple[ScalarField, ...]
     rank: int
@@ -62,10 +61,13 @@ class PoissonSystem:
     domain: Callable | None = None
 
     def __post_init__(self) -> None:
-        if len(self.hamiltonians) != self.n_noise + 1:
-            raise ValueError("need exactly m+1 Hamiltonians K_0..K_m")
         if self.rank % 2 or not 0 <= self.rank <= self.dim:
             raise ValueError(f"rank must be even and within [0, {self.dim}]")
+
+    @property
+    def n_noise(self) -> int:
+        """The number m of noise channels."""
+        return len(self.hamiltonians) - 1
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,6 @@ def drift_and_diffusions(sys: PoissonSystem) -> SDE:
     if all(K.hess is not None for K in sys.hamiltonians):
         jacobians = tuple(field_jacobian(sys, K) for K in sys.hamiltonians[1:])
     return SDE(
-        dim=sys.dim,
         drift=make_field(sys.hamiltonians[0]),
         diffusions=tuple(make_field(K) for K in sys.hamiltonians[1:]),
         diffusion_jacobians=jacobians,
@@ -144,12 +145,10 @@ def check_jacobi(sys: PoissonSystem, points) -> CheckReport:
     return _report(res, points)
 
 
-def check_casimir(cgrad, sys: PoissonSystem, points) -> CheckReport:
+def check_casimir(C: ScalarField, sys: PoissonSystem, points) -> CheckReport:
     """Worst entry of grad C(y)^T B(y) over the points."""
-    if isinstance(cgrad, ScalarField):
-        cgrad = cgrad.grad
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    rows = np.einsum("...i,...ij->...j", cgrad(points), sys.structure(points))
+    rows = np.einsum("...i,...ij->...j", C.grad(points), sys.structure(points))
     res = np.max(np.abs(rows), axis=-1)
     return _report(res, points)
 
@@ -159,15 +158,14 @@ def variational_jacobian(
     y0,
     grid: TimeGrid,
     noise: WienerIncrements,
-    stepper: Callable | None = None,
     tol: float = 1e-12,
 ) -> np.ndarray:
     """Jacobian of the flow via the variational equation, integrated alongside
     the state: dz_j = M_0 z_j dt + sum_r M_r z_j o dW_r, z_j(t0) = e_j.
 
     The augmented (state, variational) system is solved with the implicit
-    midpoint rule by default, which makes the result the exact Jacobian of
-    that discretized flow (up to the iteration tolerance).
+    midpoint rule, which makes the result the exact Jacobian of that
+    discretized flow (up to the iteration tolerance).
     """
     if any(K.hess is None for K in sys.hamiltonians):
         raise ValueError("variational equation needs the Hamiltonian Hessians")
@@ -186,14 +184,11 @@ def variational_jacobian(
         return f
 
     aug = SDE(
-        dim=d + d * d,
         drift=aug_field(sys.hamiltonians[0]),
         diffusions=tuple(aug_field(K) for K in sys.hamiltonians[1:]),
     )
-    if stepper is None:
-        stepper = lambda u, h, dw: midpoint_step(aug, u, h, dw, tol=tol)
     u0 = np.concatenate([np.asarray(y0, dtype=float), np.eye(d).ravel()])
-    traj = integrate(stepper, u0, grid, noise)
+    traj = integrate(lambda u, h, dw: midpoint_step(aug, u, h, dw, tol=tol), u0, grid, noise)
     return traj.states[-1][d:].reshape(d, d)
 
 

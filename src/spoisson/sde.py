@@ -62,7 +62,6 @@ class SDE:
     """dy = a(y) dt + sum_r b_r(y) dW_r with optional Jacobians b_r'(y); each
     stepper says whether it reads the fields as Ito or Stratonovich ones."""
 
-    dim: int
     drift: Callable
     diffusions: tuple[Callable, ...]
     diffusion_jacobians: tuple[Callable, ...] | None = None
@@ -262,7 +261,6 @@ def ms_error_many(
     step_sizes,
     n_samples: int,
     seed: int,
-    t0: float = 0.0,
     ref_factor: int = 8,
     on_sample_error: str = "raise",
 ) -> dict[str, OrderEstimate]:
@@ -271,7 +269,7 @@ def ms_error_many(
     All schemes and the reference share one underlying Brownian path per
     sample: increments are generated on the reference grid (step
     h_min / ref_factor) and summed to the working step sizes.  Errors are
-    Euclidean endpoint norms averaged in sample order.
+    Euclidean endpoint norms averaged in sample order over [0, T].
 
     ``on_sample_error``: "raise" (default) aborts on any failing sample;
     "drop" excludes failing samples from every run (sample results are
@@ -281,13 +279,15 @@ def ms_error_many(
         raise ValueError("need n_samples >= 1")
     if on_sample_error not in ("raise", "drop"):
         raise ValueError(f"unknown sample error policy {on_sample_error!r}")
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
     hs = np.asarray(sorted(step_sizes, reverse=True), dtype=float)
-    if len(np.unique(hs)) != len(hs):
-        raise ValueError("step sizes must be distinct")
+    if not (hs > 0).all() or len(np.unique(hs)) != len(hs):
+        raise ValueError(f"step sizes must be positive and distinct, got {tuple(step_sizes)}")
     h_ref = float(hs[-1]) / ref_factor
-    n_ref = round((T - t0) / h_ref)
-    if abs(n_ref * h_ref - (T - t0)) > 1e-9 * abs(T - t0):
-        raise ValueError(f"reference step {h_ref} does not divide [{t0}, {T}]")
+    n_ref = round(T / h_ref)
+    if abs(n_ref * h_ref - T) > 1e-9 * T:
+        raise ValueError(f"reference step {h_ref} does not divide [0, {T}]")
     factors = []
     for h in hs:
         f = round(h / h_ref)
@@ -295,7 +295,7 @@ def ms_error_many(
             raise ValueError(f"step size {h} is not a multiple of the reference step")
         factors.append(f)
 
-    fine_grid = TimeGrid(t0, T, n_ref)
+    fine_grid = TimeGrid(0.0, T, n_ref)
     fine = np.stack(
         [
             sample_increments(fine_grid, m, sample_seed(seed, i)).values

@@ -26,7 +26,7 @@ from transcriptions import mixed_point_update, srb_update
 
 
 def _shs(h0, h1):
-    return CanonicalSHS(n=1, n_noise=1, casimir_values=np.zeros(0), hamiltonians=(h0, h1))
+    return CanonicalSHS(n=1, casimir_values=np.zeros(0), hamiltonians=(h0, h1))
 
 
 def _zero_field():
@@ -199,7 +199,6 @@ def test_alpha_half_matches_midpoint_on_canonical_system():
     shs = rb.transformed_shs(rb.REFERENCE_PARAMS, 0.5)
     Jinv = j_inverse(1)
     sde = SDE(
-        dim=2,
         drift=lambda z: np.einsum("ij,...j->...i", Jinv, shs.hamiltonians[0].grad(z)),
         diffusions=(lambda z: np.einsum("ij,...j->...i", Jinv, shs.hamiltonians[1].grad(z)),),
     )
@@ -222,7 +221,6 @@ def test_symplectic_residual_alpha_vs_em():
     stepper = make_alpha_stepper(shs, AlphaSchemeConfig(alpha=0.25))
     Jinv = j_inverse(1)
     sde = SDE(
-        dim=2,
         drift=lambda z: np.einsum("ij,...j->...i", Jinv, shs.hamiltonians[0].grad(z)),
         diffusions=(lambda z: np.einsum("ij,...j->...i", Jinv, shs.hamiltonians[1].grad(z)),),
         diffusion_jacobians=(lambda z: Jinv @ shs.hamiltonians[1].hess(z),),

@@ -28,7 +28,6 @@ def _identity_chart(n):
     b0 = np.zeros((d, d))
     b0[:d, :d] = j_inverse(n)
     return Chart(
-        dim=d,
         n=n,
         forward=lambda y: np.asarray(y, dtype=float),
         inverse=lambda y: np.asarray(y, dtype=float),
@@ -45,7 +44,6 @@ def _canonical_system():
     )
     return PoissonSystem(
         dim=2,
-        n_noise=1,
         structure=lambda y: np.broadcast_to(j_inverse(1), np.shape(y)[:-1] + (2, 2)),
         hamiltonians=(H, H),
         rank=2,
@@ -73,13 +71,12 @@ def test_verify_chart_builtin_models():
     params = lv.REFERENCE_PARAMS
     rng = np.random.default_rng(1)
     pts = rng.uniform(0.2, 2.5, size=(100, 3))
-    report = verify_chart(lv.chart(-2.0, params), lv.system(params), pts)
+    report = verify_chart(lv.chart(params), lv.system(params), pts)
     assert report.max_residual < 1e-8
 
 
 def test_verify_chart_rejects_singular_jacobian():
     chart = Chart(
-        dim=2,
         n=1,
         forward=lambda y: np.stack([y[..., 0], y[..., 0]], axis=-1),
         inverse=lambda y: y,
@@ -116,7 +113,7 @@ def test_transform_system_slv_flips_sign():
     sysm = lv.system(params)
     cv = float(lv.casimir(params).value(lv.REFERENCE_Y0))
     assert cv == pytest.approx(-2.1848020573376, abs=1e-9)
-    chart = lv.chart(cv, params)
+    chart = lv.chart(params)
     shs = transform_system(sysm, chart, lv.REFERENCE_Y0)
     K = lv.hamiltonian(params)
     rng = np.random.default_rng(3)
@@ -141,7 +138,7 @@ def test_transform_system_gradients_match_analytic():
 
     paramsl = lv.REFERENCE_PARAMS
     cv = float(lv.casimir(paramsl).value(lv.REFERENCE_Y0))
-    genericl = transform_system(lv.system(paramsl), lv.chart(cv, paramsl), lv.REFERENCE_Y0)
+    genericl = transform_system(lv.system(paramsl), lv.chart(paramsl), lv.REFERENCE_Y0)
     analyticl = lv.transformed_shs(paramsl, cv)
     zs = rng.uniform(-0.8, 0.8, size=(20, 2))
     assert np.allclose(genericl.hamiltonians[0].grad(zs), analyticl.hamiltonians[0].grad(zs), atol=1e-9)
@@ -149,7 +146,6 @@ def test_transform_system_gradients_match_analytic():
 
 def test_transform_system_rejects_bad_block():
     bad = Chart(
-        dim=2,
         n=1,
         forward=lambda y: y,
         inverse=lambda y: y,
@@ -162,7 +158,7 @@ def test_transform_system_rejects_bad_block():
 
 def test_transform_system_rejects_out_of_domain_start():
     params = lv.REFERENCE_PARAMS
-    chart = lv.chart(-2.0, params)
+    chart = lv.chart(params)
     with pytest.raises(DomainError):
         transform_system(lv.system(params), chart, np.array([1.0, -1.0, 1.0]))
 

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,10 @@ from spoisson.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    ExperimentConfig,
+    build_parser,
     main,
+    resolve_config,
 )
 
 BAD_STRUCTURE_SPEC = """
@@ -127,6 +131,73 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert "seed=9" in meta  # file wins over default
 
 
+# field -> (flag argv, config-file value, a different config-file value)
+OPTION_VALUES = {
+    "system": (["--system", "slv"], "slv", "srb"),
+    "alpha": (["--alpha", "0.2,0.4"], "0.2,0.4", "0.7"),
+    "h": (["--h", "0.02,0.04"], "0.02,0.04", "0.05"),
+    "T": (["--T", "3"], "3", "4"),
+    "samples": (["--samples", "7"], "7", "9"),
+    "seed": (["--seed", "5"], "5", "6"),
+    "truncation_k": (["--truncation-k", "2.5"], "2.5", "3"),
+    "tol": (["--tol", "1e-10"], "1e-10", "1e-9"),
+    "output": (["--output", "a.csv"], "a.csv", "b.csv"),
+    "ref_factor": (["--ref-factor", "4"], "4", "5"),
+    "spherical": (["--spherical"], "true", "no"),
+}
+
+
+def test_option_values_cover_every_config_field():
+    assert set(OPTION_VALUES) == {f.name for f in fields(ExperimentConfig)} - {"params"}
+
+
+@pytest.mark.parametrize("name", sorted(OPTION_VALUES))
+def test_flag_and_config_key_parse_alike_and_flag_wins(name, tmp_path):
+    flag, same, other = OPTION_VALUES[name]
+
+    def resolve(argv, text=None):
+        if text is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{name} = {text}\n")
+            argv = argv + ["--config", str(cfg)]
+        return getattr(resolve_config(build_parser().parse_args(["order", *argv])), name)
+
+    from_flag = resolve(flag)
+    assert resolve([], same) == from_flag
+    assert resolve([], other) != from_flag
+    assert resolve(flag, other) == from_flag
+
+
+@pytest.mark.parametrize("command", ["paths", "casimir", "check"])
+def test_spherical_is_a_usage_error_outside_order(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--spherical"])
+    assert info.value.code == EXIT_CONFIG
+    assert "--spherical" in capsys.readouterr().err
+
+
+TWO_NOISE_SPEC = (Path(__file__).resolve().parents[1] / "bench" / "srb_custom.txt").read_text().replace(
+    "m = 1", "m = 2").replace("casimir =", "K2 = 0.05*(y1**2 + y2**2 + y3**2)\ncasimir =")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["paths", "--T", "0.1", "--ref-factor", "2"], ["casimir", "--T", "0.1"],
+     ["order", "--T", "0.08", "--samples", "2"], ["check"]],
+    ids=lambda argv: argv[0],
+)
+def test_custom_system_with_two_noise_channels_exits_3(argv, tmp_path, capsys):
+    spec = tmp_path / "two_noise.txt"
+    spec.write_text(TWO_NOISE_SPEC)
+    assert "K2" in TWO_NOISE_SPEC and "m = 2" in TWO_NOISE_SPEC
+    code = main(argv + ["--system", str(spec), "--param", "y0=0.7,0.3,0.2"])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("configuration error")
+    assert "single noise channel" in err
+    assert "Traceback" not in err
+
+
 def test_config_errors_exit_3(tmp_path):
     assert main(["check", "--system", str(tmp_path / "missing.txt")]) == EXIT_CONFIG
     assert main(["paths", "--system", "srb", "--param", "c1=abc"]) == EXIT_CONFIG
@@ -166,6 +237,7 @@ def test_config_errors_exit_3(tmp_path):
         ["check", "--h", "0"],
         ["check", "--h", "1"],  # the truncation bound needs h < 1
         ["check", "--h", "nan"],
+        ["check", "--h", "-1"],  # no RuntimeWarning from sqrt(h) before the rule
     ],
     ids="_".join,
 )

@@ -74,7 +74,7 @@ def test_evaluation_rejects_nonpositive_states():
 
 def test_chart_round_trip_and_casimir_coordinate():
     params = lv.REFERENCE_PARAMS
-    chart = lv.chart(C2_REFERENCE, params)
+    chart = lv.chart(params)
     y = lv.REFERENCE_Y0
     assert np.max(np.abs(chart.inverse(chart.forward(y)) - y)) < 1e-14
     assert chart.forward(y)[2] == pytest.approx(C2_REFERENCE, abs=1e-12)
@@ -84,14 +84,14 @@ def test_chart_round_trip_and_casimir_coordinate():
 
 def test_chart_residual():
     params = lv.REFERENCE_PARAMS
-    report = verify_chart(lv.chart(C2_REFERENCE, params), lv.system(params), _points())
+    report = verify_chart(lv.chart(params), lv.system(params), _points())
     assert report.max_residual < 1e-8
 
 
 def test_transformed_hamiltonian_is_negated_pullback():
     # The chart block is +J = -J^-1; the canonical-form Hamiltonian flips sign.
     params = lv.REFERENCE_PARAMS
-    chart = lv.chart(C2_REFERENCE, params)
+    chart = lv.chart(params)
     shs = lv.transformed_shs(params, C2_REFERENCE)
     K = lv.hamiltonian(params)
     rng = np.random.default_rng(2)

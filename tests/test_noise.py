@@ -106,6 +106,14 @@ def test_truncate_rejects_h_at_least_one():
         truncate(0.3, 2.0, policy)
 
 
+@pytest.mark.parametrize("h", [math.nan, 0.0, 1.0])
+def test_truncation_rejects_h_outside_unit_interval(h):
+    with pytest.raises(ValueError, match="0 < h < 1"):
+        truncation_bound(h, 4.0)
+    with pytest.raises(ValueError, match="0 < h < 1"):
+        truncate_increments(np.array([0.1, -0.2]), h, TruncationPolicy(k=4.0))
+
+
 def test_policy_rejects_small_k():
     with pytest.raises(ValueError):
         TruncationPolicy(k=0.5)

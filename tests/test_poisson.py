@@ -45,7 +45,6 @@ def _oscillator_system():
     H = _quadratic_field(np.eye(2))
     return PoissonSystem(
         dim=2,
-        n_noise=1,
         structure=_constant_structure(j_inverse(1)),
         hamiltonians=(H, _quadratic_field(0.5 * np.eye(2))),
         rank=2,
@@ -203,7 +202,6 @@ def test_check_skew_detects_corruption():
     sysm = rb.system(rb.REFERENCE_PARAMS)
     corrupted = PoissonSystem(
         dim=3,
-        n_noise=1,
         structure=lambda y: sysm.structure(y) + np.eye(3),
         hamiltonians=sysm.hamiltonians,
         rank=2,
@@ -241,7 +239,6 @@ def test_check_jacobi_detects_violation():
 
     sysm = PoissonSystem(
         dim=3,
-        n_noise=1,
         structure=structure,
         hamiltonians=rb.system(rb.REFERENCE_PARAMS).hamiltonians,
         rank=2,
@@ -282,7 +279,6 @@ def test_variational_jacobian_zero_hamiltonians_is_identity():
     )
     sysm = PoissonSystem(
         dim=3,
-        n_noise=1,
         structure=rb._structure,
         hamiltonians=(zero, zero),
         rank=2,
@@ -328,7 +324,6 @@ def test_variational_jacobian_requires_derivative_data():
     )
     sysm = PoissonSystem(
         dim=3,
-        n_noise=1,
         structure=rb._structure,
         hamiltonians=no_hessian,
         rank=2,

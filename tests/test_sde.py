@@ -26,16 +26,16 @@ from spoisson.models import lotka_volterra as lv
 from spoisson.models import rigid_body as rb
 
 
-def _zero_sde(dim):
+def _zero_sde():
     zero = lambda y: np.zeros_like(np.asarray(y, dtype=float))
-    return SDE(dim=dim, drift=zero, diffusions=(zero,))
+    return SDE(drift=zero, diffusions=(zero,))
 
 
 def test_integrate_zero_dynamics_is_constant():
     grid = TimeGrid(0.0, 1.0, 20)
     noise = sample_increments(grid, 1, 0)
     step = lambda y, h, dw: euler_maruyama_step(
-        SDE(2, lambda y: np.zeros_like(y), (lambda y: np.zeros_like(y),)), y, h, dw
+        SDE(lambda y: np.zeros_like(y), (lambda y: np.zeros_like(y),)), y, h, dw
     )
     traj = integrate(step, np.array([1.0, -2.0]), grid, noise)
     assert np.array_equal(traj.states, np.tile([1.0, -2.0], (21, 1)))
@@ -45,7 +45,7 @@ def test_integrate_additive_noise_telescopes_exactly():
     # dy = 1 o dW: the endpoint is the left-to-right sum of increments.
     grid = TimeGrid(0.0, 1.0, 100)
     noise = sample_increments(grid, 1, 3)
-    sde = SDE(1, lambda y: np.zeros_like(y), (lambda y: np.ones_like(y),))
+    sde = SDE(lambda y: np.zeros_like(y), (lambda y: np.ones_like(y),))
     step = lambda y, h, dw: euler_maruyama_step(sde, y, h, dw)
     traj = integrate(step, np.array([0.25]), grid, noise)
     expected = functools.reduce(lambda acc, v: acc + v[0], noise.values, 0.25)
@@ -75,7 +75,6 @@ def test_integrate_wraps_stepper_failure_with_step_index():
 
 def test_ito_drift_constant_diffusion_has_no_correction():
     sde = SDE(
-        dim=2,
         drift=lambda y: np.stack([y[..., 1], -y[..., 0]], axis=-1),
         diffusions=(lambda y: np.ones(np.shape(y)),),
         diffusion_jacobians=(lambda y: np.zeros(np.shape(y) + (2,)),),
@@ -87,7 +86,6 @@ def test_ito_drift_constant_diffusion_has_no_correction():
 def test_ito_drift_scalar_multiplicative():
     # dy = y o dW has Ito drift y/2.
     sde = SDE(
-        dim=1,
         drift=lambda y: np.zeros_like(y),
         diffusions=(lambda y: y,),
         diffusion_jacobians=(lambda y: np.ones(np.shape(y) + (1,)),),
@@ -107,7 +105,7 @@ def test_ito_drift_rigid_body_analytic_vs_fd():
 
 
 def test_euler_maruyama_identity_without_forcing():
-    sde = SDE(1, lambda y: np.zeros_like(y), (lambda y: y,))
+    sde = SDE(lambda y: np.zeros_like(y), (lambda y: y,))
     y = np.array([2.0])
     out = euler_maruyama_step(sde, y, 0.1, np.zeros(1))
     assert np.array_equal(out, y)
@@ -115,14 +113,14 @@ def test_euler_maruyama_identity_without_forcing():
 
 def test_euler_maruyama_linear_deterministic():
     lam = -0.7
-    sde = SDE(1, lambda y: lam * y, (lambda y: np.zeros_like(y),))
+    sde = SDE(lambda y: lam * y, (lambda y: np.zeros_like(y),))
     y = np.array([1.3])
     out = euler_maruyama_step(sde, y, 0.05, np.zeros(1))
     assert out[0] == pytest.approx((1 + lam * 0.05) * 1.3, abs=1e-15)
 
 
 def test_midpoint_zero_field_is_identity():
-    sde = _zero_sde(3)
+    sde = _zero_sde()
     y = np.array([1.0, 2.0, 3.0])
     out = midpoint_step(sde, y, 0.1, np.zeros(1))
     assert np.array_equal(out, y)
@@ -134,7 +132,6 @@ def test_midpoint_conserves_quadratic_invariants_per_step():
     tol = 1e-12
     cases = []
     rot = SDE(
-        dim=2,
         drift=lambda y: np.stack([-y[..., 1], y[..., 0]], axis=-1),
         diffusions=(lambda y: 0.5 * np.stack([-y[..., 1], y[..., 0]], axis=-1),),
     )
@@ -162,14 +159,14 @@ def test_midpoint_rigid_body_fine_run_conserves_casimir():
 
 
 def test_midpoint_reports_nonconvergence():
-    sde = SDE(1, lambda y: 2.4 * y, (lambda y: np.zeros_like(y),))
+    sde = SDE(lambda y: 2.4 * y, (lambda y: np.zeros_like(y),))
     with pytest.raises(NonConvergenceError) as err:
         midpoint_step(sde, np.array([1.0]), 1.0, np.zeros(1))
     assert err.value.residual > 0
 
 
 def test_midpoint_reports_divergence():
-    sde = SDE(1, lambda y: 1e10 * y, (lambda y: np.zeros_like(y),))
+    sde = SDE(lambda y: 1e10 * y, (lambda y: np.zeros_like(y),))
     with np.errstate(over="ignore"), pytest.raises(DivergenceError):
         midpoint_step(sde, np.array([1.0]), 1.0, np.zeros(1))
 
@@ -178,20 +175,19 @@ def test_midpoint_reports_divergence():
 @pytest.mark.parametrize("step", [midpoint_step, implicit_euler_maruyama_step])
 def test_implicit_steppers_reject_bad_tol(step, tol):
     # tol = inf would accept the first iterate; tol = nan would never converge
-    sde = SDE(1, lambda y: -y, (lambda y: np.zeros_like(y),))
+    sde = SDE(lambda y: -y, (lambda y: np.zeros_like(y),))
     with pytest.raises(ValueError, match="tol"):
         step(sde, np.array([1.0]), 0.1, np.zeros(1), tol=tol)
 
 
 def test_implicit_em_zero_field_is_identity():
-    sde = SDE(1, lambda y: np.zeros_like(y), (lambda y: np.zeros_like(y),))
+    sde = SDE(lambda y: np.zeros_like(y), (lambda y: np.zeros_like(y),))
     y = np.array([4.0])
     assert np.array_equal(implicit_euler_maruyama_step(sde, y, 0.1, np.zeros(1)), y)
 
 
 def test_milstein_constant_diffusion_reduces_to_em():
     sde = SDE(
-        1,
         lambda y: 0.3 * y,
         (lambda y: np.ones_like(y),),
         diffusion_jacobians=(lambda y: np.zeros(np.shape(y) + (1,)),),
@@ -206,7 +202,6 @@ def test_milstein_constant_diffusion_reduces_to_em():
 def test_milstein_scalar_closed_form():
     # dy = y dW (Ito): y' = y + y dW + y (dW^2 - h) / 2.
     sde = SDE(
-        1,
         lambda y: np.zeros_like(y),
         (lambda y: y,),
         diffusion_jacobians=(lambda y: np.ones(np.shape(y) + (1,)),),
@@ -218,13 +213,13 @@ def test_milstein_scalar_closed_form():
 
 def test_milstein_rejects_multiple_noises():
     z = lambda y: np.zeros_like(y)
-    sde = SDE(1, z, (z, z))
+    sde = SDE(z, (z, z))
     with pytest.raises(ValueError):
         milstein_step(sde, np.zeros(1), 0.1, np.zeros(2))
 
 
 def test_ito_correction_and_milstein_need_the_diffusion_jacobians():
-    sde = SDE(1, lambda y: np.zeros_like(y), (lambda y: y,))
+    sde = SDE(lambda y: np.zeros_like(y), (lambda y: y,))
     with pytest.raises(ValueError, match="Jacobian"):
         strat_to_ito_drift(sde, np.array([1.0]))
     with pytest.raises(ValueError, match="Jacobian"):
@@ -236,7 +231,6 @@ def test_milstein_strong_order_one_on_geometric_sde():
     # y(T) = y0 exp((lam - sig^2/2) T + sig W_T), coupled through W_T.
     lam, sig, y0, T = 1.0, 1.0, 1.0, 1.0
     sde = SDE(
-        1,
         lambda y: lam * y,
         (lambda y: sig * y,),
         diffusion_jacobians=(lambda y: sig * np.ones(np.shape(y) + (1,)),),
