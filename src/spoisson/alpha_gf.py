@@ -55,24 +55,30 @@ def sbar_gradient(shs, zhat, h: float, dw, alpha: float) -> np.ndarray:
     """Exact gradient (dSbar/dPhat, dSbar/dQhat) of Sbar at the mixed point
     zhat = (Phat, Qhat); zhat and the gradient have shape (..., 2n).
 
-    ``shs`` provides n and the Hamiltonians H_0, H_1 (the extra term needs
-    the H_1 Hessian unless alpha = 1/2, where its coefficient vanishes).
-    ``dw`` is the scalar increment, batched over leading axes.
+    ``shs`` provides n and, in ``shs.fold``, H_r = c_r F_{k_r} for r = 0, 1,
+    so that a noise Hamiltonian scaled from H_0 costs no second gradient.
+    The extra term needs the Hessian of F_{k_1} unless alpha = 1/2, where
+    its coefficient vanishes.  ``dw`` is the scalar increment, batched over
+    leading axes.
     """
     n = shs.n
-    H0, H1 = shs.hamiltonians
-    dw = np.asarray(dw, dtype=float)
-    g1 = H1.grad(zhat)
-    grad = H0.grad(zhat) * h + g1 * dw[..., None]
+    fields, (k0, k1), (c0, c1) = shs.fold
+    dw = np.asarray(dw, dtype=float)[..., None]
+    g1 = fields[k1].grad(zhat)
+    if k0 == k1:
+        grad = (h * c0 + c1 * dw) * g1
+    else:
+        grad = fields[k0].grad(zhat) * (h * c0) + g1 * (c1 * dw)
     if alpha != 0.5:
-        if H1.hess is None:
+        if fields[k1].hess is None:
             raise ValueError("alpha != 1/2 needs the Hessian of the noise Hamiltonian")
-        hs = H1.hess(zhat)
-        # grad of G = dH1/dQ . dH1/dP:  dG/dz_j = sum_k (hs[n+k, j] gP_k + gQ_k hs[k, j])
-        #           = sum_i hs[i, j] u_i   with u = (gQ, gP)
+        hs = fields[k1].hess(zhat)
+        # G = dH1/dQ . dH1/dP = c1^2 dF/dQ . dF/dP for F = F_{k1}, g1 = grad F:
+        #   dG/dz_j / c1^2 = sum_k (hs[n+k, j] gP_k + gQ_k hs[k, j]) = sum_i hs[i, j] u_i
+        # with u = (gQ, gP)
         u = np.concatenate([g1[..., n:], g1[..., :n]], axis=-1)
         gradG = np.einsum("...ij,...i->...j", hs, u)
-        grad = grad + (2.0 * alpha - 1.0) * 0.5 * (dw**2)[..., None] * gradG
+        grad = grad + (2.0 * alpha - 1.0) * 0.5 * c1 * c1 * dw**2 * gradG
     return grad
 
 

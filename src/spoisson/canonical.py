@@ -13,14 +13,14 @@ the way would mask Casimir drift.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .alpha_gf import AlphaSchemeConfig, alpha_step, j_inverse
 from .noise import truncate_increments
-from .poisson import CheckReport, PoissonSystem, ScalarField, _report
+from .poisson import CheckReport, PoissonSystem, ScalarField, _report, fold_fields
 from .sde import DomainError, fd_vector_jacobian
 
 
@@ -46,11 +46,16 @@ class Chart:
 @dataclass(frozen=True)
 class CanonicalSHS:
     """Canonical Hamiltonian system dZ = J^-1 grad H_r(Z) (dt, o dW_r) with the
-    Casimir parameters frozen into the Hamiltonians."""
+    Casimir parameters frozen into the Hamiltonians; ``fold`` is derived, the
+    :func:`~spoisson.poisson.fold_fields` of the Hamiltonians."""
 
     n: int
     casimir_values: np.ndarray
     hamiltonians: tuple[ScalarField, ...]
+    fold: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "fold", fold_fields(self.hamiltonians))
 
     @property
     def n_noise(self) -> int:

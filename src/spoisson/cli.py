@@ -16,7 +16,6 @@ rejects with a ValueError).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -192,14 +191,11 @@ def _write_csv(path: str, header: list[str], rows, metadata: list[str] = ()):
             fh.write(text)
 
 
-def _grid(T: float, h: float) -> TimeGrid:
-    """The grid on [0, T] with step h, which must divide T."""
-    if not math.isfinite(T):
-        raise ValueError(f"T must be finite, got {T}")
-    n_steps = round(T / h) if h > 0 else 0
-    if n_steps < 1 or abs(n_steps * h - T) > 1e-9 * T:
-        raise ValueError(f"step h={h} does not divide [0, {T}]")
-    return TimeGrid(0.0, T, n_steps)
+def _step(cfg: ExperimentConfig, command: str) -> float:
+    """The one step size of a command that runs a single grid."""
+    if len(cfg.h) != 1:
+        raise ValueError(f"{command} takes one step size, got --h {','.join(map(str, cfg.h))}")
+    return cfg.h[0]
 
 
 def cmd_paths(cfg: ExperimentConfig) -> int:
@@ -207,7 +203,7 @@ def cmd_paths(cfg: ExperimentConfig) -> int:
     if model.y0 is None:
         raise ValueError("paths needs an initial state y0")
     T = cfg.T if cfg.T is not None else model.default_T["paths"]
-    grid = _grid(T, cfg.h[0])
+    grid = TimeGrid.from_step(T, _step(cfg, "paths"))
     result = experiments.paths_experiment(
         model.system,
         _scheme(cfg, model, cfg.alpha[0]),
@@ -237,7 +233,7 @@ def cmd_casimir(cfg: ExperimentConfig) -> int:
     if model.y0 is None or not model.system.casimirs:
         raise ValueError("casimir needs an initial state and a Casimir function")
     T = cfg.T if cfg.T is not None else model.default_T["casimir"]
-    grid = _grid(T, cfg.h[0])
+    grid = TimeGrid.from_step(T, _step(cfg, "casimir"))
     schemes = {
         "casimir_scheme": _scheme(cfg, model, cfg.alpha[0]),
         "casimir_em": experiments.em_stepper(model.system),
@@ -306,7 +302,7 @@ def cmd_check(cfg: ExperimentConfig) -> int:
         model.check_points(np.random.default_rng(cfg.seed)),
         lambda alpha: _alpha_config(cfg, alpha),
         alphas=cfg.alpha,
-        h=cfg.h[0],
+        h=_step(cfg, "check"),
         seed=cfg.seed,
     )
     failed = False

@@ -37,9 +37,9 @@ from .sde import (
 
 
 def reference_stepper(sys: PoissonSystem, tol: float = 1e-12) -> Callable:
-    """Implicit midpoint on the original Stratonovich coefficients."""
-    sde = drift_and_diffusions(sys)
-    return lambda y, h, dw: midpoint_step(sde, y, h, dw, tol=tol)
+    """Implicit midpoint on the original system, B(ybar) evaluated once per
+    iteration (see ``PoissonSystem.increment``)."""
+    return lambda y, h, dw: midpoint_step(sys, y, h, dw, tol=tol)
 
 
 def em_stepper(sys: PoissonSystem) -> Callable:

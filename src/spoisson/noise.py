@@ -36,6 +36,16 @@ class TimeGrid:
         if not self.T > self.t0:
             raise ValueError(f"need T > t0, got [{self.t0}, {self.T}]")
 
+    @classmethod
+    def from_step(cls, T: float, h: float) -> TimeGrid:
+        """The grid on [0, T] with step h, which must divide T (to 1e-9 T)."""
+        if not 0 < T < math.inf:
+            raise ValueError(f"T must be positive and finite, got {T}")
+        n_steps = round(T / h) if h > 0 else 0
+        if n_steps < 1 or abs(n_steps * h - T) > 1e-9 * T:
+            raise ValueError(f"step h={h} does not divide [0, {T}]")
+        return cls(0.0, T, n_steps)
+
     @property
     def h(self) -> float:
         return (self.T - self.t0) / self.n_steps

@@ -10,7 +10,7 @@ Rank constancy of B is declared by the system author and is not verified.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -24,21 +24,52 @@ class ScalarField:
     """A scalar function of the state with its gradient and optional Hessian.
 
     Conventions: ``value`` maps (..., d) -> (...), ``grad`` maps
-    (..., d) -> (..., d), ``hess`` maps (..., d) -> (..., d, d).
+    (..., d) -> (..., d), ``hess`` maps (..., d) -> (..., d, d).  A field
+    made by :func:`scale_field` records its ``base`` field and ``scale``.
     """
 
     value: Callable
     grad: Callable
     hess: Callable | None = None
+    base: ScalarField | None = None
+    scale: float = 1.0
 
 
 def scale_field(f: ScalarField, c: float) -> ScalarField:
+    """The field c f, which keeps f as its base so that :func:`fold_fields`
+    evaluates f once for both."""
     hess = None if f.hess is None else (lambda y: c * f.hess(y))
     return ScalarField(
         value=lambda y: c * f.value(y),
         grad=lambda y: c * f.grad(y),
         hess=hess,
+        base=f,
+        scale=c,
     )
+
+
+def fold_fields(fields) -> tuple[tuple[ScalarField, ...], tuple[int, ...], tuple[float, ...]]:
+    """Distinct fields F_k, and per field K_r of ``fields`` its index k_r and
+    factor c_r with K_r = c_r F_{k_r} (the weights W[r, k_r] = c_r).
+
+    Only scaled copies (:func:`scale_field`) fold: one joins the earlier
+    field whose ``value`` callable its base shares, so it still folds with a
+    copy of that field whose ``grad`` or ``hess`` was swapped (for a wrapper,
+    say), and that copy is the one evaluated.  Any other field is distinct.
+    """
+    distinct, index, scale = [], [], []
+    for K in fields:
+        c, k = 1.0, None
+        if K.base is not None:
+            while K.base is not None:
+                c, K = c * K.scale, K.base
+            k = next((i for i, F in enumerate(distinct) if F.value is K.value), None)
+        if k is None:
+            k = len(distinct)
+            distinct.append(K)
+        index.append(k)
+        scale.append(c)
+    return tuple(distinct), tuple(index), tuple(scale)
 
 
 @dataclass(frozen=True)
@@ -49,7 +80,8 @@ class PoissonSystem:
     (..., d) -> (..., d, d, d) with [..., i, j, s] = dB_ij/dy_s, which the
     Jacobi check, the Ito correction and the variational equation read.
     ``hamiltonians`` holds K_0 .. K_m.  ``rank`` is the declared constant
-    rank 2n of B, so d = 2n + l.
+    rank 2n of B, so d = 2n + l.  ``fold`` is derived: the
+    :func:`fold_fields` of the Hamiltonians.
     """
 
     dim: int
@@ -59,15 +91,30 @@ class PoissonSystem:
     structure_derivative: Callable
     casimirs: tuple[ScalarField, ...] = ()
     domain: Callable | None = None
+    fold: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rank % 2 or not 0 <= self.rank <= self.dim:
             raise ValueError(f"rank must be even and within [0, {self.dim}]")
+        object.__setattr__(self, "fold", fold_fields(self.hamiltonians))
 
     @property
     def n_noise(self) -> int:
         """The number m of noise channels."""
         return len(self.hamiltonians) - 1
+
+    def increment(self, y, h: float, dw):
+        """B(y) (h grad K_0(y) + sum_r dW_r grad K_r(y)), with B and the
+        gradient of each distinct field of :attr:`fold` evaluated once."""
+        fields, index, scale = self.fold
+        coef = [0.0] * len(fields)  # coef[k] sums h c_0 and the dW_r c_r of the K_r = c_r F_k
+        coef[index[0]] = h * scale[0]
+        for r in range(1, len(index)):
+            coef[index[r]] = coef[index[r]] + scale[r] * dw[..., r - 1, None]
+        v = coef[0] * fields[0].grad(y)
+        for k in range(1, len(fields)):
+            v = v + coef[k] * fields[k].grad(y)
+        return np.einsum("...ij,...j->...i", self.structure(y), v)
 
 
 @dataclass(frozen=True)

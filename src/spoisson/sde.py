@@ -66,6 +66,13 @@ class SDE:
     diffusions: tuple[Callable, ...]
     diffusion_jacobians: tuple[Callable, ...] | None = None
 
+    def increment(self, y, h: float, dw):
+        """h a(y) + sum_r b_r(y) dW_r."""
+        out = h * self.drift(y)
+        for r, b in enumerate(self.diffusions):
+            out = out + b(y) * dw[..., r, None]
+        return out
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -131,11 +138,7 @@ def ito_form(sde: SDE) -> SDE:
 def euler_maruyama_step(sde: SDE, y, h: float, dw):
     """Euler-Maruyama step; reads the fields as Ito coefficients."""
     y = np.asarray(y, dtype=float)
-    dw = np.asarray(dw, dtype=float)
-    out = y + h * sde.drift(y)
-    for r, b in enumerate(sde.diffusions):
-        out = out + b(y) * dw[..., r, None]
-    return out
+    return y + sde.increment(y, h, np.asarray(dw, dtype=float))
 
 
 def milstein_step(sde: SDE, y, h: float, dw):
@@ -174,20 +177,14 @@ def fixed_point(update: Callable, x0: np.ndarray, tol: float, max_iter: int) -> 
     )
 
 
-def midpoint_step(sde: SDE, y, h: float, dw, tol: float = 1e-12):
-    """Implicit midpoint rule, by fixed point; reads the fields as
-    Stratonovich coefficients."""
+def midpoint_step(system, y, h: float, dw, tol: float = 1e-12):
+    """Implicit midpoint rule y_new = y + increment(ybar, h, dw) at
+    ybar = (y + y_new) / 2, by fixed point; ``system`` is an :class:`SDE`,
+    whose fields it reads as Stratonovich coefficients, or a
+    ``poisson.PoissonSystem``."""
     y = np.asarray(y, dtype=float)
     dw = np.asarray(dw, dtype=float)
-
-    def update(ynew):
-        ybar = 0.5 * (y + ynew)
-        out = y + h * sde.drift(ybar)
-        for r, b in enumerate(sde.diffusions):
-            out = out + b(ybar) * dw[..., r, None]
-        return out
-
-    return fixed_point(update, y, tol, MAX_ITER)
+    return fixed_point(lambda ynew: y + system.increment(0.5 * (y + ynew), h, dw), y, tol, MAX_ITER)
 
 
 def implicit_euler_maruyama_step(sde: SDE, y, h: float, dw, tol: float = 1e-12):
@@ -279,23 +276,19 @@ def ms_error_many(
         raise ValueError("need n_samples >= 1")
     if on_sample_error not in ("raise", "drop"):
         raise ValueError(f"unknown sample error policy {on_sample_error!r}")
-    if not 0 < T < math.inf:
-        raise ValueError(f"T must be positive and finite, got {T}")
     hs = np.asarray(sorted(step_sizes, reverse=True), dtype=float)
     if not (hs > 0).all() or len(np.unique(hs)) != len(hs):
         raise ValueError(f"step sizes must be positive and distinct, got {tuple(step_sizes)}")
     h_ref = float(hs[-1]) / ref_factor
-    n_ref = round(T / h_ref)
-    if abs(n_ref * h_ref - T) > 1e-9 * T:
-        raise ValueError(f"reference step {h_ref} does not divide [0, {T}]")
+    fine_grid = TimeGrid.from_step(T, h_ref)
+    n_ref = fine_grid.n_steps
     factors = []
     for h in hs:
-        f = round(h / h_ref)
-        if abs(f * h_ref - h) > 1e-9 * h or n_ref % f:
+        n_steps = TimeGrid.from_step(T, float(h)).n_steps
+        if n_ref % n_steps:
             raise ValueError(f"step size {h} is not a multiple of the reference step")
-        factors.append(f)
+        factors.append(n_ref // n_steps)
 
-    fine_grid = TimeGrid(0.0, T, n_ref)
     fine = np.stack(
         [
             sample_increments(fine_grid, m, sample_seed(seed, i)).values

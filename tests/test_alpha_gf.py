@@ -1,8 +1,12 @@
 import math
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spoisson import alpha_gf
 from spoisson.alpha_gf import (
     AlphaSchemeConfig,
     alpha_step,
@@ -10,6 +14,7 @@ from spoisson.alpha_gf import (
     symplectic_residual,
 )
 from spoisson.canonical import CanonicalSHS, j_inverse, make_alpha_stepper
+from spoisson.custom import load_custom_system
 from spoisson.noise import TruncationPolicy
 from spoisson.poisson import ScalarField
 from spoisson.sde import (
@@ -20,6 +25,7 @@ from spoisson.sde import (
     ito_form,
     midpoint_step,
 )
+from spoisson.models import lotka_volterra as lv
 from spoisson.models import rigid_body as rb
 
 from transcriptions import mixed_point_update, srb_update
@@ -259,3 +265,81 @@ def test_generic_update_matches_rigid_body_transcription():
 def test_truncation_policy_travels_with_config():
     cfg = AlphaSchemeConfig(alpha=0.5, truncation=TruncationPolicy(k=2.0, enabled=False))
     assert not cfg.truncation.enabled
+
+
+SRB_CUSTOM = Path(__file__).resolve().parents[1] / "bench" / "srb_custom.txt"
+# name -> (model factory, number of distinct fields among H_0, H_1)
+FOLD_MODELS = {
+    "srb": (lambda: rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0), 1),
+    "slv": (lambda: lv.model(lv.REFERENCE_PARAMS, lv.REFERENCE_Y0), 1),
+    "custom": (lambda: load_custom_system(str(SRB_CUSTOM)).model([0.7, 0.3, 0.2]), 2),
+}
+
+
+def _counting(counts, name, fn):
+    def wrapper(z):
+        counts[name] += 1
+        return fn(z)
+
+    return wrapper
+
+
+def _traced_shs(shs, counts):
+    """The SHS with counted derivatives swapped in through dataclasses.replace,
+    as a tracing wrapper does."""
+    fields = tuple(
+        replace(H, grad=_counting(counts, "grad", H.grad), hess=_counting(counts, "hess", H.hess))
+        for H in shs.hamiltonians
+    )
+    return replace(shs, hamiltonians=fields)
+
+
+def _chart_states(model, seed, n=16):
+    rng = np.random.default_rng(seed)
+    z0 = model.chart(model.casimir_value(model.y0)).forward(model.y0)[:2]
+    return z0 + 0.05 * rng.standard_normal((n, 2)), 0.1 * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("name", sorted(FOLD_MODELS))
+def test_alpha_iteration_evaluates_each_field_once(name, alpha, monkeypatch):
+    make, n_fields = FOLD_MODELS[name]
+    model = make()
+    counts, iterations = Counter(), Counter()
+    solve = alpha_gf.fixed_point
+
+    def counted_fixed_point(update, x0, tol, max_iter):
+        return solve(_counting(iterations, "n", update), x0, tol, max_iter)
+
+    monkeypatch.setattr(alpha_gf, "fixed_point", counted_fixed_point)
+    zs, dws = _chart_states(model, 1, n=1)
+    alpha_step(_traced_shs(model.shs(model.y0), counts), zs[0], 0.01, dws[0], AlphaSchemeConfig(alpha))
+    n = iterations["n"]
+    assert n > 1
+    expected = {"grad": n_fields * n} | ({} if alpha == 0.5 else {"hess": n})
+    assert dict(counts) == expected
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("name", sorted(FOLD_MODELS))
+def test_traced_shs_steps_bit_for_bit(name, alpha):
+    model = FOLD_MODELS[name][0]()
+    shs = model.shs(model.y0)
+    zs, dws = _chart_states(model, 2)
+    config = AlphaSchemeConfig(alpha)
+    traced = alpha_step(_traced_shs(shs, Counter()), zs, 0.01, dws, config)
+    assert np.array_equal(traced, alpha_step(shs, zs, 0.01, dws, config))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("name", sorted(FOLD_MODELS))
+def test_folded_alpha_step_matches_unfolded_formula(name, alpha):
+    model = FOLD_MODELS[name][0]()
+    shs = model.shs(model.y0)
+    # without the base link every Hamiltonian is a field of its own: h grad H_0 + dW grad H_1
+    unfolded = replace(shs, hamiltonians=tuple(replace(H, base=None) for H in shs.hamiltonians))
+    assert len(unfolded.fold[0]) == 2
+    zs, dws = _chart_states(model, 3)
+    config = AlphaSchemeConfig(alpha)
+    a, b = alpha_step(shs, zs, 0.01, dws, config), alpha_step(unfolded, zs, 0.01, dws, config)
+    assert np.all(np.linalg.norm(a - b, axis=-1) <= 1e-14 * np.linalg.norm(b, axis=-1))

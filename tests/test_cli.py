@@ -191,11 +191,27 @@ def test_custom_system_with_two_noise_channels_exits_3(argv, tmp_path, capsys):
     spec.write_text(TWO_NOISE_SPEC)
     assert "K2" in TWO_NOISE_SPEC and "m = 2" in TWO_NOISE_SPEC
     code = main(argv + ["--system", str(spec), "--param", "y0=0.7,0.3,0.2"])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code == EXIT_CONFIG
-    assert err.startswith("configuration error")
-    assert "single noise channel" in err
-    assert "Traceback" not in err
+    # check exits 3 as a whole: no line is printed, not even those that need no alpha scheme
+    assert captured.out == ""
+    assert captured.err == (
+        "configuration error: alpha-generating schemes need a single noise channel, got 2\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["paths", "casimir", "order"])
+def test_step_that_does_not_divide_T_exits_3(command, capsys):
+    argv = [command, "--system", "srb", "--T", "1", "--h", "0.3", "--ref-factor", "1"]
+    assert main(argv + ["--samples", "2"] * (command == "order")) == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: step h=0.3 does not divide [0, 1.0]\n"
+
+
+@pytest.mark.parametrize("command", ["paths", "casimir", "check"])
+def test_more_than_one_step_size_exits_3(command, capsys):
+    assert main([command, "--system", "srb", "--T", "0.02", "--h", "0.01,0.02"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {command} takes one step size, got --h 0.01,0.02\n"
 
 
 def test_config_errors_exit_3(tmp_path):

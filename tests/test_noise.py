@@ -39,6 +39,21 @@ def test_grid_spacing():
     assert np.allclose(grid.times(), [1.0, 1.5, 2.0, 2.5, 3.0])
 
 
+def test_grid_from_step_divides_the_interval():
+    grid = TimeGrid.from_step(0.5, 0.01)
+    assert (grid.t0, grid.T, grid.n_steps) == (0.0, 0.5, 50)
+
+
+@pytest.mark.parametrize(
+    "T, h",
+    [(1.0, 0.3), (1.0, 0.0), (1.0, -0.1), (1.0, math.nan), (1.0, math.inf), (1.0, 2.0),
+     (math.nan, 0.01), (math.inf, 0.01), (0.0, 0.01), (-1.0, 0.01)],
+)
+def test_grid_from_step_rejects_a_step_that_does_not_divide(T, h):
+    with pytest.raises(ValueError, match="does not divide|positive and finite"):
+        TimeGrid.from_step(T, h)
+
+
 def test_same_seed_is_bit_identical():
     grid = TimeGrid(0.0, 1.0, 64)
     a = sample_increments(grid, 2, 123)

@@ -1,10 +1,15 @@
 import math
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spoisson import sde
 from spoisson.canonical import j_inverse
+from spoisson.custom import load_custom_system
 from spoisson.noise import TimeGrid, sample_increments
 from spoisson.poisson import (
     PoissonSystem,
@@ -14,7 +19,9 @@ from spoisson.poisson import (
     check_jacobi,
     check_skew,
     drift_and_diffusions,
+    fold_fields,
     poisson_map_residual,
+    scale_field,
     variational_jacobian,
 )
 from spoisson.sde import fd_vector_jacobian, midpoint_step
@@ -374,3 +381,103 @@ def test_poisson_map_residual_alpha_scheme_vs_em():
         worst_em = max(worst_em, poisson_map_residual(em, sysm, y, 0.01, dw, eps=1e-6))
     assert worst_scheme < 1e-6
     assert worst_em > 1e-3
+
+
+SRB_CUSTOM = Path(__file__).resolve().parents[1] / "bench" / "srb_custom.txt"
+# name -> (system factory, a state, number of distinct fields among K_0, K_1)
+FOLD_SYSTEMS = {
+    "srb": (lambda: rb.system(rb.REFERENCE_PARAMS), rb.REFERENCE_Y0, 1),
+    "slv": (lambda: lv.system(lv.REFERENCE_PARAMS), lv.REFERENCE_Y0, 1),
+    "custom": (lambda: load_custom_system(str(SRB_CUSTOM)).system, np.array([0.7, 0.3, 0.2]), 2),
+}
+
+
+def _counting(counts, name, fn):
+    def wrapper(y):
+        counts[name] += 1
+        return fn(y)
+
+    return wrapper
+
+
+def _traced_copy(system, counts):
+    """The system with counted structure and gradients swapped in through
+    dataclasses.replace, as a tracing wrapper does."""
+    fields = tuple(replace(K, grad=_counting(counts, "grad", K.grad)) for K in system.hamiltonians)
+    structure = _counting(counts, "structure", system.structure)
+    return replace(system, structure=structure, hamiltonians=fields)
+
+
+def _batch(y0, seed, n=16):
+    rng = np.random.default_rng(seed)
+    return y0 + 0.05 * rng.standard_normal((n, 3)), 0.1 * rng.standard_normal((n, 1))
+
+
+def test_fold_fields_merges_scaled_copies_only():
+    K = rb.kinetic_energy(rb.REFERENCE_PARAMS)
+    fields, index, scale = fold_fields((K, scale_field(K, 0.2), scale_field(scale_field(K, 2.0), 3.0)))
+    assert len(fields) == 1 and fields[0] is K
+    assert (index, scale) == ((0, 0, 0), (1.0, 0.2, 6.0))
+    # the same value callable without a base is a field of its own
+    fields, index, scale = fold_fields((K, ScalarField(K.value, K.grad)))
+    assert len(fields) == 2 and (index, scale) == ((0, 1), (1.0, 1.0))
+    # a copy with a swapped gradient is the field that a scaled copy of K joins
+    wrapped = replace(K, grad=lambda y: K.grad(y))
+    fields, index, scale = fold_fields((wrapped, scale_field(K, 0.2)))
+    assert len(fields) == 1 and fields[0] is wrapped
+    assert (index, scale) == ((0, 0), (1.0, 0.2))
+
+
+def test_fold_is_derived_again_by_replace():
+    system = rb.system(rb.REFERENCE_PARAMS)
+    K = rb.kinetic_energy(rb.REFERENCE_PARAMS)
+    other = replace(system, hamiltonians=(K, scale_field(K, 0.5)))
+    assert other.fold[0][0] is K
+    assert other.fold[1:] == ((0, 0), (1.0, 0.5))
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_SYSTEMS))
+def test_midpoint_iteration_evaluates_structure_once_and_each_field_once(name, monkeypatch):
+    make, y0, n_fields = FOLD_SYSTEMS[name]
+    counts, iterations = Counter(), Counter()
+    solve = sde.fixed_point
+
+    def counted_fixed_point(update, x0, tol, max_iter):
+        return solve(_counting(iterations, "n", update), x0, tol, max_iter)
+
+    monkeypatch.setattr(sde, "fixed_point", counted_fixed_point)
+    sde.midpoint_step(_traced_copy(make(), counts), y0, 0.01, np.array([0.05]))
+    assert iterations["n"] > 1
+    assert dict(counts) == {"structure": iterations["n"], "grad": n_fields * iterations["n"]}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_SYSTEMS))
+def test_traced_copy_steps_bit_for_bit(name):
+    make, y0, _ = FOLD_SYSTEMS[name]
+    system = make()
+    ys, dws = _batch(y0, 3)
+    traced = _traced_copy(system, Counter())
+    assert np.array_equal(midpoint_step(traced, ys, 0.01, dws), midpoint_step(system, ys, 0.01, dws))
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_SYSTEMS))
+def test_folded_midpoint_matches_unfolded_formula(name):
+    make, y0, _ = FOLD_SYSTEMS[name]
+    system = make()
+    unfolded = drift_and_diffusions(system)  # B grad K_r per channel
+    ys, dws = _batch(y0, 4)
+    for a, b in (
+        (ys + system.increment(ys, 0.01, dws), ys + unfolded.increment(ys, 0.01, dws)),
+        (midpoint_step(system, ys, 0.01, dws), midpoint_step(unfolded, ys, 0.01, dws)),
+    ):
+        assert np.all(np.linalg.norm(a - b, axis=-1) <= 1e-14 * np.linalg.norm(b, axis=-1))
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_SYSTEMS))
+def test_folded_midpoint_batch_rows_equal_single_rows(name):
+    make, y0, _ = FOLD_SYSTEMS[name]
+    system = make()
+    ys, dws = _batch(y0, 5)
+    batch = midpoint_step(system, ys, 0.01, dws)
+    for y, dw, row in zip(ys, dws, batch):
+        assert np.array_equal(midpoint_step(system, y, 0.01, dw), row)
