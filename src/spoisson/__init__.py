@@ -18,11 +18,8 @@ from .sde import (
     fit_order,
     implicit_euler_maruyama_step,
     integrate,
-    ito_form,
     midpoint_step,
-    milstein_step,
     ms_error_many,
-    strat_to_ito_drift,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

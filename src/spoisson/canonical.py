@@ -164,8 +164,8 @@ def poisson_integrator(chart: Chart, symplectic_stepper: Callable, frozen_c) -> 
 class Model:
     """A Poisson system with what the composed scheme and the CLI need.
 
-    ``chart(cv)`` builds the canonical chart for the Casimir value cv of the
-    initial state (``None``: the system has no chart).  ``shs(y)`` is the
+    ``chart(y)`` builds the canonical chart for the level set of the state y
+    (``None``: the system has no chart).  ``shs(y)`` is the
     transformed system with exact derivatives and the Casimirs frozen at
     their values at the state y.  ``default_T`` maps each CLI command to its
     default final time, and ``check_points(rng)`` samples the (k, d) states
@@ -188,16 +188,9 @@ class Model:
         if self.system.domain is not None and not self.system.domain(self.y0):
             raise ValueError(f"initial state {self.y0} outside the system domain")
         if self.chart is not None:  # the chart owns the rules on its level set
-            chart = self.chart(self.casimir_value(self.y0))
+            chart = self.chart(self.y0)
             if chart.domain is not None and not chart.domain(self.y0):
                 raise ValueError(f"initial state {self.y0} outside the chart domain")
-
-    def casimir_value(self, y) -> float | None:
-        """The first Casimir at y, which selects the chart; ``None`` without
-        y or a Casimir (charts of custom systems do not depend on it)."""
-        if y is None or not self.system.casimirs:
-            return None
-        return float(self.system.casimirs[0].value(y))
 
 
 def make_alpha_stepper(shs: CanonicalSHS, config: AlphaSchemeConfig) -> Callable:
@@ -213,7 +206,7 @@ def alpha_scheme(model: Model, y0, config: AlphaSchemeConfig) -> Callable:
     """Composed alpha-generating one-step map on y: chart, symplectic step with
     the Casimirs frozen at their values at y0, inverse chart.  A state outside
     the chart domain is a DomainError at the step that takes it."""
-    chart = model.chart(model.casimir_value(y0))
+    chart = model.chart(y0)
     shs = model.shs(y0)
     inner = poisson_integrator(chart, make_alpha_stepper(shs, config), shs.casimir_values)
     return lambda y, h, dw: inner(y, h, truncate_increments(dw, h, config.truncation))

@@ -251,7 +251,7 @@ class CustomSystem:
         return Model(
             name="custom",
             system=self.system,
-            chart=None if self.chart is None else lambda cv: self.chart,
+            chart=None if self.chart is None else lambda y: self.chart,
             shs=self.shs,
             y0=None if y0 is None else np.asarray(y0, dtype=float),
             default_T={"paths": 10.0, "casimir": 10.0, "order": 2.0},

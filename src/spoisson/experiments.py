@@ -9,7 +9,7 @@ SeedSequence(seed, spawn_key=(i,)), and reductions run in sample order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -30,7 +30,6 @@ from .sde import (
     euler_maruyama_step,
     implicit_euler_maruyama_step,
     integrate,
-    ito_form,
     midpoint_step,
     ms_error_many,
 )
@@ -44,13 +43,13 @@ def reference_stepper(sys: PoissonSystem, tol: float = 1e-12) -> Callable:
 
 def em_stepper(sys: PoissonSystem) -> Callable:
     """Euler-Maruyama on the equivalent Ito form."""
-    ito = ito_form(drift_and_diffusions(sys))
+    ito = replace(drift_and_diffusions(sys), drift=sys.ito_drift)
     return lambda y, h, dw: euler_maruyama_step(ito, y, h, dw)
 
 
 def iem_stepper(sys: PoissonSystem, tol: float = 1e-12) -> Callable:
     """Drift-implicit, diffusion-explicit Euler on the equivalent Ito form."""
-    ito = ito_form(drift_and_diffusions(sys))
+    ito = replace(drift_and_diffusions(sys), drift=sys.ito_drift)
     return lambda y, h, dw: implicit_euler_maruyama_step(ito, y, h, dw, tol=tol)
 
 
@@ -185,7 +184,7 @@ def check_suite(
         points = points[sys.domain(points)]
     if model.chart is not None and len(points):
         y0 = points[0] if model.y0 is None else model.y0
-        chart, shs = model.chart(model.casimir_value(y0)), model.shs(y0)
+        chart, shs = model.chart(y0), model.shs(y0)
         if chart.domain is not None:
             points = points[chart.domain(points)]
     if len(points) == 0:

@@ -205,7 +205,7 @@ def model(params: RigidBodyParams, y0) -> Model:
     return Model(
         name="srb",
         system=system(params),
-        chart=chart,
+        chart=lambda y: chart(float(CASIMIR.value(y))),
         shs=lambda y: transformed_shs(params, float(CASIMIR.value(y))),
         y0=np.asarray(y0, dtype=float),
         default_T={"paths": 10.0, "casimir": 500.0, "order": 10.0},

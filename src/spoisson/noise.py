@@ -77,7 +77,6 @@ class WienerIncrements:
     grid: TimeGrid
     dims: int
     values: np.ndarray
-    seed: object
 
     def __post_init__(self) -> None:
         if self.values.shape != (self.grid.n_steps, self.dims):
@@ -109,7 +108,7 @@ def sample_increments(grid: TimeGrid, m: int, seed) -> WienerIncrements:
         seed_seq = seed
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     values = math.sqrt(grid.h) * _standard_normal(rng, (grid.n_steps, m))
-    return WienerIncrements(grid=grid, dims=m, values=values, seed=seed)
+    return WienerIncrements(grid=grid, dims=m, values=values)
 
 
 def truncation_bound(h: float, k: float) -> float:
@@ -151,6 +150,4 @@ def coarsen(fine: WienerIncrements, factor: int) -> WienerIncrements:
     grid = fine.grid
     values = coarsen_values(np.asarray(fine.values), factor)
     coarse_grid = TimeGrid(grid.t0, grid.T, grid.n_steps // factor)
-    return WienerIncrements(
-        grid=coarse_grid, dims=fine.dims, values=values, seed=fine.seed
-    )
+    return WienerIncrements(grid=coarse_grid, dims=fine.dims, values=values)

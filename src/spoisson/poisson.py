@@ -78,7 +78,7 @@ class PoissonSystem:
 
     ``structure`` maps (..., d) -> (..., d, d); ``structure_derivative`` maps
     (..., d) -> (..., d, d, d) with [..., i, j, s] = dB_ij/dy_s, which the
-    Jacobi check, the Ito correction and the variational equation read.
+    Jacobi check, :meth:`ito_drift` and the variational equation read.
     ``hamiltonians`` holds K_0 .. K_m.  ``rank`` is the declared constant
     rank 2n of B, so d = 2n + l.  ``fold`` is derived: the
     :func:`fold_fields` of the Hamiltonians.
@@ -116,6 +116,30 @@ class PoissonSystem:
             v = v + coef[k] * fields[k].grad(y)
         return np.einsum("...ij,...j->...i", self.structure(y), v)
 
+    def ito_drift(self, y):
+        """The Ito drift B grad K_0 + 1/2 sum_r (dB . grad K_r + B Hess K_r)
+        B grad K_r of the system, with B, dB, the gradient of each distinct
+        field of :attr:`fold` and the Hessian of each noise field evaluated
+        once."""
+        fields, index, scale = self.fold
+        if any(fields[k].hess is None for k in index[1:]):
+            raise ValueError("the Ito drift needs the Hessian of each noise Hamiltonian")
+        y = np.asarray(y, dtype=float)
+        B, dB = self.structure(y), self.structure_derivative(y)
+        grads = [F.grad(y) for F in fields]
+        out = np.einsum("...ij,...j->...i", B, scale[0] * grads[index[0]])
+        for k, c in zip(index[1:], scale[1:]):
+            g = c * grads[k]
+            jac = _bgrad_jacobian(B, dB, g, c * fields[k].hess(y))
+            out = out + 0.5 * np.einsum("...ij,...j->...i", jac, np.einsum("...ij,...j->...i", B, g))
+        return out
+
+
+def _bgrad_jacobian(B, dB, g, hess):
+    """Jacobian dB . g + B hess of the field B grad K at one state, from B, dB,
+    g = grad K and hess = Hess K there."""
+    return np.einsum("...acb,...c->...ab", dB, g) + B @ hess
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -139,28 +163,10 @@ def drift_and_diffusions(sys: PoissonSystem) -> SDE:
     def make_field(K: ScalarField) -> Callable:
         return lambda y: np.einsum("...ij,...j->...i", sys.structure(y), K.grad(y))
 
-    jacobians = None
-    if all(K.hess is not None for K in sys.hamiltonians):
-        jacobians = tuple(field_jacobian(sys, K) for K in sys.hamiltonians[1:])
     return SDE(
         drift=make_field(sys.hamiltonians[0]),
         diffusions=tuple(make_field(K) for K in sys.hamiltonians[1:]),
-        diffusion_jacobians=jacobians,
     )
-
-
-def field_jacobian(sys: PoissonSystem, K: ScalarField) -> Callable:
-    """Analytic Jacobian of y -> B(y) grad K(y) (needs the Hessian of K)."""
-    if K.hess is None:
-        raise ValueError("field_jacobian needs the Hessian")
-
-    def jac(y):
-        y = np.asarray(y, dtype=float)
-        dB = sys.structure_derivative(y)
-        g = K.grad(y)
-        return np.einsum("...acb,...c->...ab", dB, g) + sys.structure(y) @ K.hess(y)
-
-    return jac
 
 
 def bracket(F: ScalarField, G: ScalarField, sys: PoissonSystem, y):
@@ -219,14 +225,13 @@ def variational_jacobian(
     d = sys.dim
 
     def aug_field(K: ScalarField) -> Callable:
-        vec = lambda y: np.einsum("...ij,...j->...i", sys.structure(y), K.grad(y))
-        jac = field_jacobian(sys, K)
-
         def f(u):
             y = u[..., :d]
             Z = u[..., d:].reshape(u.shape[:-1] + (d, d))
-            dZ = jac(y) @ Z
-            return np.concatenate([vec(y), dZ.reshape(u.shape[:-1] + (d * d,))], axis=-1)
+            B, g = sys.structure(y), K.grad(y)
+            dZ = _bgrad_jacobian(B, sys.structure_derivative(y), g, K.hess(y)) @ Z
+            vec = np.einsum("...ij,...j->...i", B, g)
+            return np.concatenate([vec, dZ.reshape(u.shape[:-1] + (d * d,))], axis=-1)
 
         return f
 

@@ -9,7 +9,7 @@ batch membership).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -59,12 +59,11 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SDE:
-    """dy = a(y) dt + sum_r b_r(y) dW_r with optional Jacobians b_r'(y); each
-    stepper says whether it reads the fields as Ito or Stratonovich ones."""
+    """dy = a(y) dt + sum_r b_r(y) dW_r; each stepper says whether it reads
+    the fields as Ito or Stratonovich ones."""
 
     drift: Callable
     diffusions: tuple[Callable, ...]
-    diffusion_jacobians: tuple[Callable, ...] | None = None
 
     def increment(self, y, h: float, dw):
         """h a(y) + sum_r b_r(y) dW_r."""
@@ -115,42 +114,10 @@ def fd_vector_jacobian(f: Callable, y: np.ndarray, eps: float | None = None) -> 
     return np.moveaxis((plus - minus) / (2.0 * eps), y.ndim - 1, -1)
 
 
-def _diffusion_jacobian(sde: SDE, r: int, y):
-    if sde.diffusion_jacobians is None:
-        raise ValueError("the Ito correction needs the diffusion Jacobians")
-    return sde.diffusion_jacobians[r](y)
-
-
-def strat_to_ito_drift(sde: SDE, y):
-    """Ito drift a(y) + 1/2 sum_r b_r'(y) b_r(y) of a Stratonovich system."""
-    y = np.asarray(y, dtype=float)
-    out = np.asarray(sde.drift(y), dtype=float).copy()
-    for r, b in enumerate(sde.diffusions):
-        out += 0.5 * np.einsum("...ij,...j->...i", _diffusion_jacobian(sde, r, y), b(y))
-    return out
-
-
-def ito_form(sde: SDE) -> SDE:
-    """Equivalent Ito system of a Stratonovich one (drift correction baked in)."""
-    return replace(sde, drift=lambda y: strat_to_ito_drift(sde, y))
-
-
 def euler_maruyama_step(sde: SDE, y, h: float, dw):
     """Euler-Maruyama step; reads the fields as Ito coefficients."""
     y = np.asarray(y, dtype=float)
     return y + sde.increment(y, h, np.asarray(dw, dtype=float))
-
-
-def milstein_step(sde: SDE, y, h: float, dw):
-    """Milstein step for a single noise channel; reads the fields as Ito
-    coefficients and needs the diffusion Jacobian."""
-    if len(sde.diffusions) != 1:
-        raise ValueError("milstein_step supports a single noise channel only")
-    y = np.asarray(y, dtype=float)
-    dw = np.asarray(dw, dtype=float)
-    bb = np.einsum("...ij,...j->...i", _diffusion_jacobian(sde, 0, y), sde.diffusions[0](y))
-    dw0 = dw[..., 0, None]
-    return euler_maruyama_step(sde, y, h, dw) + 0.5 * bb * (dw0**2 - h)
 
 
 def fixed_point(update: Callable, x0: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
@@ -279,12 +246,13 @@ def ms_error_many(
     hs = np.asarray(sorted(step_sizes, reverse=True), dtype=float)
     if not (hs > 0).all() or len(np.unique(hs)) != len(hs):
         raise ValueError(f"step sizes must be positive and distinct, got {tuple(step_sizes)}")
+    # Working steps first: if each divides T, so does the reference step.
+    n_working = [TimeGrid.from_step(T, float(h)).n_steps for h in hs]
     h_ref = float(hs[-1]) / ref_factor
     fine_grid = TimeGrid.from_step(T, h_ref)
     n_ref = fine_grid.n_steps
     factors = []
-    for h in hs:
-        n_steps = TimeGrid.from_step(T, float(h)).n_steps
+    for h, n_steps in zip(hs, n_working):
         if n_ref % n_steps:
             raise ValueError(f"step size {h} is not a multiple of the reference step")
         factors.append(n_ref // n_steps)

@@ -16,13 +16,12 @@ from spoisson.alpha_gf import (
 from spoisson.canonical import CanonicalSHS, j_inverse, make_alpha_stepper
 from spoisson.custom import load_custom_system
 from spoisson.noise import TruncationPolicy
-from spoisson.poisson import ScalarField
+from spoisson.experiments import em_stepper
+from spoisson.poisson import PoissonSystem, ScalarField
 from spoisson.sde import (
     DivergenceError,
     NonConvergenceError,
     SDE,
-    euler_maruyama_step,
-    ito_form,
     midpoint_step,
 )
 from spoisson.models import lotka_volterra as lv
@@ -226,13 +225,14 @@ def test_symplectic_residual_alpha_vs_em():
     shs = rb.transformed_shs(rb.REFERENCE_PARAMS, 0.5)
     stepper = make_alpha_stepper(shs, AlphaSchemeConfig(alpha=0.25))
     Jinv = j_inverse(1)
-    sde = SDE(
-        drift=lambda z: np.einsum("ij,...j->...i", Jinv, shs.hamiltonians[0].grad(z)),
-        diffusions=(lambda z: np.einsum("ij,...j->...i", Jinv, shs.hamiltonians[1].grad(z)),),
-        diffusion_jacobians=(lambda z: Jinv @ shs.hamiltonians[1].hess(z),),
+    canonical = PoissonSystem(
+        dim=2,
+        structure=lambda z: np.broadcast_to(Jinv, np.shape(z)[:-1] + (2, 2)),
+        hamiltonians=shs.hamiltonians,
+        rank=2,
+        structure_derivative=lambda z: np.zeros(np.shape(z)[:-1] + (2, 2, 2)),
     )
-    em_sde = ito_form(sde)
-    em = lambda z, h, dw: euler_maruyama_step(em_sde, z, h, dw)
+    em = em_stepper(canonical)
     rng = np.random.default_rng(17)
     h = 0.04  # largest experiment step: makes the EM defect clearly visible
     worst_alpha, worst_em = 0.0, 0.0
@@ -296,7 +296,7 @@ def _traced_shs(shs, counts):
 
 def _chart_states(model, seed, n=16):
     rng = np.random.default_rng(seed)
-    z0 = model.chart(model.casimir_value(model.y0)).forward(model.y0)[:2]
+    z0 = model.chart(model.y0).forward(model.y0)[:2]
     return z0 + 0.05 * rng.standard_normal((n, 2)), 0.1 * rng.standard_normal(n)
 
 

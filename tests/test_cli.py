@@ -264,6 +264,14 @@ def test_bad_config_values_exit_3(argv, capsys):
     assert "Traceback" not in err
 
 
+def test_order_names_the_working_step_that_does_not_divide_T(capsys):
+    # Checked before the reference step h / ref_factor, which the user never typed.
+    assert main(["order", "--system", "srb", "--T", "1", "--h", "0.3", "--samples", "2"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: step h=0.3 does not divide [0, 1.0]\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

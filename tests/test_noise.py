@@ -80,7 +80,7 @@ def test_values_are_read_only():
 def test_shape_mismatch_rejected():
     grid = TimeGrid(0.0, 1.0, 8)
     with pytest.raises(ValueError):
-        WienerIncrements(grid=grid, dims=1, values=np.zeros((4, 1)), seed=0)
+        WienerIncrements(grid=grid, dims=1, values=np.zeros((4, 1)))
 
 
 def test_moments_match_n0h():
@@ -159,7 +159,7 @@ def test_coarsen_factor_one_is_identity():
 
 def test_coarsen_adds_pairs():
     grid = TimeGrid(0.0, 1.0, 2)
-    fine = WienerIncrements(grid=grid, dims=1, values=np.array([[1.5], [2.25]]), seed=0)
+    fine = WienerIncrements(grid=grid, dims=1, values=np.array([[1.5], [2.25]]))
     coarse = coarsen(fine, 2)
     assert coarse.grid.n_steps == 1
     assert coarse.values[0, 0] == 1.5 + 2.25

@@ -361,15 +361,14 @@ def test_poisson_map_residual_exact_rotation():
 def test_poisson_map_residual_alpha_scheme_vs_em():
     from spoisson.alpha_gf import AlphaSchemeConfig
     from spoisson.canonical import alpha_scheme_map
-    from spoisson.sde import euler_maruyama_step, ito_form
+    from spoisson.experiments import em_stepper
 
     sysm = rb.system(rb.REFERENCE_PARAMS)
     scheme = alpha_scheme_map(
         rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0),
         AlphaSchemeConfig(alpha=0.5),
     )
-    em_sde = ito_form(drift_and_diffusions(sysm))
-    em = lambda y, h, dw: euler_maruyama_step(em_sde, y, h, dw)
+    em = em_stepper(sysm)
     rng = np.random.default_rng(7)
     worst_scheme, worst_em = 0.0, 0.0
     for _ in range(5):
@@ -401,11 +400,18 @@ def _counting(counts, name, fn):
 
 
 def _traced_copy(system, counts):
-    """The system with counted structure and gradients swapped in through
-    dataclasses.replace, as a tracing wrapper does."""
-    fields = tuple(replace(K, grad=_counting(counts, "grad", K.grad)) for K in system.hamiltonians)
-    structure = _counting(counts, "structure", system.structure)
-    return replace(system, structure=structure, hamiltonians=fields)
+    """The system with counted structure, structure derivative, gradients and
+    Hessians swapped in through dataclasses.replace, as a tracing wrapper does."""
+    fields = tuple(
+        replace(K, grad=_counting(counts, "grad", K.grad), hess=_counting(counts, "hess", K.hess))
+        for K in system.hamiltonians
+    )
+    return replace(
+        system,
+        structure=_counting(counts, "structure", system.structure),
+        structure_derivative=_counting(counts, "structure_derivative", system.structure_derivative),
+        hamiltonians=fields,
+    )
 
 
 def _batch(y0, seed, n=16):
@@ -481,3 +487,79 @@ def test_folded_midpoint_batch_rows_equal_single_rows(name):
     batch = midpoint_step(system, ys, 0.01, dws)
     for y, dw, row in zip(ys, dws, batch):
         assert np.array_equal(midpoint_step(system, y, 0.01, dw), row)
+
+
+def _unfolded_ito_drift(system, y):
+    """B grad K_0 + 1/2 sum_r (dB . grad K_r + B Hess K_r) B grad K_r, each
+    K_r of ``hamiltonians`` evaluated on its own."""
+    B, dB = system.structure(y), system.structure_derivative(y)
+    out = np.einsum("...ij,...j->...i", B, system.hamiltonians[0].grad(y))
+    for K in system.hamiltonians[1:]:
+        g = K.grad(y)
+        jac = np.einsum("...acb,...c->...ab", dB, g) + B @ K.hess(y)
+        out = out + 0.5 * np.einsum("...ij,...j->...i", jac, np.einsum("...ij,...j->...i", B, g))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_SYSTEMS))
+def test_ito_drift_matches_unfolded_formula(name):
+    make, y0, _ = FOLD_SYSTEMS[name]
+    system = make()
+    ys, _ = _batch(y0, 5)
+    for y in (y0, ys):
+        if name == "custom":
+            assert np.allclose(system.ito_drift(y), _unfolded_ito_drift(system, y), rtol=1e-14, atol=0)
+        else:
+            assert np.array_equal(system.ito_drift(y), _unfolded_ito_drift(system, y))
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_SYSTEMS))
+def test_ito_drift_analytic_vs_fd(name):
+    make, y0, _ = FOLD_SYSTEMS[name]
+    system = make()
+    sde = drift_and_diffusions(system)
+    (b,) = sde.diffusions
+    fd = sde.drift(y0) + 0.5 * fd_vector_jacobian(b, y0) @ b(y0)
+    assert np.allclose(system.ito_drift(y0), fd, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_SYSTEMS))
+def test_ito_drift_evaluates_structure_once_and_each_field_once(name, monkeypatch):
+    from spoisson.experiments import iem_stepper
+
+    make, y0, n_fields = FOLD_SYSTEMS[name]
+    once = {"structure": 1, "structure_derivative": 1, "grad": n_fields, "hess": 1}
+    counts = Counter()
+    system = _traced_copy(make(), counts)
+    system.ito_drift(y0)
+    assert dict(counts) == once
+
+    per_iteration = []
+    solve = sde.fixed_point
+
+    def counted_fixed_point(update, x0, tol, max_iter):
+        def counted(x):
+            counts.clear()
+            out = update(x)
+            per_iteration.append(dict(counts))
+            return out
+
+        return solve(counted, x0, tol, max_iter)
+
+    monkeypatch.setattr(sde, "fixed_point", counted_fixed_point)
+    iem_stepper(system)(y0, 0.01, np.array([0.05]))
+    assert len(per_iteration) > 1
+    assert per_iteration == [once] * len(per_iteration)
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_SYSTEMS))
+def test_em_steppers_batch_rows_equal_single_rows(name):
+    from spoisson.experiments import em_stepper, iem_stepper
+
+    make, y0, _ = FOLD_SYSTEMS[name]
+    system = make()
+    ys, dws = _batch(y0, 9)
+    for step in (em_stepper(system), iem_stepper(system)):
+        batch = step(ys, 0.01, dws)
+        rows = np.stack([step(y, 0.01, dw) for y, dw in zip(ys, dws)])
+        assert np.array_equal(batch, rows)

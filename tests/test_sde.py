@@ -4,23 +4,21 @@ import math
 import numpy as np
 import pytest
 
+from spoisson.canonical import j_inverse
 from spoisson.noise import TimeGrid, sample_increments
-from spoisson.poisson import drift_and_diffusions
+from spoisson.poisson import PoissonSystem, ScalarField, drift_and_diffusions
 from spoisson.sde import (
     DivergenceError,
     IntegrationError,
     SDE,
     NonConvergenceError,
     euler_maruyama_step,
-    fd_vector_jacobian,
     fit_order,
     fixed_point,
     implicit_euler_maruyama_step,
     integrate,
     midpoint_step,
-    milstein_step,
     ms_error_many,
-    strat_to_ito_drift,
 )
 from spoisson.models import lotka_volterra as lv
 from spoisson.models import rigid_body as rb
@@ -73,35 +71,53 @@ def test_integrate_wraps_stepper_failure_with_step_index():
     assert err.value.step_index == 3
 
 
+def _canonical_system(K1):
+    """dz = J^-1 (grad K_0 dt + grad K_1 o dW) on R^2 with K_0 = z1 z2, so
+    B = J^-1 is constant and dB = 0."""
+    K0 = ScalarField(
+        value=lambda z: z[..., 0] * z[..., 1],
+        grad=lambda z: z[..., ::-1].copy(),
+        hess=lambda z: np.broadcast_to([[0.0, 1.0], [1.0, 0.0]], np.shape(z)[:-1] + (2, 2)),
+    )
+    Jinv = j_inverse(1)
+    return PoissonSystem(
+        dim=2,
+        structure=lambda z: np.broadcast_to(Jinv, np.shape(z)[:-1] + (2, 2)),
+        hamiltonians=(K0, K1),
+        rank=2,
+        structure_derivative=lambda z: np.zeros(np.shape(z)[:-1] + (2, 2, 2)),
+    )
+
+
 def test_ito_drift_constant_diffusion_has_no_correction():
-    sde = SDE(
-        drift=lambda y: np.stack([y[..., 1], -y[..., 0]], axis=-1),
-        diffusions=(lambda y: np.ones(np.shape(y)),),
-        diffusion_jacobians=(lambda y: np.zeros(np.shape(y) + (2,)),),
+    # b = J^-1 grad K_1 is constant, so the Stratonovich drift is the Ito one.
+    K1 = ScalarField(
+        value=lambda z: 0.4 * z[..., 0] - 1.3 * z[..., 1],
+        grad=lambda z: np.broadcast_to([0.4, -1.3], np.shape(z)),
+        hess=lambda z: np.zeros(np.shape(z) + (2,)),
     )
-    y = np.array([0.3, -1.2])
-    assert np.allclose(strat_to_ito_drift(sde, y), sde.drift(y), atol=1e-9)
+    system = _canonical_system(K1)
+    z = np.array([0.3, -1.2])
+    assert np.array_equal(system.ito_drift(z), drift_and_diffusions(system).drift(z))
 
 
-def test_ito_drift_scalar_multiplicative():
-    # dy = y o dW has Ito drift y/2.
-    sde = SDE(
-        drift=lambda y: np.zeros_like(y),
-        diffusions=(lambda y: y,),
-        diffusion_jacobians=(lambda y: np.ones(np.shape(y) + (1,)),),
+def test_ito_drift_multiplicative_closed_form():
+    # K_1 = |z|^2 / 2: b = J^-1 z, b' = J^-1 and b' b = J^-2 z = -z.
+    K1 = ScalarField(
+        value=lambda z: 0.5 * np.sum(z**2, axis=-1),
+        grad=lambda z: z,
+        hess=lambda z: np.broadcast_to(np.eye(2), np.shape(z) + (2,)),
     )
-    y = np.array([1.7])
-    assert np.allclose(strat_to_ito_drift(sde, y), 0.5 * y, atol=1e-14)
+    system = _canonical_system(K1)
+    z = np.array([0.3, -1.2])
+    a = drift_and_diffusions(system).drift(z)
+    assert np.array_equal(system.ito_drift(z), a - 0.5 * z)
 
 
-def test_ito_drift_rigid_body_analytic_vs_fd():
-    sde = drift_and_diffusions(rb.system(rb.REFERENCE_PARAMS))
-    assert sde.diffusion_jacobians is not None
-    y = rb.REFERENCE_Y0
-    analytic = strat_to_ito_drift(sde, y)
-    b = sde.diffusions[0]
-    fd = sde.drift(y) + 0.5 * fd_vector_jacobian(b, y) @ b(y)
-    assert np.allclose(analytic, fd, atol=1e-8)
+def test_ito_drift_needs_the_noise_hessian():
+    K1 = ScalarField(value=lambda z: z[..., 0], grad=lambda z: np.broadcast_to([1.0, 0.0], np.shape(z)))
+    with pytest.raises(ValueError, match="Hessian"):
+        _canonical_system(K1).ito_drift(np.array([1.0, 0.5]))
 
 
 def test_euler_maruyama_identity_without_forcing():
@@ -184,76 +200,6 @@ def test_implicit_em_zero_field_is_identity():
     sde = SDE(lambda y: np.zeros_like(y), (lambda y: np.zeros_like(y),))
     y = np.array([4.0])
     assert np.array_equal(implicit_euler_maruyama_step(sde, y, 0.1, np.zeros(1)), y)
-
-
-def test_milstein_constant_diffusion_reduces_to_em():
-    sde = SDE(
-        lambda y: 0.3 * y,
-        (lambda y: np.ones_like(y),),
-        diffusion_jacobians=(lambda y: np.zeros(np.shape(y) + (1,)),),
-    )
-    y = np.array([1.1])
-    dw = np.array([0.23])
-    assert np.allclose(
-        milstein_step(sde, y, 0.1, dw), euler_maruyama_step(sde, y, 0.1, dw), atol=1e-16
-    )
-
-
-def test_milstein_scalar_closed_form():
-    # dy = y dW (Ito): y' = y + y dW + y (dW^2 - h) / 2.
-    sde = SDE(
-        lambda y: np.zeros_like(y),
-        (lambda y: y,),
-        diffusion_jacobians=(lambda y: np.ones(np.shape(y) + (1,)),),
-    )
-    y, h, dw = np.array([1.4]), 0.1, np.array([0.3])
-    expected = 1.4 + 1.4 * 0.3 + 0.5 * 1.4 * (0.3**2 - 0.1)
-    assert milstein_step(sde, y, h, dw)[0] == pytest.approx(expected, abs=1e-15)
-
-
-def test_milstein_rejects_multiple_noises():
-    z = lambda y: np.zeros_like(y)
-    sde = SDE(z, (z, z))
-    with pytest.raises(ValueError):
-        milstein_step(sde, np.zeros(1), 0.1, np.zeros(2))
-
-
-def test_ito_correction_and_milstein_need_the_diffusion_jacobians():
-    sde = SDE(lambda y: np.zeros_like(y), (lambda y: y,))
-    with pytest.raises(ValueError, match="Jacobian"):
-        strat_to_ito_drift(sde, np.array([1.0]))
-    with pytest.raises(ValueError, match="Jacobian"):
-        milstein_step(sde, np.array([1.0]), 0.1, np.array([0.3]))
-
-
-def test_milstein_strong_order_one_on_geometric_sde():
-    # Ito dy = lam y dt + sig y dW against the exact solution
-    # y(T) = y0 exp((lam - sig^2/2) T + sig W_T), coupled through W_T.
-    lam, sig, y0, T = 1.0, 1.0, 1.0, 1.0
-    sde = SDE(
-        lambda y: lam * y,
-        (lambda y: sig * y,),
-        diffusion_jacobians=(lambda y: sig * np.ones(np.shape(y) + (1,)),),
-    )
-    n_fine, n_samples = 1024, 400
-    fine_grid = TimeGrid(0.0, T, n_fine)
-    values = np.stack(
-        [sample_increments(fine_grid, 1, (55, i)).values for i in range(n_samples)],
-        axis=1,
-    )
-    w_T = values.sum(axis=0)[:, 0]
-    exact = y0 * np.exp((lam - 0.5 * sig**2) * T + sig * w_T)
-    errors, hs = [], []
-    for factor in (8, 16, 32, 64):
-        h = T * factor / n_fine
-        dw = values.reshape(n_fine // factor, factor, n_samples, 1).sum(axis=1)
-        y = np.full((n_samples, 1), y0)
-        for j in range(dw.shape[0]):
-            y = milstein_step(sde, y, h, dw[j])
-        errors.append(np.sqrt(np.mean((y[:, 0] - exact) ** 2)))
-        hs.append(h)
-    slope = fit_order(hs, errors)
-    assert 0.85 <= slope <= 1.15
 
 
 def test_ms_error_self_comparison_is_exactly_zero():
