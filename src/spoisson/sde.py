@@ -121,27 +121,42 @@ def euler_maruyama_step(sde: SDE, y, h: float, dw):
 
 
 def fixed_point(update: Callable, x0: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Iterate x <- update(x) until successive iterates differ by < tol in max
-    norm over the last axis, per batch entry (converged entries are frozen)."""
+    """Iterate x <- update(x) until successive iterates differ by < tol in
+    every entry of the last axis (the state), per batch entry; converged
+    entries are frozen.  The test is elementwise: max |xn - x| < tol."""
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     x = np.array(x0, dtype=float, copy=True)
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise ValueError(f"x0 needs a last axis holding the state, got shape {x.shape}")
+    batched = x.ndim > 1
     active = np.ones(x.shape[:-1], dtype=bool)
+    frozen = False  # some row has converged: mask the copy and the worst delta
     for _ in range(max_iter):
         xn = update(x)
-        delta = abs(xn - x).max(-1)
+        d = abs(xn - x)
+        if batched:  # d.max(-1) folded by column: numpy is slow over a short last axis
+            delta = d[..., 0]
+            for k in range(1, d.shape[-1]):
+                delta = np.maximum(delta, d[..., k])
+            worst = float((np.where(active, delta, 0.0) if frozen else delta).max(initial=0.0))
+        else:
+            delta = worst = float(d.max())
         # x stays finite (for finite x0): worst is NaN/Inf iff an active row's xn is.
-        worst = float(delta.max(where=active, initial=0.0))
         if not math.isfinite(worst):
-            bad = active & ~np.isfinite(delta)
-            raise DivergenceError("iterates diverged to NaN/Inf", mask=bad)
-        np.copyto(x, xn, where=active[..., None])
+            raise DivergenceError("iterates diverged to NaN/Inf", mask=active & ~np.isfinite(delta))
+        if frozen:
+            np.copyto(x, xn, where=np.repeat(active, x.shape[-1]).reshape(x.shape))
+        else:
+            x[...] = xn
         if worst < tol:
             return x
-        active &= delta >= tol
-    raise NonConvergenceError(
-        f"no convergence within {max_iter} iterations", worst, mask=active
-    )
+        if batched:
+            active &= delta >= tol
+            frozen = frozen or not active.all()
+    raise NonConvergenceError(f"no convergence within {max_iter} iterations", worst, mask=active)
 
 
 def midpoint_step(system, y, h: float, dw, tol: float = 1e-12):

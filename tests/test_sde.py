@@ -273,26 +273,44 @@ def test_batched_states_match_individual_runs(system, low, high):
         assert np.array_equal(batch[i], single)
 
 
-def test_fixed_point_keeps_converged_rows_frozen():
-    # Row 0 is a fixed point at once; afterwards its updates turn NaN.
+# A NaN/Inf in each column of a 3-column row, alone or beside a larger finite
+# delta in the next column of the same row.
+_BAD_COLUMN_CASES = [
+    pytest.param(
+        bad, col, jump, id=f"{bad}" + (f"-col{col}" if col else "") + ("-beside_larger_finite" if jump else "")
+    )
+    for bad in (np.nan, np.inf, -np.inf)
+    for col in range(3)
+    for jump in (0.0, 1e3)
+]
+
+
+@pytest.mark.parametrize("bad, col, jump", _BAD_COLUMN_CASES)
+def test_fixed_point_keeps_converged_rows_frozen(bad, col, jump):
+    # Row 0 is a fixed point at once; afterwards its update puts ``bad`` in
+    # column ``col`` and moves the next column by ``jump``.
     calls = 0
 
     def update(x):
         nonlocal calls
         calls += 1
         out = 0.5 * x
-        out[0] = x[0] if calls == 1 else np.nan
+        out[0] = x[0]
+        if calls > 1:
+            out[0, col] = bad
+            out[0, (col + 1) % 3] += jump
         return out
 
-    x = fixed_point(update, np.array([[1.0, 2.0], [1.0, -1.0]]), 1e-12, 100)
+    x = fixed_point(update, np.array([[1.0, 2.0, 3.0], [1.0, -1.0, 0.5]]), 1e-12, 100)
     assert calls > 2
-    assert np.array_equal(x[0], [1.0, 2.0])
+    assert np.array_equal(x[0], [1.0, 2.0, 3.0])
     assert np.max(np.abs(x[1])) < 1e-11
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_fixed_point_non_finite_active_row_raises_with_its_mask(bad):
-    # Row 0 converges at once and turns NaN afterwards; row 1 turns bad later.
+@pytest.mark.parametrize("bad, col, jump", _BAD_COLUMN_CASES)
+def test_fixed_point_non_finite_active_row_raises_with_its_mask(bad, col, jump):
+    # Row 0 converges at once and turns NaN afterwards; row 1 turns bad later,
+    # in column ``col``, while the next column moves by ``jump``.
     calls = 0
 
     def update(x):
@@ -301,11 +319,12 @@ def test_fixed_point_non_finite_active_row_raises_with_its_mask(bad):
         out = 0.5 * x
         out[0] = x[0] if calls == 1 else np.nan
         if calls == 3:
-            out[1, 0] = bad
+            out[1, col] = bad
+            out[1, (col + 1) % 3] += jump
         return out
 
     with pytest.raises(DivergenceError) as info:
-        fixed_point(update, np.ones((3, 2)), 1e-12, 100)
+        fixed_point(update, np.ones((3, 3)), 1e-12, 100)
     assert np.array_equal(info.value.mask, [False, True, False])
 
 
@@ -335,3 +354,48 @@ def test_fixed_point_unbatched_state():
     np.testing.assert_allclose(x, [2.0, -4.0, 1.0], rtol=0, atol=1e-11)
     with pytest.raises(DivergenceError):
         fixed_point(lambda x: x + np.inf, np.ones(3), 1e-12, 100)
+
+
+def _contraction(a, b):
+    """x -> b + a x / (1 + x^2), entrywise; only correctly rounded operations,
+    so a row's iterates do not depend on the batch it runs in."""
+    return lambda x: b + a * x / (1.0 + x * x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("lead", [(), (4,), (2, 3)], ids=["unbatched", "4", "2x3"])
+def test_fixed_point_batch_equals_each_row_alone(lead, n):
+    # Contraction rates from 0.01 to 0.9 make the rows converge at different
+    # iterations, so the batch freezes rows while others still move.
+    rng = np.random.default_rng(13)
+    a = rng.uniform(0.01, 0.9, lead + (n,))
+    b = rng.uniform(-1.0, 1.0, lead + (n,))
+    x0 = rng.uniform(-2.0, 2.0, lead + (n,))
+    batch = fixed_point(_contraction(a, b), x0, 1e-12, 100)
+    iters = set()
+    for idx in np.ndindex(lead):
+        calls = 0
+
+        def counted(x, f=_contraction(a[idx], b[idx])):
+            nonlocal calls
+            calls += 1
+            return f(x)
+
+        alone = fixed_point(counted, x0[idx], 1e-12, 100)
+        assert alone.shape == (n,)
+        assert batch[idx].tobytes() == alone.tobytes()
+        iters.add(calls)
+    if lead:
+        assert len(iters) > 1
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_fixed_point_rejects_max_iter_below_one(max_iter):
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        fixed_point(lambda x: x, np.ones(3), 1e-12, max_iter)
+
+
+@pytest.mark.parametrize("x0", [np.float64(1.0), np.ones((4, 0))], ids=["0-d", "empty_state"])
+def test_fixed_point_needs_a_state_axis(x0):
+    with pytest.raises(ValueError, match="x0 needs a last axis holding the state"):
+        fixed_point(lambda x: x, x0, 1e-12, 100)
