@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Reproduce the Lotka-Volterra experiment set into results/slv/.
 
-Sample paths per alpha, the Casimir comparison against explicit and implicit
-Euler-Maruyama, and the strong-order table.
+Sample paths for alpha in {0, 1/2, 1} (one CSV against one shared reference),
+the Casimir comparison against explicit and implicit Euler-Maruyama, and the
+strong-order table.
 """
 import argparse
 import pathlib
@@ -13,13 +14,12 @@ from spoisson.cli import main as cli_main
 
 def run(outdir: pathlib.Path, samples: int, seed: int, ref_factor: int) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
-    jobs = []
-    for alpha in ("0", "0.5", "1"):
-        jobs.append(
-            ["paths", "--system", "slv", "--alpha", alpha, "--T", "10",
-             "--seed", str(seed), "--ref-factor", str(ref_factor),
-             "--output", str(outdir / f"paths_alpha{alpha}.csv")]
-        )
+    # one reference path, one column block per alpha
+    jobs = [
+        ["paths", "--system", "slv", "--alpha", "0,0.5,1", "--T", "10",
+         "--seed", str(seed), "--ref-factor", str(ref_factor),
+         "--output", str(outdir / "paths.csv")]
+    ]
     jobs.append(
         ["casimir", "--system", "slv", "--alpha", "0.5", "--T", "10",
          "--seed", str(seed), "--output", str(outdir / "casimir.csv")]

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Reproduce the rigid-body experiment set into results/srb/.
 
-Writes sample-path CSVs for alpha in {0, 1/2, 1} and the spherical scheme,
-the Casimir-evolution comparison against Euler-Maruyama, and the strong-order
-table. Each CSV is also reproducible through the CLI; this script just runs
+Writes the sample paths for alpha in {0, 1/2, 1} (one CSV, a column block per
+alpha against one shared reference), the Casimir-evolution comparison against
+Euler-Maruyama, and the strong-order table with the spherical scheme. Each CSV is also reproducible through the CLI; this script just runs
 the whole set in one go.
 """
 import argparse
@@ -15,13 +15,12 @@ from spoisson.cli import main as cli_main
 
 def run(outdir: pathlib.Path, samples: int, seed: int, ref_factor: int) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
-    jobs = []
-    for alpha in ("0", "0.5", "1"):
-        jobs.append(
-            ["paths", "--system", "srb", "--alpha", alpha, "--T", "10",
-             "--seed", str(seed), "--ref-factor", str(ref_factor),
-             "--output", str(outdir / f"paths_alpha{alpha}.csv")]
-        )
+    # one reference path, one column block per alpha
+    jobs = [
+        ["paths", "--system", "srb", "--alpha", "0,0.5,1", "--T", "10",
+         "--seed", str(seed), "--ref-factor", str(ref_factor),
+         "--output", str(outdir / "paths.csv")]
+    ]
     jobs.append(
         ["casimir", "--system", "srb", "--alpha", "0.5", "--T", "500",
          "--seed", str(seed), "--output", str(outdir / "casimir.csv")]

@@ -40,18 +40,19 @@ def j_inverse(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AlphaSchemeConfig:
-    alpha: float
+    alpha: float | tuple[float, ...]  # a tuple: states stack one block per alpha
     tol: float = 1e-12
     truncation: TruncationPolicy = field(default_factory=TruncationPolicy)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
+        alphas = self.alpha if isinstance(self.alpha, tuple) else (self.alpha,)
+        if not alphas or not all(0.0 <= a <= 1.0 for a in alphas):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
-def sbar_gradient(shs, zhat, h: float, dw, alpha: float) -> np.ndarray:
+def sbar_gradient(shs, zhat, h: float, dw, alpha: float | np.ndarray) -> np.ndarray:
     """Exact gradient (dSbar/dPhat, dSbar/dQhat) of Sbar at the mixed point
     zhat = (Phat, Qhat); zhat and the gradient have shape (..., 2n).
 
@@ -59,7 +60,9 @@ def sbar_gradient(shs, zhat, h: float, dw, alpha: float) -> np.ndarray:
     so that a noise Hamiltonian scaled from H_0 costs no second gradient.
     The extra term needs the Hessian of F_{k_1} unless alpha = 1/2, where
     its coefficient vanishes.  ``dw`` is the scalar increment, batched over
-    leading axes.
+    leading axes.  An array ``alpha`` (one value per block, broadcast against
+    zhat) takes the Hessian for every block and multiplies the term by 0
+    where alpha = 1/2, which needs a finite Hessian there too.
     """
     n = shs.n
     fields, (k0, k1), (c0, c1) = shs.fold
@@ -69,7 +72,7 @@ def sbar_gradient(shs, zhat, h: float, dw, alpha: float) -> np.ndarray:
         grad = (h * c0 + c1 * dw) * g1
     else:
         grad = fields[k0].grad(zhat) * (h * c0) + g1 * (c1 * dw)
-    if alpha != 0.5:
+    if isinstance(alpha, np.ndarray) or alpha != 0.5:
         if fields[k1].hess is None:
             raise ValueError("alpha != 1/2 needs the Hessian of the noise Hamiltonian")
         hs = fields[k1].hess(zhat)
@@ -90,12 +93,16 @@ def alpha_step(shs, z, h: float, dw, config: AlphaSchemeConfig):
     fixed-point iteration from z, stopping when successive iterates differ
     by < tol in max norm; non-contractive inputs surface as
     NonConvergenceError or DivergenceError, never as silent wrong answers.
+    A tuple ``config.alpha`` steps block i of z's leading axis with alpha[i],
+    bit for bit as that alpha alone.
     """
     z = np.asarray(z, dtype=float)
     n = shs.n
     alpha = config.alpha
-    za = np.repeat([1.0 - alpha, alpha], n) * z
-    b = np.repeat([alpha, 1.0 - alpha], n)
+    if isinstance(alpha, tuple):  # one alpha per block of the leading axis
+        alpha = alpha[0] if len(set(alpha)) == 1 else np.reshape(alpha, (-1,) + (1,) * (z.ndim - 1))
+    w = np.concatenate([(1.0 - alpha) * np.ones(n), alpha * np.ones(n)], axis=-1)
+    za, b = w * z, w[..., ::-1]  # (1 - alpha, alpha) and (alpha, 1 - alpha) per half
     swap = np.r_[n:2 * n, :n]  # (gP, gQ) -> (gQ, gP)
     sign = np.repeat([-1.0, 1.0], n)
 

@@ -60,7 +60,9 @@ _OPTIONS = {
     "spherical": (_yes, "include the spherical scheme column (srb)"),
 }
 _ORDER_ONLY = ("spherical",)  # flags of the order command alone
-_ORDER_DEFAULTS = {"h": (0.005, 0.01, 0.02, 0.04), "ref_factor": 8}
+# Per-command defaults: paths and casimir run alpha 0 unless given --alpha.
+_COMMAND_DEFAULTS = {"order": {"h": (0.005, 0.01, 0.02, 0.04), "ref_factor": 8},
+                     "paths": {"alpha": (0.0,)}, "casimir": {"alpha": (0.0,)}}
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,7 @@ def _param_value(key: str, value: str):
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    values = dict(_ORDER_DEFAULTS) if args.command == "order" else {}
+    values = dict(_COMMAND_DEFAULTS.get(args.command, {}))
     if args.config:
         values.update(load_config_file(args.config))
     params = values.pop("params", {})
@@ -167,11 +169,15 @@ def build_setup(cfg: ExperimentConfig) -> Model:
     return custom.model(y0)
 
 
-def _scheme(cfg: ExperimentConfig, model: Model, alpha: float):
-    """The composed alpha scheme of the model from its initial state."""
+def _scheme(cfg: ExperimentConfig, model: Model, names: list[str]):
+    """(key, scheme): the composed alpha scheme from the initial state for
+    every --alpha, named by ``names``: one alpha's name, or the tuple of names
+    of a scheme that steps one block per alpha (see ``sde.ms_error_many``)."""
     if model.chart is None:
         raise ValueError("custom system has no chart; only 'check' is available")
-    return alpha_scheme(model, model.y0, _alpha_config(cfg, alpha))
+    stacked = len(cfg.alpha) > 1
+    config = _alpha_config(cfg, cfg.alpha if stacked else cfg.alpha[0])
+    return (tuple(names) if stacked else names[0]), alpha_scheme(model, model.y0, config)
 
 
 def _fmt(x: float) -> str:
@@ -204,24 +210,30 @@ def cmd_paths(cfg: ExperimentConfig) -> int:
         raise ValueError("paths needs an initial state y0")
     T = cfg.T if cfg.T is not None else model.default_T["paths"]
     grid = TimeGrid.from_step(T, _step(cfg, "paths"))
+    key, scheme = _scheme(cfg, model, [f"alpha={alpha:g}" for alpha in cfg.alpha])
+    stacked = isinstance(key, tuple)
     result = experiments.paths_experiment(
         model.system,
-        _scheme(cfg, model, cfg.alpha[0]),
+        scheme,
         model.y0,
         grid,
         cfg.seed,
         ref_factor=cfg.ref_factor,
         tol=cfg.tol,
+        stack=len(key) if stacked else None,
     )
-    d = model.system.dim
-    header = ["t"] + [f"y{i + 1}" for i in range(d)] + [f"y{i + 1}_ref" for i in range(d)]
-    rows = np.column_stack([result.times, result.states, result.reference])
+    ys = [f"y{i + 1}" for i in range(model.system.dim)]
+    blocks = [f"{y}_{name}" for name in key for y in ys] if stacked else ys
+    header = ["t"] + blocks + [f"{y}_ref" for y in ys]
+    states = result.states.reshape(len(result.times), -1)  # one column block per alpha
+    rows = np.column_stack([result.times, states, result.reference])
     _write_csv(
         cfg.output,
         header,
         rows,
         metadata=[
-            f"system={model.name} alpha={cfg.alpha[0]} h={grid.h} T={grid.T} seed={cfg.seed}",
+            f"system={model.name} alpha={','.join(map(str, cfg.alpha))} h={grid.h} T={grid.T} "
+            f"seed={cfg.seed}",
             f"reference=midpoint ref_step={result.ref_step}",
         ],
     )
@@ -234,22 +246,22 @@ def cmd_casimir(cfg: ExperimentConfig) -> int:
         raise ValueError("casimir needs an initial state and a Casimir function")
     T = cfg.T if cfg.T is not None else model.default_T["casimir"]
     grid = TimeGrid.from_step(T, _step(cfg, "casimir"))
-    schemes = {
-        "casimir_scheme": _scheme(cfg, model, cfg.alpha[0]),
-        "casimir_em": experiments.em_stepper(model.system),
-    }
+    names = [f"casimir_scheme_alpha={alpha:g}" for alpha in cfg.alpha]
+    key, scheme = _scheme(cfg, model, names if len(names) > 1 else ["casimir_scheme"])
+    schemes = {key: scheme, "casimir_em": experiments.em_stepper(model.system)}
     if model.name == "slv":
         schemes["casimir_iem"] = experiments.iem_stepper(model.system, tol=cfg.tol)
     result = experiments.casimir_experiment(
         model.system, schemes, model.system.casimirs[0], model.y0, grid, cfg.seed
     )
-    header = ["t"] + list(schemes)
-    rows = np.column_stack([result.times] + [result.columns[k] for k in schemes])
+    header = ["t"] + list(result.columns)
+    rows = np.column_stack([result.times] + list(result.columns.values()))
     _write_csv(
         cfg.output,
         header,
         rows,
-        metadata=[f"system={model.name} alpha={cfg.alpha[0]} h={grid.h} T={grid.T} seed={cfg.seed}"],
+        metadata=[f"system={model.name} alpha={','.join(map(str, cfg.alpha))} h={grid.h} "
+                  f"T={grid.T} seed={cfg.seed}"],
     )
     return EXIT_OK
 
@@ -259,7 +271,7 @@ def cmd_order(cfg: ExperimentConfig) -> int:
     if model.y0 is None:
         raise ValueError("order needs an initial state y0")
     T = cfg.T if cfg.T is not None else model.default_T["order"]
-    schemes = {f"alpha={alpha:g}": _scheme(cfg, model, alpha) for alpha in cfg.alpha}
+    schemes = dict([_scheme(cfg, model, [f"alpha={alpha:g}" for alpha in cfg.alpha])])
     if cfg.spherical:
         if model.name != "srb":
             raise ValueError("--spherical is only available for the srb system")
@@ -277,7 +289,7 @@ def cmd_order(cfg: ExperimentConfig) -> int:
         ref_factor=cfg.ref_factor,
         tol=cfg.tol,
     )
-    names = list(schemes)
+    names = list(estimates)
     first = estimates[names[0]]
     header = ["h"] + [f"rms_{n}" for n in names]
     rows = np.column_stack([first.step_sizes] + [estimates[n].errors for n in names])

@@ -56,7 +56,7 @@ def iem_stepper(sys: PoissonSystem, tol: float = 1e-12) -> Callable:
 @dataclass(frozen=True)
 class PathsResult:
     times: np.ndarray
-    states: np.ndarray      # (n_steps + 1, d), the scheme
+    states: np.ndarray      # (n_steps + 1, d), or (n_steps + 1, k, d) stacked: the scheme
     reference: np.ndarray   # (n_steps + 1, d), fine midpoint sampled on the grid
     ref_step: float
 
@@ -69,17 +69,21 @@ def paths_experiment(
     seed: int,
     ref_factor: int = 1000,
     tol: float = 1e-12,
+    stack: int | None = None,
 ) -> PathsResult:
     """One sample path of the scheme and a coupled fine-midpoint reference.
 
     The reference runs at h / ref_factor, with ref_factor reduced so the total
-    reference step count stays below 10^6.
+    reference step count stays below 10^6.  A scheme stacked over ``stack``
+    alphas steps y0 once per block, all on the one path, against the one
+    reference.
     """
     ref_factor = max(1, min(ref_factor, 10**6 // grid.n_steps))
     fine_grid = TimeGrid(grid.t0, grid.T, grid.n_steps * ref_factor)
     fine = sample_increments(fine_grid, sys.n_noise, seed)
     ref_traj = integrate(reference_stepper(sys, tol), y0, fine_grid, fine)
-    traj = integrate(scheme, y0, grid, coarsen(fine, ref_factor))
+    start = y0 if stack is None else np.broadcast_to(y0, (stack,) + np.shape(y0))
+    traj = integrate(scheme, start, grid, coarsen(fine, ref_factor))
     return PathsResult(
         times=grid.times(),
         states=traj.states,
@@ -96,24 +100,29 @@ class CasimirResult:
 
 def casimir_experiment(
     sys: PoissonSystem,
-    schemes: dict[str, Callable],
+    schemes: dict,
     casimir: ScalarField,
     y0,
     grid: TimeGrid,
     seed: int,
 ) -> CasimirResult:
-    """Casimir evolution of several schemes along one shared sample path."""
+    """Casimir evolution of several schemes along one shared sample path.
+
+    A key of ``schemes`` is a name, or a tuple of k names whose stepper steps
+    a (k, d) stack of states, block i the scheme named key[i]."""
     noise = sample_increments(grid, sys.n_noise, seed)
     columns = {}
-    for name, scheme in schemes.items():
-        traj = integrate(scheme, y0, grid, noise, record={"C": casimir.value})
-        columns[name] = traj.functionals["C"]
+    for key, scheme in schemes.items():
+        stacked = isinstance(key, tuple)
+        start = np.broadcast_to(y0, (len(key),) + np.shape(y0)) if stacked else y0
+        C = integrate(scheme, start, grid, noise, record={"C": casimir.value}).functionals["C"]
+        columns.update(zip(key, C.T) if stacked else [(key, C)])
     return CasimirResult(times=grid.times(), columns=columns)
 
 
 def order_experiment(
     sys: PoissonSystem,
-    schemes: dict[str, Callable],
+    schemes: dict,
     y0,
     T: float,
     step_sizes,
@@ -126,7 +135,8 @@ def order_experiment(
     """Coupled strong-error estimates against the fine midpoint reference.
 
     Errors are measured at T in the original coordinates (Euclidean norm),
-    after any chart inverses the schemes apply internally.
+    after any chart inverses the schemes apply internally.  A tuple key of
+    ``schemes`` names the blocks of a stacked stepper (see ``ms_error_many``).
     """
     return ms_error_many(
         schemes,

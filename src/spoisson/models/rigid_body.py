@@ -213,8 +213,26 @@ def model(params: RigidBodyParams, y0) -> Model:
     )
 
 
-def spherical_system(params: RigidBodyParams, radius: float) -> SDE:
-    """Angle dynamics (theta1, theta2) of the sphere |y| = radius."""
+@dataclass(frozen=True)
+class ScaledNoiseSDE(SDE):
+    """dy = f(y) (dt + c o dW), the one diffusion c f: an increment
+    h f + (c f) dW evaluates f once."""
+
+    c: float = 1.0
+
+    def increment_map(self, h: float, dw):
+        col = dw[..., 0, None]
+
+        def increment(y):
+            f = self.drift(y)
+            return h * f + (self.c * f) * col
+
+        return increment
+
+
+def spherical_system(params: RigidBodyParams, radius: float) -> ScaledNoiseSDE:
+    """Angle dynamics (theta1, theta2) of the sphere |y| = radius: the noise
+    field is c1 times the drift field."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     i1, i2, i3 = params.i1, params.i2, params.i3
@@ -228,10 +246,7 @@ def spherical_system(params: RigidBodyParams, radius: float) -> SDE:
         )
         return np.stack([f1, f2], axis=-1)
 
-    return SDE(
-        drift=field,
-        diffusions=(lambda th: params.c1 * field(th),),
-    )
+    return ScaledNoiseSDE(drift=field, diffusions=(lambda th: params.c1 * field(th),), c=params.c1)
 
 
 def to_angles(y, radius: float) -> np.ndarray:

@@ -70,8 +70,9 @@ class TruncationPolicy:
 class WienerIncrements:
     """Per-step Brownian increments ΔW_j ~ N(0, h) on a grid.
 
-    ``values`` has shape (n_steps, dims) and is read-only; regenerating with
-    the same seed is bit-identical.
+    ``values`` has shape (n_steps, dims), or (n_steps, n_samples, dims) for
+    one path per sample, and is read-only; regenerating with the same seed
+    is bit-identical.
     """
 
     grid: TimeGrid
@@ -79,11 +80,10 @@ class WienerIncrements:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.values.shape != (self.grid.n_steps, self.dims):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match "
-                f"(n_steps, dims) = ({self.grid.n_steps}, {self.dims})"
-            )
+        shape = self.values.shape
+        if len(shape) not in (2, 3) or (shape[0], shape[-1]) != (self.grid.n_steps, self.dims):
+            raise ValueError(f"values shape {shape} does not match (n_steps, [n_samples,] dims) "
+                             f"= ({self.grid.n_steps}, {self.dims})")
         self.values.setflags(write=False)
 
 
@@ -92,23 +92,26 @@ def sample_seed(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(index,))
 
 
-def _standard_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    # Inverse-CDF sampling from half-integer uniforms in (0, 1).
-    u = (rng.integers(0, 1 << 53, size=shape) + 0.5) * 2.0**-53
-    return ndtri(u)
-
-
 def sample_increments(grid: TimeGrid, m: int, seed) -> WienerIncrements:
-    """Draw n_steps x m independent increments ~ N(0, h), deterministic in seed."""
+    """Draw n_steps x m independent increments ~ N(0, h), deterministic in seed.
+
+    ``seed`` may be a list or tuple of per-sample seeds: the values then have
+    shape (n_steps, n_samples, m), sample i's those that seed i gives alone.
+    """
     if m < 1:
         raise ValueError(f"need at least one noise channel, got m={m}")
-    if not isinstance(seed, np.random.SeedSequence):
-        seed_seq = np.random.SeedSequence(seed)
-    else:
-        seed_seq = seed
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    values = math.sqrt(grid.h) * _standard_normal(rng, (grid.n_steps, m))
-    return WienerIncrements(grid=grid, dims=m, values=values)
+    per_sample = isinstance(seed, (list, tuple))
+    seeds = seed if per_sample else [seed]
+    u = np.empty((grid.n_steps, len(seeds), m))
+    for i, s in enumerate(seeds):  # PCG64(s) seeds with SeedSequence(s)
+        rng = np.random.Generator(np.random.PCG64(s))
+        u[:, i] = rng.integers(0, 1 << 53, size=(grid.n_steps, m))
+    # Inverse-CDF sampling from half-integer uniforms in (0, 1), all samples at once.
+    u += 0.5
+    u *= 2.0**-53
+    values = ndtri(u, out=u)
+    values *= math.sqrt(grid.h)
+    return WienerIncrements(grid=grid, dims=m, values=values if per_sample else values[:, 0])
 
 
 def truncation_bound(h: float, k: float) -> float:

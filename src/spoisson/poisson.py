@@ -103,18 +103,27 @@ class PoissonSystem:
         """The number m of noise channels."""
         return len(self.hamiltonians) - 1
 
-    def increment(self, y, h: float, dw):
-        """B(y) (h grad K_0(y) + sum_r dW_r grad K_r(y)), with B and the
-        gradient of each distinct field of :attr:`fold` evaluated once."""
+    def increment_map(self, h: float, dw):
+        """The map y -> B(y) (h grad K_0(y) + sum_r dW_r grad K_r(y)) of one
+        step, which evaluates B and the gradient of each distinct field of
+        :attr:`fold` once; the coefficients are summed once, here."""
         fields, index, scale = self.fold
         coef = [0.0] * len(fields)  # coef[k] sums h c_0 and the dW_r c_r of the K_r = c_r F_k
         coef[index[0]] = h * scale[0]
         for r in range(1, len(index)):
             coef[index[r]] = coef[index[r]] + scale[r] * dw[..., r - 1, None]
-        v = coef[0] * fields[0].grad(y)
-        for k in range(1, len(fields)):
-            v = v + coef[k] * fields[k].grad(y)
-        return np.einsum("...ij,...j->...i", self.structure(y), v)
+
+        def increment(y):
+            v = coef[0] * fields[0].grad(y)
+            for k in range(1, len(fields)):
+                v = v + coef[k] * fields[k].grad(y)
+            return np.einsum("...ij,...j->...i", self.structure(y), v)
+
+        return increment
+
+    def increment(self, y, h: float, dw):
+        """:meth:`increment_map` applied once."""
+        return self.increment_map(h, dw)(y)
 
     def ito_drift(self, y):
         """The Ito drift B grad K_0 + 1/2 sum_r (dB . grad K_r + B Hess K_r)

@@ -65,12 +65,21 @@ class SDE:
     drift: Callable
     diffusions: tuple[Callable, ...]
 
+    def increment_map(self, h: float, dw):
+        """The map y -> h a(y) + sum_r b_r(y) dW_r of one step."""
+        columns = [dw[..., r, None] for r in range(len(self.diffusions))]
+
+        def increment(y):
+            out = h * self.drift(y)
+            for b, col in zip(self.diffusions, columns):
+                out = out + b(y) * col
+            return out
+
+        return increment
+
     def increment(self, y, h: float, dw):
-        """h a(y) + sum_r b_r(y) dW_r."""
-        out = h * self.drift(y)
-        for r, b in enumerate(self.diffusions):
-            out = out + b(y) * dw[..., r, None]
-        return out
+        """:meth:`increment_map` applied once."""
+        return self.increment_map(h, dw)(y)
 
 
 @dataclass(frozen=True)
@@ -163,10 +172,10 @@ def midpoint_step(system, y, h: float, dw, tol: float = 1e-12):
     """Implicit midpoint rule y_new = y + increment(ybar, h, dw) at
     ybar = (y + y_new) / 2, by fixed point; ``system`` is an :class:`SDE`,
     whose fields it reads as Stratonovich coefficients, or a
-    ``poisson.PoissonSystem``."""
+    ``poisson.PoissonSystem``.  Its ``increment_map`` is built once per step."""
     y = np.asarray(y, dtype=float)
-    dw = np.asarray(dw, dtype=float)
-    return fixed_point(lambda ynew: y + system.increment(0.5 * (y + ynew), h, dw), y, tol, MAX_ITER)
+    increment = system.increment_map(h, np.asarray(dw, dtype=float))
+    return fixed_point(lambda ynew: y + increment(0.5 * (y + ynew)), y, tol, MAX_ITER)
 
 
 def implicit_euler_maruyama_step(sde: SDE, y, h: float, dw, tol: float = 1e-12):
@@ -191,7 +200,8 @@ def integrate(
     noise: WienerIncrements,
     record: dict[str, Callable] | None = None,
 ) -> Trajectory:
-    """Run a one-step map over the grid, recording states (and functionals)."""
+    """Run a one-step map over the grid, recording states (and functionals,
+    each called once on the array of all states)."""
     if noise.grid != grid:
         raise ValueError("noise was generated on a different grid")
     y = np.asarray(y0, dtype=float)
@@ -204,10 +214,7 @@ def integrate(
         except Exception as exc:
             raise IntegrationError(j, exc) from exc
         states[j + 1] = y
-    functionals = {}
-    if record:
-        for name, fn in record.items():
-            functionals[name] = np.stack([fn(s) for s in states])
+    functionals = {name: fn(states) for name, fn in (record or {}).items()}
     return Trajectory(grid=grid, states=states, functionals=functionals)
 
 
@@ -232,7 +239,7 @@ def _run_endpoint(stepper, y, h, values):
 
 
 def ms_error_many(
-    schemes: dict[str, Callable],
+    schemes: dict,
     reference: Callable,
     m: int,
     y0,
@@ -250,9 +257,14 @@ def ms_error_many(
     h_min / ref_factor) and summed to the working step sizes.  Errors are
     Euclidean endpoint norms averaged in sample order over [0, T].
 
+    A key of ``schemes`` is a name, or a tuple of k names of a stepper over
+    states of shape (k, n_samples, d), block i the scheme key[i] (one alpha
+    per block, say); the noise broadcasts over the blocks.
+
     ``on_sample_error``: "raise" (default) aborts on any failing sample;
-    "drop" excludes failing samples from every run (sample results are
-    batch-independent, so re-masking earlier runs is exact).
+    "drop" excludes failing samples, failing in any block, from every run
+    (sample results are batch-independent, so re-masking earlier runs is
+    exact).
     """
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
@@ -272,42 +284,39 @@ def ms_error_many(
             raise ValueError(f"step size {h} is not a multiple of the reference step")
         factors.append(n_ref // n_steps)
 
-    fine = np.stack(
-        [
-            sample_increments(fine_grid, m, sample_seed(seed, i)).values
-            for i in range(n_samples)
-        ],
-        axis=1,
-    )  # (n_ref, n_samples, m)
+    seeds = [sample_seed(seed, i) for i in range(n_samples)]
+    fine = sample_increments(fine_grid, m, seeds).values  # (n_ref, n_samples, m)
     y0 = np.asarray(y0, dtype=float)
-    y0_batch = np.broadcast_to(y0, (n_samples,) + y0.shape).copy()
 
     included = np.ones(n_samples, dtype=bool)
 
-    def run(stepper, h, values):
+    def run(stepper, h, values, lead=()):
         """Endpoint states over currently included samples; NaN elsewhere."""
         while True:
             idx = np.flatnonzero(included)
             if idx.size == 0:
                 raise RuntimeError("all samples failed")
+            start = np.broadcast_to(y0, lead + (idx.size,) + y0.shape).copy()
             try:
-                y_end = _run_endpoint(stepper, y0_batch[idx], h, values[:, idx])
+                y_end = _run_endpoint(stepper, start, h, values[:, idx])
             except StepError as exc:
                 if on_sample_error == "raise" or exc.mask is None:
                     raise
-                failing = idx[np.asarray(exc.mask, dtype=bool)]
-                included[failing] = False
+                failing = np.asarray(exc.mask, dtype=bool).reshape(-1, idx.size).any(0)
+                included[idx[failing]] = False
                 continue
-            out = np.full((n_samples,) + y0.shape, np.nan)
-            out[idx] = y_end
+            out = np.full(lead + (n_samples,) + y0.shape, np.nan)
+            out[..., idx, :] = y_end
             return out
 
     y_ref = run(reference, h_ref, fine)
     coarse = [coarsen_values(fine, f) for f in factors]
-    endpoints = {
-        name: [run(scheme, float(h), cv) for h, cv in zip(hs, coarse)]
-        for name, scheme in schemes.items()
-    }
+    endpoints = {}
+    for key, scheme in schemes.items():
+        lead = (len(key),) if isinstance(key, tuple) else ()
+        ends = [run(scheme, float(h), cv, lead) for h, cv in zip(hs, coarse)]
+        for i, name in enumerate(key if lead else (key,)):
+            endpoints[name] = [y_end[i] if lead else y_end for y_end in ends]
 
     out = {}
     for name, ends in endpoints.items():
@@ -323,4 +332,3 @@ def ms_error_many(
             n_dropped=int(n_samples - included.sum()),
         )
     return out
-

@@ -343,3 +343,36 @@ def test_folded_alpha_step_matches_unfolded_formula(name, alpha):
     config = AlphaSchemeConfig(alpha)
     a, b = alpha_step(shs, zs, 0.01, dws, config), alpha_step(unfolded, zs, 0.01, dws, config)
     assert np.all(np.linalg.norm(a - b, axis=-1) <= 1e-14 * np.linalg.norm(b, axis=-1))
+
+
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("alphas", [(0.0, 0.5, 1.0), (0.25, 1.0)])
+@pytest.mark.parametrize("name", sorted(FOLD_MODELS))
+def test_stacked_alpha_step_blocks_equal_single_alpha_runs(name, alphas, n):
+    model = FOLD_MODELS[name][0]()
+    shs = model.shs(model.y0)
+    zs, dws = _chart_states(model, 4, n=n)
+    stacked = np.broadcast_to(zs, (len(alphas),) + zs.shape)  # (k, n, 2); the noise is shared
+    blocks = alpha_step(shs, stacked, 0.01, dws, AlphaSchemeConfig(alphas))
+    assert blocks.shape == stacked.shape
+    for alpha, block in zip(alphas, blocks):
+        assert np.array_equal(block, alpha_step(shs, zs, 0.01, dws, AlphaSchemeConfig(alpha)))
+
+
+def test_stacked_alpha_of_one_value_is_that_alpha():
+    # all blocks alpha = 1/2: no Hessian, as for the float
+    model = FOLD_MODELS["srb"][0]()
+    counts = Counter()
+    shs = _traced_shs(model.shs(model.y0), counts)
+    zs, dws = _chart_states(model, 5, n=3)
+    blocks = alpha_step(shs, np.stack([zs, zs]), 0.01, dws, AlphaSchemeConfig((0.5, 0.5)))
+    assert "hess" not in counts
+    single = alpha_step(shs, zs, 0.01, dws, AlphaSchemeConfig(0.5))
+    assert np.array_equal(blocks[0], single) and np.array_equal(blocks[1], single)
+
+
+def test_stacked_config_validation():
+    AlphaSchemeConfig((0.0, 0.5, 1.0))
+    for bad in ((), (0.0, 1.5), (-0.1,)):
+        with pytest.raises(ValueError):
+            AlphaSchemeConfig(bad)

@@ -358,3 +358,54 @@ def test_custom_check_without_states_on_the_level_fails_symplectic_only(capsys):
     assert "frozen level" in lines[4]
     for name in ("skew", "jacobi", "casimir[0]", "chart", "poisson_map"):
         assert any(line.startswith(name) and line.endswith("PASS") for line in lines)
+
+
+def _csv(path):
+    """(metadata lines, header, rows as lists of cells) of a CSV output."""
+    lines = _read(path)
+    meta = [l for l in lines if l.startswith("#")]
+    header, *rows = [l.split(",") for l in lines if not l.startswith("#")]
+    return meta, header, rows
+
+
+def _columns(header, rows, names):
+    idx = [header.index(n) for n in names]
+    return [[r[i] for i in idx] for r in rows]
+
+
+@pytest.mark.parametrize("system", ["srb", "slv"])
+def test_paths_writes_a_column_block_per_alpha_on_one_reference(system, tmp_path):
+    alphas = ("0", "0.5", "1")
+    args = ["paths", "--system", system, "--T", "0.1", "--ref-factor", "5", "--seed", "3"]
+    assert main(args + ["--alpha", ",".join(alphas), "--output", str(tmp_path / "all.csv")]) == EXIT_OK
+    meta, header, rows = _csv(tmp_path / "all.csv")
+    ys = ["y1", "y2", "y3"]
+    assert header == ["t"] + [f"{y}_alpha={a}" for a in alphas for y in ys] + [f"{y}_ref" for y in ys]
+    assert meta[0].startswith(f"# system={system} alpha=0.0,0.5,1.0 ")
+    for a in alphas:
+        assert main(args + ["--alpha", a, "--output", str(tmp_path / "one.csv")]) == EXIT_OK
+        _, one_header, one_rows = _csv(tmp_path / "one.csv")
+        block = ["t"] + [f"{y}_alpha={a}" for y in ys] + [f"{y}_ref" for y in ys]
+        assert _columns(header, rows, block) == one_rows  # byte for byte
+        assert one_header == ["t"] + ys + [f"{y}_ref" for y in ys]
+
+
+@pytest.mark.parametrize("system", ["srb", "slv"])
+def test_casimir_writes_a_column_per_alpha(system, tmp_path):
+    args = ["casimir", "--system", system, "--T", "0.2", "--seed", "5"]
+    assert main(args + ["--alpha", "0,1", "--output", str(tmp_path / "all.csv")]) == EXIT_OK
+    _, header, rows = _csv(tmp_path / "all.csv")
+    baselines = ["casimir_em"] + (["casimir_iem"] if system == "slv" else [])
+    assert header == ["t", "casimir_scheme_alpha=0", "casimir_scheme_alpha=1"] + baselines
+    for a in ("0", "1"):
+        assert main(args + ["--alpha", a, "--output", str(tmp_path / "one.csv")]) == EXIT_OK
+        _, one_header, one_rows = _csv(tmp_path / "one.csv")
+        assert one_header == ["t", "casimir_scheme"] + baselines
+        assert _columns(header, rows, ["t", f"casimir_scheme_alpha={a}"] + baselines) == one_rows
+
+
+@pytest.mark.parametrize("command", ["paths", "casimir"])
+def test_paths_and_casimir_default_to_alpha_zero(command):
+    cfg = resolve_config(build_parser().parse_args([command]))
+    assert cfg.alpha == (0.0,)
+    assert resolve_config(build_parser().parse_args(["order"])).alpha == (0.0, 0.5, 1.0)

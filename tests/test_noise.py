@@ -211,3 +211,22 @@ def test_coarsen_variance_oracle():
     coarse = coarsen_values(np.asarray(fine.values), 10)
     assert coarse.shape == (100_000, 1)
     assert abs(float(np.var(coarse)) - 1e-2) < 5e-4
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_sample_increments_of_a_seed_list_stack_the_single_seed_draws(m):
+    grid = TimeGrid(0.0, 1.0, 40)
+    for seeds in ([sample_seed(7, i) for i in range(5)], (3, 11), [sample_seed(1, 0)]):
+        stacked = sample_increments(grid, m, seeds)
+        single = [sample_increments(grid, m, s).values for s in seeds]
+        assert stacked.values.shape == (40, len(seeds), m)
+        assert np.array_equal(stacked.values, np.stack(single, axis=1))
+        assert not stacked.values.flags.writeable
+
+
+def test_wiener_increments_shape_check_allows_a_sample_axis():
+    grid = TimeGrid(0.0, 1.0, 4)
+    WienerIncrements(grid=grid, dims=2, values=np.zeros((4, 3, 2)))
+    for shape in ((4,), (3, 2), (4, 3), (4, 3, 1), (4, 1, 1, 2)):
+        with pytest.raises(ValueError):
+            WienerIncrements(grid=grid, dims=2, values=np.zeros(shape))

@@ -445,16 +445,43 @@ def test_fold_is_derived_again_by_replace():
 @pytest.mark.parametrize("name", sorted(FOLD_SYSTEMS))
 def test_midpoint_iteration_evaluates_structure_once_and_each_field_once(name, monkeypatch):
     make, y0, n_fields = FOLD_SYSTEMS[name]
-    counts, iterations = Counter(), Counter()
+    counts, per_iteration = Counter(), []
     solve = sde.fixed_point
 
     def counted_fixed_point(update, x0, tol, max_iter):
-        return solve(_counting(iterations, "n", update), x0, tol, max_iter)
+        def counted(x):
+            counts.clear()
+            out = update(x)
+            per_iteration.append(dict(counts))
+            return out
+
+        return solve(counted, x0, tol, max_iter)
 
     monkeypatch.setattr(sde, "fixed_point", counted_fixed_point)
-    sde.midpoint_step(_traced_copy(make(), counts), y0, 0.01, np.array([0.05]))
-    assert iterations["n"] > 1
-    assert dict(counts) == {"structure": iterations["n"], "grad": n_fields * iterations["n"]}
+    system = _traced_copy(make(), counts)
+    # the step's coefficients are built once, outside the iteration
+    build = PoissonSystem.increment_map
+
+    def counted_build(self, h, dw):
+        per_iteration.append("increment_map")
+        return build(self, h, dw)
+
+    monkeypatch.setattr(PoissonSystem, "increment_map", counted_build)
+    sde.midpoint_step(system, y0, 0.01, np.array([0.05]))
+    assert len(per_iteration) > 2
+    once = {"structure": 1, "grad": n_fields}
+    assert per_iteration == ["increment_map"] + [once] * (len(per_iteration) - 1)
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_SYSTEMS))
+def test_increment_map_applied_once_is_the_increment(name):
+    make, y0, _ = FOLD_SYSTEMS[name]
+    system = make()
+    ys, dws = _batch(y0, 6)
+    for y, dw in ((y0, np.array([0.05])), (ys, dws)):
+        assert np.array_equal(system.increment_map(0.01, dw)(y), system.increment(y, 0.01, dw))
+        unfolded = drift_and_diffusions(system)
+        assert np.array_equal(unfolded.increment_map(0.01, dw)(y), unfolded.increment(y, 0.01, dw))
 
 
 @pytest.mark.parametrize("name", sorted(FOLD_SYSTEMS))

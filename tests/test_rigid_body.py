@@ -231,3 +231,43 @@ def test_scheme_rejects_start_outside_chart_domain():
     with pytest.raises(DomainError) as err:
         step(np.stack([rb.REFERENCE_Y0, y0]), 0.01, np.zeros((2, 1)))
     assert err.value.mask.tolist() == [False, True]
+
+
+def test_spherical_midpoint_evaluates_the_angle_field_once_per_iteration(monkeypatch):
+    from collections import Counter
+    from dataclasses import replace
+
+    from spoisson import sde
+
+    sph = rb.spherical_system(rb.REFERENCE_PARAMS, 1.0)
+    counts, iterations = Counter(), Counter()
+
+    def counted_field(th):
+        counts["field"] += 1
+        return sph.drift(th)
+
+    solve = sde.fixed_point
+
+    def counted_fixed_point(update, x0, tol, max_iter):
+        def counted(x):
+            iterations["n"] += 1
+            return update(x)
+
+        return solve(counted, x0, tol, max_iter)
+
+    monkeypatch.setattr(sde, "fixed_point", counted_fixed_point)
+    midpoint_step(replace(sph, drift=counted_field), np.array([0.3, 0.8]), 0.01, np.array([0.05]))
+    assert iterations["n"] > 1
+    assert counts["field"] == iterations["n"]
+
+
+def test_spherical_midpoint_equals_the_two_field_form():
+    from spoisson.sde import SDE
+
+    sph = rb.spherical_system(rb.REFERENCE_PARAMS, 1.0)
+    two = SDE(drift=sph.drift, diffusions=sph.diffusions)  # c1 f evaluated as its own field
+    rng = np.random.default_rng(12)
+    ths, dws = rng.uniform(-1.0, 1.0, size=(9, 2)), 0.1 * rng.standard_normal((9, 1))
+    for th, dw in ((ths[0], dws[0]), (ths, dws)):
+        assert np.array_equal(sph.increment(th, 0.01, dw), two.increment(th, 0.01, dw))
+        assert np.array_equal(midpoint_step(sph, th, 0.01, dw), midpoint_step(two, th, 0.01, dw))

@@ -399,3 +399,76 @@ def test_fixed_point_rejects_max_iter_below_one(max_iter):
 def test_fixed_point_needs_a_state_axis(x0):
     with pytest.raises(ValueError, match="x0 needs a last axis holding the state"):
         fixed_point(lambda x: x, x0, 1e-12, 100)
+
+
+def _srb_alpha_scheme(alpha):
+    from spoisson.alpha_gf import AlphaSchemeConfig
+    from spoisson.canonical import alpha_scheme
+
+    model = rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0)
+    return alpha_scheme(model, model.y0, AlphaSchemeConfig(alpha))
+
+
+def _same_estimates(a, b):
+    assert list(a) == list(b)
+    for name in a:
+        assert np.array_equal(a[name].step_sizes, b[name].step_sizes)
+        assert np.array_equal(a[name].errors, b[name].errors)
+        assert (a[name].slope, a[name].n_samples, a[name].n_dropped) == (
+            b[name].slope, b[name].n_samples, b[name].n_dropped)
+
+
+def test_ms_error_many_stacked_entry_equals_separate_entries():
+    sys = rb.system(rb.REFERENCE_PARAMS)
+    ref = lambda y, h, dw: midpoint_step(sys, y, h, dw)
+    alphas, names = (0.0, 0.5, 1.0), ("a0", "a05", "a1")
+    args = (ref, 1, rb.REFERENCE_Y0, 0.16, [0.02, 0.04], 9, 3)
+    separate = ms_error_many({n: _srb_alpha_scheme(a) for n, a in zip(names, alphas)}, *args)
+    stacked = ms_error_many({names: _srb_alpha_scheme(alphas)}, *args)
+    _same_estimates(stacked, separate)
+
+
+def test_ms_error_many_drop_in_one_block_drops_the_sample_from_every_column():
+    sys = rb.system(rb.REFERENCE_PARAMS)
+    ref = lambda y, h, dw: midpoint_step(sys, y, h, dw)
+
+    def failing(y, h, dw):
+        # fails on the samples whose first increment is positive (pure in (y, dw))
+        bad = (y[..., 1] == rb.REFERENCE_Y0[1]) & (dw[..., 0] > 0)
+        if np.any(bad):
+            raise NonConvergenceError("synthetic failure", 1.0, mask=bad)
+        return midpoint_step(sys, y, h, dw)
+
+    def stacked(y, h, dw):  # block 0 never fails, block 1 fails as `failing`
+        out = np.stack([midpoint_step(sys, y[0], h, dw), y[1]])
+        try:
+            out[1] = failing(y[1], h, dw)
+        except NonConvergenceError as exc:
+            mask = np.stack([np.zeros_like(exc.mask), exc.mask])
+            raise NonConvergenceError("block 1", 1.0, mask=mask) from exc
+        return out
+
+    plain = lambda y, h, dw: midpoint_step(sys, y, h, dw)
+    args = (ref, 1, rb.REFERENCE_Y0, 0.2, [0.02, 0.04], 8, 5)
+    kw = dict(ref_factor=2, on_sample_error="drop")
+    got = ms_error_many({("plain", "failing"): stacked}, *args, **kw)
+    want = ms_error_many({"plain": plain, "failing": failing}, *args, **kw)
+    assert 1 <= got["plain"].n_dropped < 8
+    _same_estimates(got, want)
+    with pytest.raises(NonConvergenceError):
+        ms_error_many({("plain", "failing"): stacked}, *args, ref_factor=2)
+
+
+@pytest.mark.parametrize("name", ["srb", "slv"])
+def test_recorded_functional_is_called_once_on_all_states(name):
+    from spoisson.experiments import em_stepper
+
+    mod = {"srb": rb, "slv": lv}[name]
+    sys = mod.system(mod.REFERENCE_PARAMS)
+    grid = TimeGrid(0.0, 0.5, 50)
+    calls = []
+    C = sys.casimirs[0].value
+    record = {"C": lambda ys: calls.append(ys.shape) or C(ys)}
+    traj = integrate(em_stepper(sys), mod.REFERENCE_Y0, grid, sample_increments(grid, 1, 4), record)
+    assert calls == [(51, 3)]
+    assert np.array_equal(traj.functionals["C"], np.stack([C(y) for y in traj.states]))
