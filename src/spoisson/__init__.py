@@ -2,7 +2,7 @@
 
 from .alpha_gf import AlphaSchemeConfig, alpha_step, j_inverse, sbar_gradient, symplectic_residual
 from .canonical import CanonicalSHS, Chart, Model, alpha_scheme, alpha_scheme_map, make_alpha_stepper, poisson_integrator, transform_system, verify_chart
-from .noise import TimeGrid, TruncationPolicy, WienerIncrements, coarsen, coarsen_values, sample_increments, sample_seed, truncate, truncate_increments, truncation_bound
+from .noise import TimeGrid, TruncationPolicy, WienerIncrements, coarsen, coarsen_values, sample_increments, sample_seed, truncate_increments, truncation_bound
 from .poisson import CheckReport, PoissonSystem, ScalarField, bracket, check_casimir, check_jacobi, check_skew, drift_and_diffusions, fold_fields, poisson_map_residual, scale_field, variational_jacobian
 from .sde import (
     DivergenceError,
@@ -12,7 +12,6 @@ from .sde import (
     OrderEstimate,
     SDE,
     StepError,
-    Trajectory,
     euler_maruyama_step,
     fd_vector_jacobian,
     fit_order,

@@ -83,8 +83,6 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.ref_factor < 1:
-            raise ValueError(f"ref_factor must be >= 1, got {self.ref_factor}")
         for alpha in self.alpha:  # the scheme config owns the alpha, tol and k rules
             _alpha_config(self, alpha)
 
@@ -161,20 +159,25 @@ def build_setup(cfg: ExperimentConfig) -> Model:
         module = _BUILTIN[cfg.system][0]
         return module.model(_params(cfg), module.REFERENCE_Y0 if y0 is None else y0)
     try:
-        custom = load_custom_system(cfg.system)
+        model = load_custom_system(cfg.system)
     except (OSError, SpecFileError) as exc:
         raise ValueError(f"cannot load custom system {cfg.system!r}: {exc}") from exc
     if set(cfg.params) - {"y0"}:
         raise ValueError(f"a custom system takes only y0, got {sorted(cfg.params)}")
-    return custom.model(y0)
+    return model if y0 is None else replace(model, y0=np.asarray(y0, dtype=float))
 
 
 def _scheme(cfg: ExperimentConfig, model: Model, names: list[str]):
     """(key, scheme): the composed alpha scheme from the initial state for
     every --alpha, named by ``names``: one alpha's name, or the tuple of names
-    of a scheme that steps one block per alpha (see ``sde.ms_error_many``)."""
+    of a scheme that steps one block per alpha (see ``sde.ms_error_many``).
+    Names must be distinct, as the output columns they head."""
     if model.chart is None:
         raise ValueError("custom system has no chart; only 'check' is available")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"--alpha {cfg.alpha[names.index(name)]} and {cfg.alpha[i]} "
+                             f"give the same column name {name!r}")
     stacked = len(cfg.alpha) > 1
     config = _alpha_config(cfg, cfg.alpha if stacked else cfg.alpha[0])
     return (tuple(names) if stacked else names[0]), alpha_scheme(model, model.y0, config)

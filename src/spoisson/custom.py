@@ -29,7 +29,6 @@ solved for).
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -231,35 +230,29 @@ def _scalar_field(tree, names, k: int | None = None) -> ScalarField:
     return ScalarField(value, compile_field(grad, names), compile_field(hess, names))
 
 
-@dataclass(frozen=True)
-class CustomSystem:
-    system: PoissonSystem
-    chart: Chart | None
-    chart_hamiltonians: tuple[ScalarField, ...] = ()  # H_r(z, c), c passed after z
+def _model(system: PoissonSystem, chart: Chart | None = None, fields=()) -> Model:
+    """The system as a :class:`Model` with y0 unset, whose transformed system
+    binds the chart Casimirs theta(y)[2n:] into the compiled H_r(z, c) of
+    ``fields`` (c passed after z)."""
 
-    def shs(self, y) -> CanonicalSHS:
-        """The compiled H_r with the chart Casimirs bound to theta(y)[2n:]."""
-        c = self.chart.forward(np.asarray(y, dtype=float))[2 * self.chart.n:]
+    def shs(y) -> CanonicalSHS:
+        c = chart.forward(np.asarray(y, dtype=float))[2 * chart.n:]
         bind = lambda f: lambda z: f(z, *c)
-        fields = tuple(
-            ScalarField(bind(H.value), bind(H.grad), bind(H.hess)) for H in self.chart_hamiltonians
-        )
-        return CanonicalSHS(self.chart.n, c, fields)
+        return CanonicalSHS(chart.n, c, tuple(
+            ScalarField(bind(H.value), bind(H.grad), bind(H.hess)) for H in fields))
 
-    def model(self, y0) -> Model:
-        """This system as a :class:`Model` whose transformed system is :meth:`shs`."""
-        return Model(
-            name="custom",
-            system=self.system,
-            chart=None if self.chart is None else lambda y: self.chart,
-            shs=self.shs,
-            y0=None if y0 is None else np.asarray(y0, dtype=float),
-            default_T={"paths": 10.0, "casimir": 10.0, "order": 2.0},
-            check_points=lambda rng: rng.uniform(0.2, 1.5, size=(100, self.system.dim)),
-        )
+    return Model(
+        name="custom",
+        system=system,
+        chart=None if chart is None else lambda y: chart,
+        shs=shs,
+        y0=None,
+        default_T={"paths": 10.0, "casimir": 10.0, "order": 2.0},
+        check_points=lambda rng: rng.uniform(0.2, 1.5, size=(100, system.dim)),
+    )
 
 
-def load_custom_system(path: str) -> CustomSystem:
+def load_custom_system(path: str) -> Model:
     with open(path, "r", encoding="utf-8") as fh:
         keys = parse_keyvalues(fh.read())
     try:
@@ -294,7 +287,7 @@ def load_custom_system(path: str) -> CustomSystem:
     )
 
     if "chart_forward" not in keys:
-        return CustomSystem(system=system, chart=None)
+        return _model(system)
     for req in ("chart_inverse", "chart_b0", "chart_n"):
         if req not in keys:
             raise SpecFileError(f"chart requires key '{req}'")
@@ -310,4 +303,4 @@ def load_custom_system(path: str) -> CustomSystem:
     sign, inverse = ast.Constant(_block_sign(chart), **_LOC), dict(zip(ys, inv))
     trees = (_subst(_parse(keys[f"K{r}"]), inverse) for r in range(m + 1))
     fields = tuple(_scalar_field(ast.BinOp(sign, ast.Mult(), t, **_LOC), zs, 2 * n) for t in trees)
-    return CustomSystem(system=system, chart=chart, chart_hamiltonians=fields)
+    return _model(system, chart, fields)

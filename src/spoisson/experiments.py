@@ -16,7 +16,7 @@ import numpy as np
 
 from .alpha_gf import symplectic_residual
 from .canonical import Model, alpha_scheme_map, make_alpha_stepper, verify_chart
-from .noise import TimeGrid, coarsen, sample_increments, truncate
+from .noise import TimeGrid, coarsen, sample_increments, truncate_increments, truncation_bound
 from .poisson import (
     PoissonSystem,
     ScalarField,
@@ -37,7 +37,7 @@ from .sde import (
 
 def reference_stepper(sys: PoissonSystem, tol: float = 1e-12) -> Callable:
     """Implicit midpoint on the original system, B(ybar) evaluated once per
-    iteration (see ``PoissonSystem.increment``)."""
+    iteration (see ``PoissonSystem.increment_map``)."""
     return lambda y, h, dw: midpoint_step(sys, y, h, dw, tol=tol)
 
 
@@ -78,16 +78,17 @@ def paths_experiment(
     alphas steps y0 once per block, all on the one path, against the one
     reference.
     """
+    if ref_factor < 1:
+        raise ValueError(f"ref_factor must be >= 1, got {ref_factor}")
     ref_factor = max(1, min(ref_factor, 10**6 // grid.n_steps))
     fine_grid = TimeGrid(grid.t0, grid.T, grid.n_steps * ref_factor)
     fine = sample_increments(fine_grid, sys.n_noise, seed)
-    ref_traj = integrate(reference_stepper(sys, tol), y0, fine_grid, fine)
+    reference = integrate(reference_stepper(sys, tol), y0, fine_grid, fine)
     start = y0 if stack is None else np.broadcast_to(y0, (stack,) + np.shape(y0))
-    traj = integrate(scheme, start, grid, coarsen(fine, ref_factor))
     return PathsResult(
         times=grid.times(),
-        states=traj.states,
-        reference=ref_traj.states[::ref_factor],
+        states=integrate(scheme, start, grid, coarsen(fine, ref_factor)),
+        reference=reference[::ref_factor],
         ref_step=fine_grid.h,
     )
 
@@ -115,7 +116,7 @@ def casimir_experiment(
     for key, scheme in schemes.items():
         stacked = isinstance(key, tuple)
         start = np.broadcast_to(y0, (len(key),) + np.shape(y0)) if stacked else y0
-        C = integrate(scheme, start, grid, noise, record={"C": casimir.value}).functionals["C"]
+        C = casimir.value(integrate(scheme, start, grid, noise))
         columns.update(zip(key, C.T) if stacked else [(key, C)])
     return CasimirResult(times=grid.times(), columns=columns)
 
@@ -223,18 +224,19 @@ def check_suite(
         ys = chart.inverse(np.hstack([zs, np.tile(shs.casimir_values, (len(zs), 1))]))
         zs = zs[np.isfinite(ys).all(axis=-1) & (chart.domain is None or chart.domain(ys))]
     worst, note = (0.0, "") if len(zs) else (np.nan, "no sampled state on the frozen level")
+    truncation_bound(h, 1.0)  # the truncation's rule 0 < h < 1, before sqrt(h) below
     for alpha in alphas:
-        scheme_config = config(alpha)
-        stepper = make_alpha_stepper(shs, scheme_config)
+        cfg = config(alpha)
+        stepper = make_alpha_stepper(shs, cfg)
         for z in zs:
-            dw = truncate(rng.standard_normal(1), h, scheme_config.truncation) * np.sqrt(h)
+            dw = truncate_increments(rng.standard_normal(1) * np.sqrt(h), h, cfg.truncation)
             worst = max(worst, symplectic_residual(stepper, z, h, dw, eps=1e-6))
     lines.append(CheckLine("symplectic", worst, THRESHOLDS["symplectic"], note))
-    scheme_config = config(0.5)
-    scheme = alpha_scheme_map(model, scheme_config)
+    cfg = config(0.5)
+    scheme = alpha_scheme_map(model, cfg)
     worst = 0.0
     for y in points[pick]:
-        dw = truncate(rng.standard_normal(1), h, scheme_config.truncation) * np.sqrt(h)
+        dw = truncate_increments(rng.standard_normal(1) * np.sqrt(h), h, cfg.truncation)
         worst = max(worst, poisson_map_residual(scheme, sys, y, h, dw, eps=1e-6))
     lines.append(CheckLine("poisson_map", worst, THRESHOLDS["poisson_map"]))
     return lines

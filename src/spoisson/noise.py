@@ -59,7 +59,6 @@ class TruncationPolicy:
     """Clamp standard-normal draws to +-A_h with A_h = sqrt(2 k |ln h|)."""
 
     k: float = 4.0
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         if not 1 <= self.k < math.inf:
@@ -70,20 +69,19 @@ class TruncationPolicy:
 class WienerIncrements:
     """Per-step Brownian increments ΔW_j ~ N(0, h) on a grid.
 
-    ``values`` has shape (n_steps, dims), or (n_steps, n_samples, dims) for
-    one path per sample, and is read-only; regenerating with the same seed
-    is bit-identical.
+    ``values`` has shape (n_steps, m), or (n_steps, n_samples, m) for one
+    path per sample, and is read-only; regenerating with the same seed is
+    bit-identical.
     """
 
     grid: TimeGrid
-    dims: int
     values: np.ndarray
 
     def __post_init__(self) -> None:
         shape = self.values.shape
-        if len(shape) not in (2, 3) or (shape[0], shape[-1]) != (self.grid.n_steps, self.dims):
-            raise ValueError(f"values shape {shape} does not match (n_steps, [n_samples,] dims) "
-                             f"= ({self.grid.n_steps}, {self.dims})")
+        if len(shape) not in (2, 3) or shape[0] != self.grid.n_steps:
+            raise ValueError(f"values shape {shape} does not match (n_steps, [n_samples,] m) "
+                             f"with n_steps = {self.grid.n_steps}")
         self.values.setflags(write=False)
 
 
@@ -111,7 +109,7 @@ def sample_increments(grid: TimeGrid, m: int, seed) -> WienerIncrements:
     u *= 2.0**-53
     values = ndtri(u, out=u)
     values *= math.sqrt(grid.h)
-    return WienerIncrements(grid=grid, dims=m, values=values if per_sample else values[:, 0])
+    return WienerIncrements(grid=grid, values=values if per_sample else values[:, 0])
 
 
 def truncation_bound(h: float, k: float) -> float:
@@ -121,18 +119,8 @@ def truncation_bound(h: float, k: float) -> float:
     return math.sqrt(2.0 * k * abs(math.log(h)))
 
 
-def truncate(xi, h: float, policy: TruncationPolicy):
-    """Clamp standard-normal draw(s) xi to [-A_h, A_h]; identity when disabled."""
-    if not policy.enabled:
-        return xi
-    a = truncation_bound(h, policy.k)
-    return np.clip(xi, -a, a)
-
-
 def truncate_increments(dw, h: float, policy: TruncationPolicy):
     """Clamp increments ΔW = sqrt(h) ξ to [-sqrt(h) A_h, sqrt(h) A_h]."""
-    if not policy.enabled:
-        return dw
     a = truncation_bound(h, policy.k) * math.sqrt(h)
     return np.clip(dw, -a, a)
 
@@ -153,4 +141,4 @@ def coarsen(fine: WienerIncrements, factor: int) -> WienerIncrements:
     grid = fine.grid
     values = coarsen_values(np.asarray(fine.values), factor)
     coarse_grid = TimeGrid(grid.t0, grid.T, grid.n_steps // factor)
-    return WienerIncrements(grid=coarse_grid, dims=fine.dims, values=values)
+    return WienerIncrements(grid=coarse_grid, values=values)

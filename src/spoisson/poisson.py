@@ -121,10 +121,6 @@ class PoissonSystem:
 
         return increment
 
-    def increment(self, y, h: float, dw):
-        """:meth:`increment_map` applied once."""
-        return self.increment_map(h, dw)(y)
-
     def ito_drift(self, y):
         """The Ito drift B grad K_0 + 1/2 sum_r (dB . grad K_r + B Hess K_r)
         B grad K_r of the system, with B, dB, the gradient of each distinct
@@ -249,8 +245,8 @@ def variational_jacobian(
         diffusions=tuple(aug_field(K) for K in sys.hamiltonians[1:]),
     )
     u0 = np.concatenate([np.asarray(y0, dtype=float), np.eye(d).ravel()])
-    traj = integrate(lambda u, h, dw: midpoint_step(aug, u, h, dw, tol=tol), u0, grid, noise)
-    return traj.states[-1][d:].reshape(d, d)
+    states = integrate(lambda u, h, dw: midpoint_step(aug, u, h, dw, tol=tol), u0, grid, noise)
+    return states[-1][d:].reshape(d, d)
 
 
 def poisson_map_residual(

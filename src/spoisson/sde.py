@@ -9,7 +9,7 @@ batch membership).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -77,17 +77,6 @@ class SDE:
 
         return increment
 
-    def increment(self, y, h: float, dw):
-        """:meth:`increment_map` applied once."""
-        return self.increment_map(h, dw)(y)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    grid: TimeGrid
-    states: np.ndarray
-    functionals: dict[str, np.ndarray] = field(default_factory=dict)
-
 
 @dataclass(frozen=True)
 class OrderEstimate:
@@ -126,7 +115,7 @@ def fd_vector_jacobian(f: Callable, y: np.ndarray, eps: float | None = None) -> 
 def euler_maruyama_step(sde: SDE, y, h: float, dw):
     """Euler-Maruyama step; reads the fields as Ito coefficients."""
     y = np.asarray(y, dtype=float)
-    return y + sde.increment(y, h, np.asarray(dw, dtype=float))
+    return y + sde.increment_map(h, np.asarray(dw, dtype=float))(y)
 
 
 def fixed_point(update: Callable, x0: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
@@ -169,7 +158,7 @@ def fixed_point(update: Callable, x0: np.ndarray, tol: float, max_iter: int) -> 
 
 
 def midpoint_step(system, y, h: float, dw, tol: float = 1e-12):
-    """Implicit midpoint rule y_new = y + increment(ybar, h, dw) at
+    """Implicit midpoint rule y_new = y + increment_map(h, dw)(ybar) at
     ybar = (y + y_new) / 2, by fixed point; ``system`` is an :class:`SDE`,
     whose fields it reads as Stratonovich coefficients, or a
     ``poisson.PoissonSystem``.  Its ``increment_map`` is built once per step."""
@@ -193,15 +182,8 @@ def implicit_euler_maruyama_step(sde: SDE, y, h: float, dw, tol: float = 1e-12):
     return fixed_point(update, y, tol, MAX_ITER)
 
 
-def integrate(
-    stepper: Callable,
-    y0,
-    grid: TimeGrid,
-    noise: WienerIncrements,
-    record: dict[str, Callable] | None = None,
-) -> Trajectory:
-    """Run a one-step map over the grid, recording states (and functionals,
-    each called once on the array of all states)."""
+def integrate(stepper: Callable, y0, grid: TimeGrid, noise: WienerIncrements) -> np.ndarray:
+    """Run a one-step map over the grid; the (n_steps + 1, ...) array of states."""
     if noise.grid != grid:
         raise ValueError("noise was generated on a different grid")
     y = np.asarray(y0, dtype=float)
@@ -214,8 +196,7 @@ def integrate(
         except Exception as exc:
             raise IntegrationError(j, exc) from exc
         states[j + 1] = y
-    functionals = {name: fn(states) for name, fn in (record or {}).items()}
-    return Trajectory(grid=grid, states=states, functionals=functionals)
+    return states
 
 
 def fit_order(step_sizes, errors) -> float:
@@ -268,6 +249,8 @@ def ms_error_many(
     """
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
+    if ref_factor < 1:
+        raise ValueError(f"ref_factor must be >= 1, got {ref_factor}")
     if on_sample_error not in ("raise", "drop"):
         raise ValueError(f"unknown sample error policy {on_sample_error!r}")
     hs = np.asarray(sorted(step_sizes, reverse=True), dtype=float)

@@ -82,9 +82,9 @@ def test_criterion_1_casimir_preservation():
             AlphaSchemeConfig(alpha=alpha),
         )
         start = time.perf_counter()
-        traj = integrate(step, rb.REFERENCE_Y0, grid, noise, record={"C": rb.CASIMIR.value})
+        states = integrate(step, rb.REFERENCE_Y0, grid, noise)
         elapsed = time.perf_counter() - start
-        drift = float(np.max(np.abs(traj.functionals["C"] - 0.5)))
+        drift = float(np.max(np.abs(rb.CASIMIR.value(states) - 0.5)))
         assert drift < 1e-10
         assert elapsed < 10.0
         drifts.append(drift)
@@ -101,8 +101,8 @@ def test_criterion_2_euler_maruyama_drifts():
     sys_rb = rb.system(rb.REFERENCE_PARAMS)
     grid = TimeGrid(0.0, 500.0, 50_000)
     noise = sample_increments(grid, 1, SEED)
-    traj = integrate(em_stepper(sys_rb), rb.REFERENCE_Y0, grid, noise, record={"C": rb.CASIMIR.value})
-    rb_drift = float(np.max(np.abs(traj.functionals["C"] - 0.5)))
+    states = integrate(em_stepper(sys_rb), rb.REFERENCE_Y0, grid, noise)
+    rb_drift = float(np.max(np.abs(rb.CASIMIR.value(states) - 0.5)))
     assert rb_drift > 1e-3
 
     sys_lv = lv.system(lv.REFERENCE_PARAMS)
@@ -111,8 +111,8 @@ def test_criterion_2_euler_maruyama_drifts():
     noise = sample_increments(grid, 1, SEED)
     lv_drifts = []
     for stepper in (em_stepper(sys_lv), iem_stepper(sys_lv)):
-        traj = integrate(stepper, lv.REFERENCE_Y0, grid, noise, record={"C": cas.value})
-        lv_drifts.append(float(np.max(np.abs(traj.functionals["C"] - SLV_C2))))
+        states = integrate(stepper, lv.REFERENCE_Y0, grid, noise)
+        lv_drifts.append(float(np.max(np.abs(cas.value(states) - SLV_C2))))
     assert min(lv_drifts) > 1e-3
     _ok(
         "criterion 2 (EM Casimir drift)",

@@ -263,8 +263,8 @@ def test_generic_update_matches_rigid_body_transcription():
 
 
 def test_truncation_policy_travels_with_config():
-    cfg = AlphaSchemeConfig(alpha=0.5, truncation=TruncationPolicy(k=2.0, enabled=False))
-    assert not cfg.truncation.enabled
+    cfg = AlphaSchemeConfig(alpha=0.5, truncation=TruncationPolicy(k=2.0))
+    assert cfg.truncation == TruncationPolicy(k=2.0)
 
 
 SRB_CUSTOM = Path(__file__).resolve().parents[1] / "bench" / "srb_custom.txt"
@@ -272,7 +272,9 @@ SRB_CUSTOM = Path(__file__).resolve().parents[1] / "bench" / "srb_custom.txt"
 FOLD_MODELS = {
     "srb": (lambda: rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0), 1),
     "slv": (lambda: lv.model(lv.REFERENCE_PARAMS, lv.REFERENCE_Y0), 1),
-    "custom": (lambda: load_custom_system(str(SRB_CUSTOM)).model([0.7, 0.3, 0.2]), 2),
+    "custom": (
+        lambda: replace(load_custom_system(str(SRB_CUSTOM)), y0=np.array([0.7, 0.3, 0.2])), 2
+    ),
 }
 
 

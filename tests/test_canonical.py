@@ -225,14 +225,14 @@ def test_generic_alpha_scheme_tracks_analytic_model():
     noise = sample_increments(grid, 1, 7)
     t1 = integrate(generic, rb.REFERENCE_Y0, grid, noise)
     t2 = integrate(analytic, rb.REFERENCE_Y0, grid, noise)
-    assert np.max(np.abs(t1.states - t2.states)) < 1e-8
+    assert np.max(np.abs(t1 - t2)) < 1e-8
 
 
 SRB_CUSTOM = Path(__file__).resolve().parents[1] / "bench" / "srb_custom.txt"
 BATCH_MODELS = {
     "srb": lambda: rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0),
     "slv": lambda: lv.model(lv.REFERENCE_PARAMS, lv.REFERENCE_Y0),
-    "custom": lambda: load_custom_system(str(SRB_CUSTOM)).model([0.7, 0.3, 0.2]),
+    "custom": lambda: replace(load_custom_system(str(SRB_CUSTOM)), y0=np.array([0.7, 0.3, 0.2])),
 }
 
 

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -258,7 +259,9 @@ def test_config_errors_exit_3(tmp_path):
     ids="_".join,
 )
 def test_bad_config_values_exit_3(argv, capsys):
-    assert main(argv + ["--system", "srb"]) == EXIT_CONFIG
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning before the rule
+        assert main(argv + ["--system", "srb"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error")
     assert "Traceback" not in err
@@ -402,6 +405,33 @@ def test_casimir_writes_a_column_per_alpha(system, tmp_path):
         _, one_header, one_rows = _csv(tmp_path / "one.csv")
         assert one_header == ["t", "casimir_scheme"] + baselines
         assert _columns(header, rows, ["t", f"casimir_scheme_alpha={a}"] + baselines) == one_rows
+
+
+@pytest.mark.parametrize("command", ["order", "paths", "casimir"])
+@pytest.mark.parametrize(
+    "alphas, values, name",
+    [("0,0", "0.0 and 0.0", "alpha=0"),
+     ("0.1234567,0.1234568", "0.1234567 and 0.1234568", "alpha=0.123457")],  # %g collides
+    ids=["repeat", "g_collision"],
+)
+def test_alphas_that_share_a_column_name_exit_3(command, alphas, values, name, capsys):
+    argv = [command, "--system", "srb", "--alpha", alphas, "--T", "0.08", "--samples", "3"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = f"casimir_scheme_{name}" if command == "casimir" else name
+    assert captured.err == (
+        f"configuration error: --alpha {values} give the same column name {name!r}\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["casimir", "check"])
+def test_commands_without_a_reference_ignore_ref_factor(command, capsys):
+    argv = [command, "--system", "srb", "--T", "0.1"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert main(argv + ["--ref-factor", "0"]) == EXIT_OK
+    assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize("command", ["paths", "casimir"])

@@ -1,4 +1,5 @@
 import ast
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,20 +82,20 @@ def test_load_custom_system_and_validate(tmp_path):
     # dB is exact: linear entries give constant +-1 derivatives
     assert check_jacobi(sysm, pts).max_residual == 0.0
     assert check_casimir(sysm.casimirs[0], sysm, pts).max_residual < 1e-8
-    assert custom.chart is not None
-    assert verify_chart(custom.chart, sysm, pts).max_residual < 1e-8
+    assert custom.y0 is None and custom.chart is not None
+    assert verify_chart(custom.chart(pts[0]), sysm, pts).max_residual < 1e-8
 
 
 def test_custom_composed_scheme_preserves_casimir(tmp_path):
     custom = load_custom_system(_write(tmp_path, RIGID_BODY_SPEC))
     y0 = np.array([1.0 / np.sqrt(2), 1.0 / np.sqrt(2), 0.0])
-    step = alpha_scheme(custom.model(y0), y0, AlphaSchemeConfig(alpha=0.5))
+    step = alpha_scheme(replace(custom, y0=y0), y0, AlphaSchemeConfig(alpha=0.5))
     grid = TimeGrid(0.0, 1.0, 100)
     noise = sample_increments(grid, 1, 5)
     cas = custom.system.casimirs[0]
-    traj = integrate(step, y0, grid, noise, record={"C": cas.value})
-    assert np.max(np.abs(traj.functionals["C"] - 0.5)) < 1e-10
-    assert np.max(np.abs(traj.states[0] - y0)) == 0.0
+    states = integrate(step, y0, grid, noise)
+    assert np.max(np.abs(cas.value(states) - 0.5)) < 1e-10
+    assert np.max(np.abs(states[0] - y0)) == 0.0
 
 
 def test_missing_required_keys(tmp_path):
@@ -170,7 +171,8 @@ def test_constant_entries_broadcast(tmp_path, shape):
     K = custom.system.hamiltonians[0]
     assert K.value(y).shape == batch
     assert np.array_equal(K.hess(y), np.broadcast_to(np.diag([0.5, 1.0, 1.0]), batch + (3, 3)))
-    assert np.array_equal(custom.chart.jacobian(y)[..., 0, :], np.broadcast_to([0.0, 1.0, 0.0], batch + (3,)))
+    jacobian = custom.chart(y).jacobian(y)
+    assert np.array_equal(jacobian[..., 0, :], np.broadcast_to([0.0, 1.0, 0.0], batch + (3,)))
 
 
 def test_custom_fields_match_the_analytic_rigid_body(tmp_path):
@@ -183,5 +185,6 @@ def test_custom_fields_match_the_analytic_rigid_body(tmp_path):
         assert np.allclose(H.value(zs), A.value(zs), rtol=1e-13, atol=1e-15)
         assert np.allclose(H.grad(zs), A.grad(zs), rtol=1e-12, atol=1e-14)
         assert np.allclose(H.hess(zs), A.hess(zs), rtol=1e-12, atol=1e-13)
-    ys = custom.chart.inverse(np.concatenate([zs, np.full((20, 1), shs.casimir_values[0])], axis=-1))
-    assert np.allclose(custom.chart.jacobian(ys), rb.chart(0.31).jacobian(ys), rtol=1e-13, atol=1e-14)
+    chart = custom.chart(y0)
+    ys = chart.inverse(np.concatenate([zs, np.full((20, 1), shs.casimir_values[0])], axis=-1))
+    assert np.allclose(chart.jacobian(ys), rb.chart(0.31).jacobian(ys), rtol=1e-13, atol=1e-14)

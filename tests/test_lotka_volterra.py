@@ -152,9 +152,9 @@ def test_alpha_scheme_reference_run():
             lv.REFERENCE_Y0,
             AlphaSchemeConfig(alpha=alpha),
         )
-        traj = integrate(step, lv.REFERENCE_Y0, grid, noise, record={"C": cas.value})
-        assert np.max(np.abs(traj.functionals["C"] - C2_REFERENCE)) < 1e-10
-        assert np.min(traj.states) > 0.0
+        states = integrate(step, lv.REFERENCE_Y0, grid, noise)
+        assert np.max(np.abs(cas.value(states) - C2_REFERENCE)) < 1e-10
+        assert np.min(states) > 0.0
 
 
 def test_positivity_across_seeds():
@@ -166,8 +166,8 @@ def test_positivity_across_seeds():
     grid = TimeGrid(0.0, 10.0, 250)  # h = 0.04
     for i in range(10):
         noise = sample_increments(grid, 1, sample_seed(99, i))
-        traj = integrate(step, lv.REFERENCE_Y0, grid, noise)
-        assert np.min(traj.states) > 0.0
+        states = integrate(step, lv.REFERENCE_Y0, grid, noise)
+        assert np.min(states) > 0.0
 
 
 def test_euler_maruyama_variants_leak_casimir():
@@ -176,8 +176,8 @@ def test_euler_maruyama_variants_leak_casimir():
     grid = TimeGrid(0.0, 10.0, 1000)
     noise = sample_increments(grid, 1, 42)
     for stepper in (em_stepper(sysm), iem_stepper(sysm)):
-        traj = integrate(stepper, lv.REFERENCE_Y0, grid, noise, record={"C": cas.value})
-        assert np.max(np.abs(traj.functionals["C"] - C2_REFERENCE)) > 1e-3
+        states = integrate(stepper, lv.REFERENCE_Y0, grid, noise)
+        assert np.max(np.abs(cas.value(states) - C2_REFERENCE)) > 1e-3
 
 
 def test_exponential_guard_raises_range_error():

@@ -12,7 +12,6 @@ from spoisson.noise import (
     coarsen_values,
     sample_increments,
     sample_seed,
-    truncate,
     truncate_increments,
     truncation_bound,
 )
@@ -80,7 +79,7 @@ def test_values_are_read_only():
 def test_shape_mismatch_rejected():
     grid = TimeGrid(0.0, 1.0, 8)
     with pytest.raises(ValueError):
-        WienerIncrements(grid=grid, dims=1, values=np.zeros((4, 1)))
+        WienerIncrements(grid=grid, values=np.zeros((4, 1)))
 
 
 def test_moments_match_n0h():
@@ -94,7 +93,7 @@ def test_moments_match_n0h():
 
 def test_truncate_inside_band_is_identity():
     policy = TruncationPolicy(k=4.0)
-    assert truncate(0.3, 0.01, policy) == 0.3
+    assert truncate_increments(0.03, 0.01, policy) == 0.03
 
 
 def test_truncation_bound_value():
@@ -104,21 +103,16 @@ def test_truncation_bound_value():
 
 def test_truncate_clamps_both_tails():
     policy = TruncationPolicy(k=4.0)
-    assert truncate(10.0, 0.01, policy) == pytest.approx(A_H_001_K4, abs=1e-12)
-    assert truncate(-10.0, 0.01, policy) == pytest.approx(-A_H_001_K4, abs=1e-12)
-
-
-def test_truncate_disabled_is_identity():
-    policy = TruncationPolicy(k=4.0, enabled=False)
-    assert truncate(10.0, 0.01, policy) == 10.0
+    assert truncate_increments(1.0, 0.01, policy) == pytest.approx(0.1 * A_H_001_K4, abs=1e-12)
+    assert truncate_increments(-1.0, 0.01, policy) == pytest.approx(-0.1 * A_H_001_K4, abs=1e-12)
 
 
 def test_truncate_rejects_h_at_least_one():
     policy = TruncationPolicy(k=4.0)
     with pytest.raises(ValueError):
-        truncate(0.3, 1.0, policy)
+        truncate_increments(0.3, 1.0, policy)
     with pytest.raises(ValueError):
-        truncate(0.3, 2.0, policy)
+        truncate_increments(0.3, 2.0, policy)
 
 
 @pytest.mark.parametrize("h", [math.nan, 0.0, 1.0])
@@ -135,9 +129,24 @@ def test_policy_rejects_small_k():
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False, width=64))
-def test_truncation_bound_holds_for_all_draws(xi):
+def test_truncation_bound_holds_for_all_draws(dw):
     policy = TruncationPolicy(k=4.0)
-    assert abs(truncate(xi, 0.01, policy)) <= A_H_001_K4
+    assert abs(truncate_increments(dw, 0.01, policy)) <= 0.1 * A_H_001_K4
+
+
+@given(
+    st.floats(-200.0, 200.0),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.sampled_from([1.0, 2.0, 4.0, 8.0]),
+)
+def test_truncated_increment_is_the_clamped_draw_times_sqrt_h(xi, h, k):
+    # Rounding is monotone and both sides clamp at fl(A_h sqrt(h)), so
+    # clamping the increment equals clamping the draw, bit for bit.
+    policy = TruncationPolicy(k=k)
+    a = truncation_bound(h, k)
+    for x in (xi, -xi, a, -a, np.nextafter(a, 0.0), np.nextafter(a, np.inf)):
+        want = np.clip(x, -a, a) * np.sqrt(h)
+        assert truncate_increments(x * np.sqrt(h), h, policy) == want
 
 
 def test_truncate_increments_bound():
@@ -159,7 +168,7 @@ def test_coarsen_factor_one_is_identity():
 
 def test_coarsen_adds_pairs():
     grid = TimeGrid(0.0, 1.0, 2)
-    fine = WienerIncrements(grid=grid, dims=1, values=np.array([[1.5], [2.25]]))
+    fine = WienerIncrements(grid=grid, values=np.array([[1.5], [2.25]]))
     coarse = coarsen(fine, 2)
     assert coarse.grid.n_steps == 1
     assert coarse.values[0, 0] == 1.5 + 2.25
@@ -226,7 +235,8 @@ def test_sample_increments_of_a_seed_list_stack_the_single_seed_draws(m):
 
 def test_wiener_increments_shape_check_allows_a_sample_axis():
     grid = TimeGrid(0.0, 1.0, 4)
-    WienerIncrements(grid=grid, dims=2, values=np.zeros((4, 3, 2)))
-    for shape in ((4,), (3, 2), (4, 3), (4, 3, 1), (4, 1, 1, 2)):
+    for shape in ((4, 2), (4, 3, 2)):
+        assert WienerIncrements(grid=grid, values=np.zeros(shape)).values.shape == shape
+    for shape in ((4,), (3, 2), (5, 3, 2), (4, 1, 1, 2)):
         with pytest.raises(ValueError):
-            WienerIncrements(grid=grid, dims=2, values=np.zeros(shape))
+            WienerIncrements(grid=grid, values=np.zeros(shape))

@@ -24,7 +24,7 @@ from spoisson.poisson import (
     scale_field,
     variational_jacobian,
 )
-from spoisson.sde import fd_vector_jacobian, midpoint_step
+from spoisson.sde import euler_maruyama_step, fd_vector_jacobian, midpoint_step
 from spoisson.models import lotka_volterra as lv
 from spoisson.models import rigid_body as rb
 
@@ -475,13 +475,14 @@ def test_midpoint_iteration_evaluates_structure_once_and_each_field_once(name, m
 
 @pytest.mark.parametrize("name", sorted(FOLD_SYSTEMS))
 def test_increment_map_applied_once_is_the_increment(name):
+    # The Euler-Maruyama step adds the step's increment map applied once.
     make, y0, _ = FOLD_SYSTEMS[name]
     system = make()
     ys, dws = _batch(y0, 6)
     for y, dw in ((y0, np.array([0.05])), (ys, dws)):
-        assert np.array_equal(system.increment_map(0.01, dw)(y), system.increment(y, 0.01, dw))
-        unfolded = drift_and_diffusions(system)
-        assert np.array_equal(unfolded.increment_map(0.01, dw)(y), unfolded.increment(y, 0.01, dw))
+        for fields in (system, drift_and_diffusions(system)):
+            want = y + fields.increment_map(0.01, dw)(y)
+            assert np.array_equal(euler_maruyama_step(fields, y, 0.01, dw), want)
 
 
 @pytest.mark.parametrize("name", sorted(FOLD_SYSTEMS))
@@ -500,7 +501,7 @@ def test_folded_midpoint_matches_unfolded_formula(name):
     unfolded = drift_and_diffusions(system)  # B grad K_r per channel
     ys, dws = _batch(y0, 4)
     for a, b in (
-        (ys + system.increment(ys, 0.01, dws), ys + unfolded.increment(ys, 0.01, dws)),
+        (ys + system.increment_map(0.01, dws)(ys), ys + unfolded.increment_map(0.01, dws)(ys)),
         (midpoint_step(system, ys, 0.01, dws), midpoint_step(unfolded, ys, 0.01, dws)),
     ):
         assert np.all(np.linalg.norm(a - b, axis=-1) <= 1e-14 * np.linalg.norm(b, axis=-1))

@@ -4,7 +4,7 @@ import pytest
 from spoisson.alpha_gf import AlphaSchemeConfig
 from spoisson.canonical import alpha_scheme, alpha_scheme_map, verify_chart
 from spoisson.experiments import paths_experiment
-from spoisson.noise import TimeGrid, TruncationPolicy, sample_increments
+from spoisson.noise import TimeGrid, TruncationPolicy, sample_increments, truncate_increments
 from spoisson.poisson import (
     ScalarField,
     bracket,
@@ -130,8 +130,8 @@ def test_alpha_scheme_preserves_casimir():
             rb.REFERENCE_Y0,
             AlphaSchemeConfig(alpha=alpha),
         )
-        traj = integrate(step, rb.REFERENCE_Y0, grid, noise, record={"C": rb.CASIMIR.value})
-        assert np.max(np.abs(traj.functionals["C"] - 0.5)) < 1e-10
+        states = integrate(step, rb.REFERENCE_Y0, grid, noise)
+        assert np.max(np.abs(rb.CASIMIR.value(states) - 0.5)) < 1e-10
 
 
 def test_alpha_scheme_tracks_reference_path():
@@ -161,7 +161,7 @@ def test_alpha_scheme_noise_free_limit_is_deterministic():
     )
     t1 = integrate(step, rb.REFERENCE_Y0, grid, sample_increments(grid, 1, 1))
     t2 = integrate(step, rb.REFERENCE_Y0, grid, sample_increments(grid, 1, 2))
-    assert np.array_equal(t1.states, t2.states)
+    assert np.array_equal(t1, t2)
 
 
 def test_spherical_system_symmetric_body_is_stationary():
@@ -187,8 +187,8 @@ def test_spherical_scheme_casimir_exact_by_construction():
     step = rb.spherical_scheme(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0)
     grid = TimeGrid(0.0, 5.0, 500)
     noise = sample_increments(grid, 1, 31)
-    traj = integrate(step, rb.REFERENCE_Y0, grid, noise, record={"C": rb.CASIMIR.value})
-    assert np.max(np.abs(traj.functionals["C"] - 0.5)) < 1e-14
+    states = integrate(step, rb.REFERENCE_Y0, grid, noise)
+    assert np.max(np.abs(rb.CASIMIR.value(states) - 0.5)) < 1e-14
 
 
 def test_spherical_pushforward_consistency():
@@ -200,9 +200,9 @@ def test_spherical_pushforward_consistency():
     sph = rb.spherical_system(rb.REFERENCE_PARAMS, R)
     sde = drift_and_diffusions(rb.system(rb.REFERENCE_PARAMS))
     th0 = rb.to_angles(rb.REFERENCE_Y0, R)
-    traj_sph = integrate(lambda th, h, dw: midpoint_step(sph, th, h, dw), th0, grid, noise)
-    traj_org = integrate(lambda y, h, dw: midpoint_step(sde, y, h, dw), rb.REFERENCE_Y0, grid, noise)
-    diff = rb.from_angles(traj_sph.states[-1], R) - traj_org.states[-1]
+    sph_states = integrate(lambda th, h, dw: midpoint_step(sph, th, h, dw), th0, grid, noise)
+    org_states = integrate(lambda y, h, dw: midpoint_step(sde, y, h, dw), rb.REFERENCE_Y0, grid, noise)
+    diff = rb.from_angles(sph_states[-1], R) - org_states[-1]
     assert np.max(np.abs(diff)) < 1e-3
 
 
@@ -212,11 +212,13 @@ def test_one_step_jacobian_matches_variational():
     noise = sample_increments(grid, 1, 9)
     sysm = rb.system(rb.REFERENCE_PARAMS)
     Z = variational_jacobian(sysm, rb.REFERENCE_Y0, grid, noise)
+    # The draw is inside the truncation band, so the scheme steps it unclamped.
+    dw = noise.values[0]
+    assert np.array_equal(truncate_increments(dw, h, TruncationPolicy()), dw)
     step = alpha_scheme_map(
-        rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0),
-        AlphaSchemeConfig(alpha=0.5, truncation=TruncationPolicy(enabled=False)),
+        rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0), AlphaSchemeConfig(alpha=0.5)
     )
-    M = fd_vector_jacobian(lambda y: step(y, h, noise.values[0]), rb.REFERENCE_Y0, eps=1e-5)
+    M = fd_vector_jacobian(lambda y: step(y, h, dw), rb.REFERENCE_Y0, eps=1e-5)
     assert np.max(np.abs(Z - M)) < 1e-5
 
 
@@ -269,5 +271,5 @@ def test_spherical_midpoint_equals_the_two_field_form():
     rng = np.random.default_rng(12)
     ths, dws = rng.uniform(-1.0, 1.0, size=(9, 2)), 0.1 * rng.standard_normal((9, 1))
     for th, dw in ((ths[0], dws[0]), (ths, dws)):
-        assert np.array_equal(sph.increment(th, 0.01, dw), two.increment(th, 0.01, dw))
+        assert np.array_equal(sph.increment_map(0.01, dw)(th), two.increment_map(0.01, dw)(th))
         assert np.array_equal(midpoint_step(sph, th, 0.01, dw), midpoint_step(two, th, 0.01, dw))

@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,8 +36,8 @@ def test_integrate_zero_dynamics_is_constant():
     step = lambda y, h, dw: euler_maruyama_step(
         SDE(lambda y: np.zeros_like(y), (lambda y: np.zeros_like(y),)), y, h, dw
     )
-    traj = integrate(step, np.array([1.0, -2.0]), grid, noise)
-    assert np.array_equal(traj.states, np.tile([1.0, -2.0], (21, 1)))
+    states = integrate(step, np.array([1.0, -2.0]), grid, noise)
+    assert np.array_equal(states, np.tile([1.0, -2.0], (21, 1)))
 
 
 def test_integrate_additive_noise_telescopes_exactly():
@@ -45,9 +46,9 @@ def test_integrate_additive_noise_telescopes_exactly():
     noise = sample_increments(grid, 1, 3)
     sde = SDE(lambda y: np.zeros_like(y), (lambda y: np.ones_like(y),))
     step = lambda y, h, dw: euler_maruyama_step(sde, y, h, dw)
-    traj = integrate(step, np.array([0.25]), grid, noise)
+    states = integrate(step, np.array([0.25]), grid, noise)
     expected = functools.reduce(lambda acc, v: acc + v[0], noise.values, 0.25)
-    assert traj.states[-1][0] == expected
+    assert states[-1][0] == expected
 
 
 def test_integrate_rejects_foreign_noise():
@@ -170,8 +171,8 @@ def test_midpoint_rigid_body_fine_run_conserves_casimir():
     grid = TimeGrid(0.0, 1.0, 100_000)
     noise = sample_increments(grid, 1, 11)
     step = lambda y, h, dw: midpoint_step(sde, y, h, dw)
-    traj = integrate(step, rb.REFERENCE_Y0, grid, noise, record={"C": rb.CASIMIR.value})
-    assert np.max(np.abs(traj.functionals["C"] - 0.5)) < 1e-10
+    states = integrate(step, rb.REFERENCE_Y0, grid, noise)
+    assert np.max(np.abs(rb.CASIMIR.value(states) - 0.5)) < 1e-10
 
 
 def test_midpoint_reports_nonconvergence():
@@ -461,14 +462,33 @@ def test_ms_error_many_drop_in_one_block_drops_the_sample_from_every_column():
 
 @pytest.mark.parametrize("name", ["srb", "slv"])
 def test_recorded_functional_is_called_once_on_all_states(name):
-    from spoisson.experiments import em_stepper
+    # casimir_experiment calls the Casimir once per scheme, on all its states.
+    from spoisson.experiments import casimir_experiment, em_stepper
 
     mod = {"srb": rb, "slv": lv}[name]
     sys = mod.system(mod.REFERENCE_PARAMS)
     grid = TimeGrid(0.0, 0.5, 50)
     calls = []
-    C = sys.casimirs[0].value
-    record = {"C": lambda ys: calls.append(ys.shape) or C(ys)}
-    traj = integrate(em_stepper(sys), mod.REFERENCE_Y0, grid, sample_increments(grid, 1, 4), record)
-    assert calls == [(51, 3)]
-    assert np.array_equal(traj.functionals["C"], np.stack([C(y) for y in traj.states]))
+    C = sys.casimirs[0]
+    counted = replace(C, value=lambda ys: calls.append(ys.shape) or C.value(ys))
+    em = em_stepper(sys)
+    stacked = lambda y, h, dw: np.stack([em(y[0], h, dw), em(y[1], h, dw)])
+    schemes = {"em": em, ("a", "b"): stacked}
+    result = casimir_experiment(sys, schemes, counted, mod.REFERENCE_Y0, grid, 4)
+    assert calls == [(51, 3), (51, 2, 3)]
+    states = integrate(em, mod.REFERENCE_Y0, grid, sample_increments(grid, 1, 4))
+    for column in ("em", "a", "b"):
+        assert np.array_equal(result.columns[column], np.stack([C.value(y) for y in states]))
+
+
+@pytest.mark.parametrize("ref_factor", [0, -3])
+def test_reference_runs_reject_ref_factor_below_one(ref_factor):
+    from spoisson.experiments import paths_experiment
+
+    sys = rb.system(rb.REFERENCE_PARAMS)
+    step = lambda y, h, dw: midpoint_step(sys, y, h, dw)
+    match = f"ref_factor must be >= 1, got {ref_factor}"
+    with pytest.raises(ValueError, match=match):
+        ms_error_many({"s": step}, step, 1, rb.REFERENCE_Y0, 0.08, [0.01], 2, 0, ref_factor=ref_factor)
+    with pytest.raises(ValueError, match=match):
+        paths_experiment(sys, step, rb.REFERENCE_Y0, TimeGrid(0.0, 0.08, 8), 0, ref_factor=ref_factor)
