@@ -59,7 +59,8 @@ def sbar_gradient(shs, zhat, h: float, dw, alpha: float | np.ndarray) -> np.ndar
     ``shs`` provides n and, in ``shs.fold``, H_r = c_r F_{k_r} for r = 0, 1,
     so that a noise Hamiltonian scaled from H_0 costs no second gradient.
     The extra term needs the Hessian of F_{k_1} unless alpha = 1/2, where
-    its coefficient vanishes.  ``dw`` is the scalar increment, batched over
+    its coefficient vanishes; otherwise one jet call (``hess``) gives both
+    derivatives of F_{k_1}.  ``dw`` is the scalar increment, batched over
     leading axes.  An array ``alpha`` (one value per block, broadcast against
     zhat) takes the Hessian for every block and multiplies the term by 0
     where alpha = 1/2, which needs a finite Hessian there too.
@@ -67,15 +68,15 @@ def sbar_gradient(shs, zhat, h: float, dw, alpha: float | np.ndarray) -> np.ndar
     n = shs.n
     fields, (k0, k1), (c0, c1) = shs.fold
     dw = np.asarray(dw, dtype=float)[..., None]
-    g1 = fields[k1].grad(zhat)
+    second = isinstance(alpha, np.ndarray) or alpha != 0.5
+    if second and fields[k1].hess is None:
+        raise ValueError("alpha != 1/2 needs the Hessian of the noise Hamiltonian")
+    g1, hs = fields[k1].hess(zhat) if second else (fields[k1].grad(zhat), None)
     if k0 == k1:
         grad = (h * c0 + c1 * dw) * g1
     else:
         grad = fields[k0].grad(zhat) * (h * c0) + g1 * (c1 * dw)
-    if isinstance(alpha, np.ndarray) or alpha != 0.5:
-        if fields[k1].hess is None:
-            raise ValueError("alpha != 1/2 needs the Hessian of the noise Hamiltonian")
-        hs = fields[k1].hess(zhat)
+    if second:
         # G = dH1/dQ . dH1/dP = c1^2 dF/dQ . dF/dP for F = F_{k1}, g1 = grad F:
         #   dG/dz_j / c1^2 = sum_k (hs[n+k, j] gP_k + gQ_k hs[k, j]) = sum_i hs[i, j] u_i
         # with u = (gQ, gP)

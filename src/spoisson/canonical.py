@@ -126,7 +126,7 @@ def transform_system(sys: PoissonSystem, chart: Chart, y0) -> CanonicalSHS:
         return ScalarField(
             value=value,
             grad=grad,
-            hess=lambda z: fd_vector_jacobian(grad, z),
+            hess=lambda z: (grad(z), fd_vector_jacobian(grad, z)),
         )
 
     return CanonicalSHS(

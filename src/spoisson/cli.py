@@ -323,10 +323,12 @@ def cmd_check(cfg: ExperimentConfig) -> int:
     failed = False
     for line in lines:
         status = "PASS" if line.passed else "FAIL"
-        print(
-            f"{line.name:<12s} residual {line.residual:.3e}  "
-            f"threshold {line.threshold:.0e}  {status}" + (f"  ({line.note})" if line.note else "")
-        )
+        if line.note:
+            status += f"  ({line.note})"
+        if not line.passed and line.point is not None:
+            status += f"  at y = {tuple(line.point.tolist())}"
+        print(f"{line.name:<12s} residual {line.residual:.3e}  "
+              f"threshold {line.threshold:.0e}  {status}")
         failed = failed or not line.passed
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 

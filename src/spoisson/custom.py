@@ -220,14 +220,14 @@ def compile_expr(expr: str, dim: int):
 
 
 def _scalar_field(tree, names, k: int | None = None) -> ScalarField:
-    """Compiled value, gradient and Hessian of a tree, the derivatives in the
-    first k names; the Hessian is symmetric by construction."""
-    value = compile_field(tree, names)
+    """Compiled value, gradient and jet (gradient, Hessian) of a tree, the
+    derivatives in the first k names; the Hessian is symmetric by construction."""
     grad = _jacobian(np.array(tree, dtype=object), names[:k])
     hess = np.empty(2 * grad.shape, dtype=object)
     for i, j in zip(*np.triu_indices(len(grad))):
         hess[i, j] = hess[j, i] = _diff(grad[i], names[j])
-    return ScalarField(value, compile_field(grad, names), compile_field(hess, names))
+    gf, hf = compile_field(grad, names), compile_field(hess, names)
+    return ScalarField(compile_field(tree, names), gf, lambda y, *b: (gf(y, *b), hf(y, *b)))
 
 
 def _model(system: PoissonSystem, chart: Chart | None = None, fields=()) -> Model:

@@ -159,6 +159,7 @@ class CheckLine:
     residual: float
     threshold: float
     note: str = ""
+    point: np.ndarray | None = None  # the worst state of a pointwise validator
 
     @property
     def passed(self) -> bool:
@@ -201,23 +202,18 @@ def check_suite(
     if len(points) == 0:
         raise ValueError("no check point inside the declared domain")
     rng = np.random.default_rng(seed)
-    lines = [
-        CheckLine("skew", check_skew(sys, points).max_residual, THRESHOLDS["skew"]),
-        CheckLine("jacobi", check_jacobi(sys, points).max_residual, THRESHOLDS["jacobi"]),
-    ]
-    for i, C in enumerate(sys.casimirs):
-        lines.append(
-            CheckLine(
-                f"casimir[{i}]",
-                check_casimir(C, sys, points).max_residual,
-                THRESHOLDS["casimir"],
-            )
-        )
+
+    def pointwise(name, report, kind=None):
+        threshold = THRESHOLDS[kind or name]
+        return CheckLine(name, report.max_residual, threshold, point=report.worst_point)
+
+    lines = [pointwise("skew", check_skew(sys, points)),
+             pointwise("jacobi", check_jacobi(sys, points))]
+    lines += [pointwise(f"casimir[{i}]", check_casimir(C, sys, points), "casimir")
+              for i, C in enumerate(sys.casimirs)]
     if model.chart is None:
         return lines
-    lines.append(
-        CheckLine("chart", verify_chart(chart, sys, points).max_residual, THRESHOLDS["chart"])
-    )
+    lines.append(pointwise("chart", verify_chart(chart, sys, points)))
     pick = rng.choice(len(points), size=min(20, len(points)), replace=False)
     zs = chart.forward(points[pick])[:, : 2 * chart.n]
     with np.errstate(all="ignore"):  # inverse chart at the frozen Casimirs

@@ -120,23 +120,21 @@ def hamiltonian(params: LVParams) -> ScalarField:
         y1, y2, y3 = y[..., 0], y[..., 1], y[..., 2]
         return a * b * y1 + y2 - a * y3 + nu * np.log(y2) - mu * np.log(y3)
 
-    def grad(y):
+    def jet(y, hess=True):
+        """(grad K, Hess K), or grad K alone, behind one positivity check."""
         y = _require_positive(y)
         out = np.empty_like(y)
         out[..., 0] = a * b
         out[..., 1] = 1.0 + nu / y[..., 1]
         out[..., 2] = -a - mu / y[..., 2]
-        return out
-
-    def hess(y):
-        y = _require_positive(y)
-        y2, y3 = y[..., 1], y[..., 2]
+        if not hess:
+            return out
         H = np.zeros(y.shape[:-1] + (3, 3))
-        H[..., 1, 1] = -nu / y2**2
-        H[..., 2, 2] = mu / y3**2
-        return H
+        H[..., 1, 1] = -nu / y[..., 1] ** 2
+        H[..., 2, 2] = mu / y[..., 2] ** 2
+        return out, H
 
-    return ScalarField(value=value, grad=grad, hess=hess)
+    return ScalarField(value=value, grad=lambda y: jet(y, hess=False), hess=jet)
 
 
 def casimir(params: LVParams) -> ScalarField:
@@ -146,21 +144,19 @@ def casimir(params: LVParams) -> ScalarField:
         y = _require_positive(y)
         return (np.log(y[..., 0]) / r - b * np.log(y[..., 1]) + np.log(y[..., 2]))
 
-    def grad(y):
+    def jet(y, hess=True):
+        """(grad C, Hess C), or grad C alone, behind one positivity check."""
         y = _require_positive(y)
-        return np.stack(
-            [1.0 / (r * y[..., 0]), -b / y[..., 1], 1.0 / y[..., 2]], axis=-1
-        )
-
-    def hess(y):
-        y = _require_positive(y)
+        g = np.stack([1.0 / (r * y[..., 0]), -b / y[..., 1], 1.0 / y[..., 2]], axis=-1)
+        if not hess:
+            return g
         H = np.zeros(y.shape[:-1] + (3, 3))
         H[..., 0, 0] = -1.0 / (r * y[..., 0] ** 2)
         H[..., 1, 1] = b / y[..., 1] ** 2
         H[..., 2, 2] = -1.0 / y[..., 2] ** 2
-        return H
+        return g, H
 
-    return ScalarField(value=value, grad=grad, hess=hess)
+    return ScalarField(value=value, grad=lambda y: jet(y, hess=False), hess=jet)
 
 
 def _positive_domain(y):
@@ -228,26 +224,22 @@ def transformed_shs(params: LVParams, casimir_value: float) -> CanonicalSHS:
         p, q = z[..., 0], z[..., 1]
         return -a * b * _e(z) - _exp(-q) + nu * q + a * _exp(p) + mu * p
 
-    def grad(z):
+    def jet(z, hess=True):
+        """(grad H, Hess H), or grad H alone, from one E, exp(P) and exp(-Q)."""
         z = np.asarray(z, dtype=float)
-        p, q = z[..., 0], z[..., 1]
-        E = _e(z)
-        out = np.empty_like(z)
-        out[..., 0] = a * b * r * E + a * _exp(p) + mu
-        out[..., 1] = a * b**2 * r * E + _exp(-q) + nu
-        return out
-
-    def hess(z):
-        z = np.asarray(z, dtype=float)
-        p, q = z[..., 0], z[..., 1]
-        E = _e(z)
+        E, ep, eq = _e(z), _exp(z[..., 0]), _exp(-z[..., 1])
+        g = np.empty_like(z)
+        g[..., 0] = a * b * r * E + a * ep + mu
+        g[..., 1] = a * b**2 * r * E + eq + nu
+        if not hess:
+            return g
         out = np.empty(z.shape[:-1] + (2, 2))
-        out[..., 0, 0] = -a * b * r**2 * E + a * _exp(p)
-        out[..., 1, 1] = -a * b**3 * r**2 * E - _exp(-q)
+        out[..., 0, 0] = -a * b * r**2 * E + a * ep
+        out[..., 1, 1] = -a * b**3 * r**2 * E - eq
         out[..., 0, 1] = out[..., 1, 0] = -a * b**2 * r**2 * E
-        return out
+        return g, out
 
-    H = ScalarField(value=value, grad=grad, hess=hess)
+    H = ScalarField(value=value, grad=lambda z: jet(z, hess=False), hess=jet)
     return CanonicalSHS(
         n=1,
         casimir_values=np.array([casimir_value]),

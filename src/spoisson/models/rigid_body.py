@@ -83,14 +83,14 @@ def kinetic_energy(params: RigidBodyParams) -> ScalarField:
     return ScalarField(
         value=lambda y: 0.5 * np.sum(inv * np.asarray(y) ** 2, axis=-1),
         grad=lambda y: inv * np.asarray(y),
-        hess=lambda y: np.broadcast_to(np.diag(inv), np.shape(y)[:-1] + (3, 3)),
+        hess=lambda y: (inv * np.asarray(y), np.broadcast_to(np.diag(inv), np.shape(y) + (3,))),
     )
 
 
 CASIMIR = ScalarField(
     value=lambda y: 0.5 * np.sum(np.asarray(y) ** 2, axis=-1),
     grad=lambda y: np.asarray(y, dtype=float),
-    hess=lambda y: np.broadcast_to(np.eye(3), np.shape(y)[:-1] + (3, 3)),
+    hess=lambda y: (np.asarray(y, dtype=float), np.broadcast_to(np.eye(3), np.shape(y) + (3,))),
 )
 
 
@@ -169,24 +169,24 @@ def transformed_shs(params: RigidBodyParams, casimir_value: float) -> CanonicalS
             two_c - p**2
         ) * sin2 / (2 * i3)
 
-    def grad(z):
+    def jet(z, hess=True):
+        """(grad H, Hess H), or grad H alone, from one set of shared factors."""
         z = np.asarray(z, dtype=float)
         p, q = z[..., 0], z[..., 1]
-        out = np.empty_like(z)
-        out[..., 0] = (1 / i2 - np.square(np.cos(q)) / i1 - np.square(np.sin(q)) / i3) * p
-        out[..., 1] = (0.5 / i3 - 0.5 / i1) * (two_c - p**2) * np.sin(2 * q)
-        return out
-
-    def hess(z):
-        z = np.asarray(z, dtype=float)
-        p, q = z[..., 0], z[..., 1]
+        hpp = 1 / i2 - np.square(np.cos(q)) / i1 - np.square(np.sin(q)) / i3
+        rho2, sin2q = two_c - p**2, np.sin(2 * q)
+        g = np.empty_like(z)
+        g[..., 0] = hpp * p
+        g[..., 1] = (0.5 / i3 - 0.5 / i1) * rho2 * sin2q
+        if not hess:
+            return g
         out = np.empty(z.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 1 / i2 - np.square(np.cos(q)) / i1 - np.square(np.sin(q)) / i3
-        out[..., 1, 1] = (1 / i3 - 1 / i1) * (two_c - p**2) * np.cos(2 * q)
-        out[..., 0, 1] = out[..., 1, 0] = (1 / i1 - 1 / i3) * p * np.sin(2 * q)
-        return out
+        out[..., 0, 0] = hpp
+        out[..., 1, 1] = (1 / i3 - 1 / i1) * rho2 * np.cos(2 * q)
+        out[..., 0, 1] = out[..., 1, 0] = (1 / i1 - 1 / i3) * p * sin2q
+        return g, out
 
-    H = ScalarField(value=value, grad=grad, hess=hess)
+    H = ScalarField(value=value, grad=lambda z: jet(z, hess=False), hess=jet)
     return CanonicalSHS(
         n=1,
         casimir_values=np.array([casimir_value]),

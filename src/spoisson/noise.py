@@ -11,7 +11,8 @@ Reproducibility rules, fixed per release:
   ``s`` uses the substream ``SeedSequence(s, spawn_key=(i,))`` (see
   :func:`sample_seed`).
 * Gaussians come from the inverse normal CDF applied to half-integer
-  uniforms ``(j + 0.5) / 2**53``, so draws never hit 0 or 1 exactly.
+  uniforms ``(j + 0.5) / 2**53``, capped at ``1 - 2**-53`` (the sum rounds
+  to ``2**53`` for the top j), so draws never hit 0 or 1 exactly.
 """
 from __future__ import annotations
 
@@ -107,6 +108,7 @@ def sample_increments(grid: TimeGrid, m: int, seed) -> WienerIncrements:
     # Inverse-CDF sampling from half-integer uniforms in (0, 1), all samples at once.
     u += 0.5
     u *= 2.0**-53
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
     values = ndtri(u, out=u)
     values *= math.sqrt(grid.h)
     return WienerIncrements(grid=grid, values=values if per_sample else values[:, 0])

@@ -1,5 +1,6 @@
+import ast
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from spoisson.cli import (
     main,
     resolve_config,
 )
+from spoisson.canonical import verify_chart
+from spoisson.custom import load_custom_system
 
 BAD_STRUCTURE_SPEC = """
 dim = 3
@@ -117,6 +120,8 @@ def test_check_fails_for_corrupted_structure(tmp_path, capsys):
     assert main(["check", "--system", str(spec), "--seed", "3"]) == EXIT_CHECK_FAILED
     printed = capsys.readouterr().out
     assert any("skew" in line and "FAIL" in line for line in printed.splitlines())
+    skew = next(line for line in printed.splitlines() if line.startswith("skew"))
+    assert "  at y = (" in skew
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -350,6 +355,30 @@ def test_custom_system_check_passes(tmp_path, capsys):
         printed = capsys.readouterr().out
         for name in ("skew", "jacobi", "casimir[0]", "chart", "symplectic", "poisson_map"):
             assert any(name in line and "PASS" in line for line in printed.splitlines())
+
+
+def test_check_prints_the_worst_state_of_a_failing_validator(tmp_path, capsys):
+    # Q = atan2(y3, y1) + y1 is not canonical: {P, Q} = -1 + {y2, y1} = -1 + y3
+    spec = tmp_path / "wrong_chart.txt"
+    spec.write_text(Path(SRB_CUSTOM).read_text().replace("arctan2(y3, y1), ", "arctan2(y3, y1) + y1, "))
+    argv = ["check", "--system", str(spec), "--seed", "3", "--param", "y0=0.7,0.3,0.2"]
+    assert main(argv) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    chart_line = next(line for line in lines if line.startswith("chart"))
+    assert "FAIL" in chart_line
+    point = np.array(ast.literal_eval(chart_line.split("  at y = ")[1]))
+    model = replace(load_custom_system(str(spec)), y0=np.array([0.7, 0.3, 0.2]))
+    chart = model.chart(model.y0)
+    states = model.check_points(np.random.default_rng(3))
+    states = states[model.system.domain(states) & chart.domain(states)]
+    residuals = [verify_chart(chart, model.system, y).max_residual for y in states]
+    assert np.array_equal(point, states[np.argmax(residuals)])
+    assert f"residual {max(residuals):.3e}" in chart_line
+    # passing lines, and the map diagnostics, which have no single worst state, print none
+    for line in lines:
+        if not line.startswith("chart"):
+            assert "at y" not in line
+    assert any(line.startswith("poisson_map") and "FAIL" in line for line in lines)
 
 
 def test_custom_check_without_states_on_the_level_fails_symplectic_only(capsys):

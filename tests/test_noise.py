@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import ndtri
 
 from spoisson.noise import (
     TimeGrid,
@@ -74,6 +75,29 @@ def test_values_are_read_only():
     incs = sample_increments(grid, 1, 0)
     with pytest.raises(ValueError):
         incs.values[0, 0] = 1.0
+
+
+class _ExtremeGenerator:
+    """Stands in for ``np.random.Generator``: its ``integers`` alternate the
+    largest and the smallest value of [low, high)."""
+
+    def __init__(self, bit_generator):
+        pass
+
+    def integers(self, low, high, size):
+        return np.resize(np.array([high - 1, low], dtype=np.int64), size)
+
+
+def test_extreme_integer_draws_give_finite_increments(monkeypatch):
+    # for j = 2**53 - 1, j + 0.5 rounds to 2**53: a uniform of exactly 1
+    monkeypatch.setattr(np.random, "Generator", _ExtremeGenerator)
+    grid = TimeGrid(0.0, 1.0, 4)
+    for seed in (0, [0, 1]):
+        values = sample_increments(grid, 2, seed).values
+        assert np.all(np.isfinite(values))
+        top, bottom = values[0, ..., 0], values[0, ..., 1]
+        assert np.all(top == ndtri(1.0 - 2.0**-53) * math.sqrt(grid.h))
+        assert np.all(bottom == ndtri(2.0**-54) * math.sqrt(grid.h))
 
 
 def test_shape_mismatch_rejected():

@@ -75,10 +75,11 @@ def test_integrate_wraps_stepper_failure_with_step_index():
 def _canonical_system(K1):
     """dz = J^-1 (grad K_0 dt + grad K_1 o dW) on R^2 with K_0 = z1 z2, so
     B = J^-1 is constant and dB = 0."""
+    swap = lambda z: z[..., ::-1].copy()
     K0 = ScalarField(
         value=lambda z: z[..., 0] * z[..., 1],
-        grad=lambda z: z[..., ::-1].copy(),
-        hess=lambda z: np.broadcast_to([[0.0, 1.0], [1.0, 0.0]], np.shape(z)[:-1] + (2, 2)),
+        grad=swap,
+        hess=lambda z: (swap(z), np.broadcast_to([[0.0, 1.0], [1.0, 0.0]], np.shape(z) + (2,))),
     )
     Jinv = j_inverse(1)
     return PoissonSystem(
@@ -95,7 +96,7 @@ def test_ito_drift_constant_diffusion_has_no_correction():
     K1 = ScalarField(
         value=lambda z: 0.4 * z[..., 0] - 1.3 * z[..., 1],
         grad=lambda z: np.broadcast_to([0.4, -1.3], np.shape(z)),
-        hess=lambda z: np.zeros(np.shape(z) + (2,)),
+        hess=lambda z: (np.broadcast_to([0.4, -1.3], np.shape(z)), np.zeros(np.shape(z) + (2,))),
     )
     system = _canonical_system(K1)
     z = np.array([0.3, -1.2])
@@ -107,7 +108,7 @@ def test_ito_drift_multiplicative_closed_form():
     K1 = ScalarField(
         value=lambda z: 0.5 * np.sum(z**2, axis=-1),
         grad=lambda z: z,
-        hess=lambda z: np.broadcast_to(np.eye(2), np.shape(z) + (2,)),
+        hess=lambda z: (z, np.broadcast_to(np.eye(2), np.shape(z) + (2,))),
     )
     system = _canonical_system(K1)
     z = np.array([0.3, -1.2])
