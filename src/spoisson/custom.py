@@ -29,6 +29,8 @@ solved for).
 from __future__ import annotations
 
 import ast
+from collections import Counter
+from functools import cache
 
 import numpy as np
 
@@ -71,6 +73,7 @@ _RULES = {
         "maximum": "1.0*(a >= b)*da + 1.0*(a < b)*db",
     }.items()
 }
+_temp = cache("_t{}".format)  # _share's names, kept: new ones per load churned the interned strings
 _LOC = {"lineno": 1, "col_offset": 0, "end_lineno": 1, "end_col_offset": 0}  # for compile()
 _ZERO, _ONE = ast.Constant(0, **_LOC), ast.Constant(1, **_LOC)
 
@@ -129,31 +132,32 @@ def _subst(t, env: dict):
     return ast.BinOp(a, t.op, b, **_LOC)
 
 
-def _diff(e, v: str):
-    """The tree of de/dv."""
+def _diff(e, v: str, memo: dict | None = None):
+    """The tree of de/dv; ``memo``, one per load, maps (id(t), v) to (t, dt/dv)."""
     if isinstance(e, ast.Name):
         return _ONE if e.id == v else _ZERO
     if isinstance(e, (ast.Constant, ast.Compare)):  # comparisons are piecewise constant
         return _ZERO
-    key, args = None, ()
-    if isinstance(e, (ast.BinOp, ast.UnaryOp)):
-        key = type(e.op).__name__
-        args = [e.left, e.right] if isinstance(e, ast.BinOp) else [e.operand]
-    elif isinstance(e, ast.Call) and isinstance(e.func, ast.Name) and not e.keywords:
-        key, args = e.func.id, e.args
-    rule, arity = _RULES.get(key, (None, -1))
-    if len(args) != arity:
-        raise SpecFileError(f"cannot differentiate {ast.unparse(e)!r}")
-    env = {**dict(zip("ab", args)), **dict(zip(("da", "db"), (_diff(x, v) for x in args)))}
-    return _subst(rule, env)
+    memo = {} if memo is None else memo
+    if (id(e), v) not in memo:
+        key, args = None, ()
+        if isinstance(e, (ast.BinOp, ast.UnaryOp)):
+            key = type(e.op).__name__
+            args = [e.left, e.right] if isinstance(e, ast.BinOp) else [e.operand]
+        elif isinstance(e, ast.Call) and isinstance(e.func, ast.Name) and not e.keywords:
+            key, args = e.func.id, e.args
+        rule, arity = _RULES.get(key, (None, -1))
+        if len(args) != arity:
+            raise SpecFileError(f"cannot differentiate {ast.unparse(e)!r}")
+        env = {**dict(zip("ab", args)), **dict(zip(("da", "db"), (_diff(x, v, memo) for x in args)))}
+        memo[id(e), v] = e, _subst(rule, env)  # e held, so that its id is not reused
+    return memo[id(e), v][1]
 
 
-def _jacobian(trees: np.ndarray, names) -> np.ndarray:
+def _jacobian(trees: np.ndarray, names, memo: dict | None = None) -> np.ndarray:
     """Object array of the trees d trees[...] / d names[j], j the last axis."""
-    out = np.empty(trees.shape + (len(names),), dtype=object)
-    for idx, tree in np.ndenumerate(trees):
-        out[idx] = [_diff(tree, v) for v in names]
-    return out
+    out = [[_diff(t, v, memo) for v in names] for t in trees.flat]
+    return np.array(out, dtype=object).reshape(trees.shape + (len(names),))
 
 
 def _parse(expr: str):
@@ -172,20 +176,53 @@ def _entries(text: str, ndim: int) -> np.ndarray:
     return np.array([r.elts for r in rows] if ndim == 2 else tree.elts, dtype=object)
 
 
-def _array_pow(t, memo: dict):
-    """A copy of tree t with each a ** b as _pow(a, b), so that the numpy
-    scalars of a single state take the power of the array path.  Shared
-    subtrees are rewritten once and stay shared."""
-    if not isinstance(t, ast.expr) or isinstance(t, (ast.Name, ast.Constant)):
+def _share(trees, names) -> list:
+    """The trees with a ** b as _pow(a, b) and each compound subtree that occurs
+    more than once (keyed bottom-up) bound to a local _t<i> by := at its first
+    use in evaluation order.  Rejects first names outside ``names`` and the
+    whitelist, and short-circuits (and, or, if, a < b < c) and other syntax."""
+    known, ids, index, reps, uses, bound = {*names, *_ALLOWED_FUNCS}, {}, {}, [], Counter(), set()
+
+    def visit(t):  # the number of t's key: its operation and its operands' numbers
+        if id(t) not in index:
+            a = ([t.left, t.right] if isinstance(t, ast.BinOp) else [t.operand] if isinstance(t, ast.UnaryOp)
+                 else [t.func, *t.args] if isinstance(t, ast.Call) and not t.keywords
+                 else [t.left, *t.comparators] if isinstance(t, ast.Compare) and len(t.ops) == 1 else None)
+            if a is not None:
+                a = [visit(x) for x in a]
+                k = (type(t), type(getattr(t, "op", None)), *map(type, getattr(t, "ops", ())), *a)
+            elif isinstance(t, ast.Constant) or isinstance(t, ast.Name) and t.id in known:
+                k = t.id if isinstance(t, ast.Name) else (type(t.value), repr(t.value))
+            else:
+                what = "unknown name" if isinstance(t, ast.Name) else "unsupported syntax"
+                raise SpecFileError(f"{what} {ast.unparse(t)!r} in {', '.join(map(ast.unparse, trees))!r}")
+            if k not in ids:
+                ids[k] = len(reps)
+                reps.append((t, a))
+                uses.update(a or ())
+            index[id(t)] = ids[k]
+        return index[id(t)]
+
+    roots = [visit(t) for t in trees]
+    uses.update(roots)
+
+    def emit(i):
+        t, a = reps[i]
+        if i in bound or a is None:
+            return ast.Name(_temp(i), ast.Load(), **_LOC) if i in bound else t
+        a = [emit(j) for j in a]
+        t = (ast.Call(a[0], a[1:], [], **_LOC) if isinstance(t, ast.Call)
+             else ast.Compare(a[0], t.ops, a[1:], **_LOC) if isinstance(t, ast.Compare)
+             else ast.UnaryOp(t.op, *a, **_LOC) if isinstance(t, ast.UnaryOp)
+             else ast.Call(ast.Name("_pow", ast.Load(), **_LOC), a, [], **_LOC) if isinstance(t.op, ast.Pow)
+             else ast.BinOp(a[0], t.op, a[1], **_LOC))
+        if uses[i] > 1:
+            bound.add(i)
+            t = ast.NamedExpr(ast.Name(_temp(i), ast.Store(), **_LOC), t, **_LOC)
         return t
-    if id(t) not in memo:
-        f = {k: [_array_pow(x, memo) for x in v] if isinstance(v, list) else _array_pow(v, memo)
-             for k, v in ast.iter_fields(t)}
-        out = type(t)(**f, **_LOC)
-        if isinstance(out, ast.BinOp) and isinstance(out.op, ast.Pow):
-            out = ast.Call(ast.Name("_pow", ast.Load(), **_LOC), [out.left, out.right], [], **_LOC)
-        memo[id(t)] = out
-    return memo[id(t)]
+
+    out, visit, emit = [emit(i) for i in roots], None, None  # else each closure, in a cycle, holds reps
+    return out
 
 
 def compile_field(trees, names):
@@ -194,14 +231,8 @@ def compile_field(trees, names):
     as extra arguments.  Constant entries broadcast over the batch."""
     trees = np.array(trees, dtype=object)
     args = ast.arguments([], [ast.arg(n, **_LOC) for n in names], None, [], [], None, [])
-    memo: dict = {}
-    body = ast.Tuple([_array_pow(t, memo) for t in trees.flat], ast.Load(), **_LOC)
-    lam = ast.Expression(ast.Lambda(args, body, **_LOC))
-    fn = eval(compile(lam, "<expr>", "eval"), _GLOBALS)
-    unknown = set(fn.__code__.co_names) - set(_ALLOWED_FUNCS) - {"_pow"}
-    if unknown:
-        exprs = ", ".join(map(ast.unparse, trees.flat))
-        raise SpecFileError(f"unknown name(s) {sorted(unknown)} in {exprs!r}")
+    body = ast.Tuple(_share(list(trees.flat), names), ast.Load(), **_LOC)
+    fn = eval(compile(ast.Expression(ast.Lambda(args, body, **_LOC)), "<expr>", "eval"), _GLOBALS)
 
     def f(y, *bound):
         y = np.asarray(y, dtype=float)
@@ -219,13 +250,13 @@ def compile_expr(expr: str, dim: int):
     return compile_field(_parse(expr), [f"y{i + 1}" for i in range(dim)])
 
 
-def _scalar_field(tree, names, k: int | None = None) -> ScalarField:
+def _scalar_field(tree, names, k: int | None = None, memo: dict | None = None) -> ScalarField:
     """Compiled value, gradient and jet (gradient, Hessian) of a tree, the
     derivatives in the first k names; the Hessian is symmetric by construction."""
-    grad = _jacobian(np.array(tree, dtype=object), names[:k])
+    grad = _jacobian(np.array(tree, dtype=object), names[:k], memo)
     hess = np.empty(2 * grad.shape, dtype=object)
     for i, j in zip(*np.triu_indices(len(grad))):
-        hess[i, j] = hess[j, i] = _diff(grad[i], names[j])
+        hess[i, j] = hess[j, i] = _diff(grad[i], names[j], memo)
     gf, hf = compile_field(grad, names), compile_field(hess, names)
     return ScalarField(compile_field(tree, names), gf, lambda y, *b: (gf(y, *b), hf(y, *b)))
 
@@ -255,21 +286,26 @@ def _model(system: PoissonSystem, chart: Chart | None = None, fields=()) -> Mode
 def load_custom_system(path: str) -> Model:
     with open(path, "r", encoding="utf-8") as fh:
         keys = parse_keyvalues(fh.read())
-    try:
-        dim = int(keys["dim"])
-    except KeyError:
-        raise SpecFileError("missing required key 'dim'")
-    m = int(keys.get("m", 1))
-    rank = int(keys.get("rank", dim - dim % 2))
-    ys = [f"y{i + 1}" for i in range(dim)]
 
-    for key in ("B", *(f"K{r}" for r in range(m + 1))):
-        if key not in keys:
-            raise SpecFileError(f"missing required key {key!r}")
+    def integer(key: str, default: int | None = None) -> int:
+        try:
+            return int(keys.get(key, default))
+        except ValueError:
+            raise SpecFileError(f"key {key!r} must be an integer, got {keys[key]!r}") from None
+
+    m = integer("m", 1)
+    ks, casimirs = [f"K{r}" for r in range(m + 1)], sorted(k for k in keys if k.startswith("casimir"))
+    chart_keys = {"chart_forward", "chart_inverse", "chart_b0", "chart_n"}
+    required = {"dim", "B", *ks} | (chart_keys if chart_keys & set(keys) else set())
+    for what, bad in (("missing required", required - set(keys)),
+                      ("unknown", set(keys) - required - chart_keys - {"m", "rank", "domain", *casimirs})):
+        if bad:
+            raise SpecFileError(f"{what} key(s) {sorted(bad)} (m = {m}: K0..K{m})")
+    dim, memo = integer("dim"), {}  # memo: one per load, see _diff
+    rank, ys = integer("rank", dim - dim % 2), [f"y{i + 1}" for i in range(dim)]
     B = _entries(keys["B"], 2)
     if B.shape != (dim, dim):
         raise SpecFileError(f"B must be {dim}x{dim}")
-    casimirs = sorted(k for k in keys if k.startswith("casimir"))
 
     domain = None
     if "domain" in keys:
@@ -279,28 +315,25 @@ def load_custom_system(path: str) -> Model:
     system = PoissonSystem(
         dim=dim,
         structure=compile_field(B, ys),
-        hamiltonians=tuple(_scalar_field(_parse(keys[f"K{r}"]), ys) for r in range(m + 1)),
+        hamiltonians=tuple(_scalar_field(_parse(keys[k]), ys, None, memo) for k in ks),
         rank=rank,
-        structure_derivative=compile_field(_jacobian(B, ys), ys),
-        casimirs=tuple(_scalar_field(_parse(keys[k]), ys) for k in casimirs),
+        structure_derivative=compile_field(_jacobian(B, ys, memo), ys),
+        casimirs=tuple(_scalar_field(_parse(keys[k]), ys, None, memo) for k in casimirs),
         domain=domain,
     )
 
     if "chart_forward" not in keys:
         return _model(system)
-    for req in ("chart_inverse", "chart_b0", "chart_n"):
-        if req not in keys:
-            raise SpecFileError(f"chart requires key '{req}'")
-    n, zs = int(keys["chart_n"]), [f"z{i + 1}" for i in range(dim)]
+    n, zs = integer("chart_n"), [f"z{i + 1}" for i in range(dim)]
     fwd, inv = _entries(keys["chart_forward"], 1), _entries(keys["chart_inverse"], 1)
     b0 = _entries(keys["chart_b0"], 2)
     if fwd.shape != (dim,) or inv.shape != (dim,) or b0.shape != (dim, dim):
         raise SpecFileError(f"the chart needs {dim}, {dim} and {dim}x{dim} entries")
-    jacobian = compile_field(_jacobian(fwd, ys), ys)
+    jacobian = compile_field(_jacobian(fwd, ys, memo), ys)
     chart = Chart(n=n, forward=compile_field(fwd, ys), inverse=compile_field(inv, zs),
                   b0=compile_field(b0, [])(np.zeros(0)), jacobian=jacobian, domain=domain)
     # H_r(z, c) = s K_r(theta^-1(z, c)), s the sign of the chart block
     sign, inverse = ast.Constant(_block_sign(chart), **_LOC), dict(zip(ys, inv))
-    trees = (_subst(_parse(keys[f"K{r}"]), inverse) for r in range(m + 1))
-    fields = tuple(_scalar_field(ast.BinOp(sign, ast.Mult(), t, **_LOC), zs, 2 * n) for t in trees)
+    trees = (_subst(_parse(keys[k]), inverse) for k in ks)
+    fields = tuple(_scalar_field(ast.BinOp(sign, ast.Mult(), t, **_LOC), zs, 2 * n, memo) for t in trees)
     return _model(system, chart, fields)

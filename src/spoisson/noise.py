@@ -7,9 +7,9 @@ to the working step sizes, never regenerated per step size.  That keeps strong
 
 Reproducibility rules, fixed per release:
 
-* RNG is numpy's PCG64.  Monte Carlo sample ``i`` of a run with base seed
-  ``s`` uses the substream ``SeedSequence(s, spawn_key=(i,))`` (see
-  :func:`sample_seed`).
+* RNG is numpy's PCG64 on ``SeedSequence(s, spawn_key=(i,))`` for sample
+  ``i`` of base seed ``s`` (:func:`sample_seed`).  Its raw outputs >> 11, the
+  draws of ``Generator.integers(0, 2**53)``, are the j below, step-major.
 * Gaussians come from the inverse normal CDF applied to half-integer
   uniforms ``(j + 0.5) / 2**53``, capped at ``1 - 2**-53`` (the sum rounds
   to ``2**53`` for the top j), so draws never hit 0 or 1 exactly.
@@ -103,8 +103,7 @@ def sample_increments(grid: TimeGrid, m: int, seed) -> WienerIncrements:
     seeds = seed if per_sample else [seed]
     u = np.empty((grid.n_steps, len(seeds), m))
     for i, s in enumerate(seeds):  # PCG64(s) seeds with SeedSequence(s)
-        rng = np.random.Generator(np.random.PCG64(s))
-        u[:, i] = rng.integers(0, 1 << 53, size=(grid.n_steps, m))
+        u[:, i] = (np.random.PCG64(s).random_raw(grid.n_steps * m) >> 11).reshape(grid.n_steps, m)
     # Inverse-CDF sampling from half-integer uniforms in (0, 1), all samples at once.
     u += 0.5
     u *= 2.0**-53

@@ -1,5 +1,8 @@
 import ast
+import dis
+import gc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from spoisson.alpha_gf import AlphaSchemeConfig
 from spoisson.canonical import alpha_scheme, verify_chart
+from spoisson import custom as custom_module
+from spoisson.cli import EXIT_CONFIG, main
 from spoisson.custom import (
     _ALLOWED_FUNCS,
+    _GLOBALS,
+    _LOC,
     _RULES,
     SpecFileError,
     _diff,
@@ -16,6 +23,7 @@ from spoisson.custom import (
     _parse,
     _scalar_field,
     compile_expr,
+    compile_field,
     load_custom_system,
     parse_keyvalues,
 )
@@ -42,6 +50,8 @@ chart_forward = [y2, arctan2(y3, y1), 0.5*(y1**2 + y2**2 + y3**2)]
 chart_inverse = [sqrt(2*z3 - z1**2)*cos(z2), z1, sqrt(2*z3 - z1**2)*sin(z2)]
 chart_b0 = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
 """
+
+SRB_CUSTOM = (Path(__file__).resolve().parents[1] / "bench" / "srb_custom.txt").read_text()
 
 
 def _write(tmp_path, text, name="system.txt"):
@@ -189,3 +199,129 @@ def test_custom_fields_match_the_analytic_rigid_body(tmp_path):
     chart = custom.chart(y0)
     ys = chart.inverse(np.concatenate([zs, np.full((20, 1), shs.casimir_values[0])], axis=-1))
     assert np.allclose(chart.jacobian(ys), rb.chart(0.31).jacobian(ys), rtol=1e-13, atol=1e-14)
+
+
+def _array_pow(t, memo: dict):
+    """A copy of tree t with each a ** b as _pow(a, b): the rewrite that
+    compile_field applied, entry by entry and with no shared locals, before
+    it bound repeated subtrees to locals."""
+    if not isinstance(t, ast.expr) or isinstance(t, (ast.Name, ast.Constant)):
+        return t
+    if id(t) not in memo:
+        f = {k: [_array_pow(x, memo) for x in v] if isinstance(v, list) else _array_pow(v, memo)
+             for k, v in ast.iter_fields(t)}
+        out = type(t)(**f, **_LOC)
+        if isinstance(out, ast.BinOp) and isinstance(out.op, ast.Pow):
+            out = ast.Call(ast.Name("_pow", ast.Load(), **_LOC), [out.left, out.right], [], **_LOC)
+        memo[id(t)] = out
+    return memo[id(t)]
+
+
+def _unshared(trees, names):
+    """compile_field without the shared locals: every entry tree evaluated in
+    full, each a ** b as _array_pow writes it."""
+    args = ast.arguments([], [ast.arg(n, **_LOC) for n in names], None, [], [], None, [])
+    body = ast.Tuple([_array_pow(t, {}) for t in trees.flat], ast.Load(), **_LOC)
+    fn = eval(compile(ast.Expression(ast.Lambda(args, body, **_LOC)), "<expr>", "eval"), _GLOBALS)
+
+    def f(y):
+        out = np.empty(y.shape[:-1] + trees.shape)
+        flat = out.reshape(y.shape[:-1] + (trees.size,))
+        for i, value in enumerate(fn(*np.moveaxis(y, -1, 0))):
+            flat[..., i] = value
+        return out
+
+    return f
+
+
+def _compiled_fields(monkeypatch, tmp_path, text):
+    """(trees, names, compiled function) of each compile_field call of a load."""
+    calls = []
+
+    def recording(trees, names):
+        f = compile_field(trees, names)
+        calls.append((np.array(trees, dtype=object), list(names), f))
+        return f
+
+    monkeypatch.setattr(custom_module, "compile_field", recording)
+    load_custom_system(_write(tmp_path, text))
+    return calls
+
+
+@pytest.mark.parametrize("text", [SRB_CUSTOM, RIGID_BODY_SPEC], ids=["srb_custom", "rigid_body"])
+def test_shared_locals_give_the_bits_of_the_unshared_trees(monkeypatch, tmp_path, text):
+    calls = _compiled_fields(monkeypatch, tmp_path, text)
+    # domain, B, dB, the chart's four maps, and 3 for each of K_0, K_1, the Casimir, H_0 and H_1
+    assert len(calls) == 22
+    rng = np.random.default_rng(3)
+    for trees, names, f in calls:
+        reference = _unshared(trees, names)
+        for batch in [(), (5,), (2, 4)]:
+            # z3 = c >= 0.2 > z1**2 / 2 keeps sqrt(2*z3 - z1**2) real
+            y = rng.uniform(0.2, 0.6, size=batch + (len(names),))
+            got, want = f(y), reference(y)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (names, trees)
+
+
+def test_compiled_hessian_of_h0_calls_sqrt_once(monkeypatch, tmp_path):
+    calls = _compiled_fields(monkeypatch, tmp_path, SRB_CUSTOM)
+    trees, _, f = next(c for c in calls if c[1] == ["z1", "z2", "z3"] and c[0].shape == (2, 2))
+    assert sum(ast.unparse(t).count("sqrt(") for t in trees.flat) > 1
+    fn = next(c.cell_contents for c in f.__closure__ if callable(c.cell_contents))
+    loads = [i.argval for i in dis.get_instructions(fn.__code__) if i.opname == "LOAD_GLOBAL"]
+    assert loads.count("sqrt") == 1
+
+
+def test_a_load_leaves_no_reference_cycles(tmp_path):
+    # a cycle would hold the load's trees until a full collection, and peak
+    # memory would then grow with the number of loads in one process
+    path = _write(tmp_path, SRB_CUSTOM)
+    gc.collect()
+    gc.disable()
+    try:
+        load_custom_system(path)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_spec_name_cannot_reach_a_shared_local(tmp_path):
+    # the temporaries are the lambda's locals _t<i>: a spec that names one is rejected
+    with pytest.raises(SpecFileError, match="unknown name '_t0'"):
+        compile_expr("_t0 + sin(y1)*sin(y1)", 1)
+    with pytest.raises(SpecFileError, match="unknown name '_t1'"):
+        load_custom_system(_write(tmp_path, SRB_CUSTOM.replace("K1 = ", "K1 = _t1 + ")))
+
+
+@pytest.mark.parametrize("expr", [
+    "y1 > 0 and y2 > 0", "y1 if y2 > 0 else y2", "0 < y1 < 1", "y1.real", "y1[0]",
+    "sqrt(y1, out=y2)", "(lambda: y1)()", "[y1, y2]", "(x := y1) + x",
+])
+def test_syntax_a_shared_local_could_not_follow_is_rejected(expr):
+    # short-circuits would skip the binding of a local that a later use reads
+    with pytest.raises(SpecFileError, match="unsupported syntax|unknown name"):
+        compile_expr(expr, 2)
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("casimir =", "K2 = y1\ncasimir =", "K2"),
+    ("domain =", "domian =", "domian"),
+    ("chart_n = 1", "chart_n = 1\nchart_b1 = [1]", "chart_b1"),
+])
+def test_unknown_keys_are_rejected(tmp_path, old, new, key):
+    assert old in SRB_CUSTOM
+    with pytest.raises(SpecFileError, match=f"unknown key.*{key}"):
+        load_custom_system(_write(tmp_path, SRB_CUSTOM.replace(old, new, 1)))
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("dim = 3", "dim = 3.5", "dim"), ("m = 1", "m = two", "m"), ("rank = 2", "rank = 2.0", "rank"),
+    ("chart_n = 1", "chart_n = one", "chart_n"),
+])
+def test_a_key_that_is_not_an_integer_is_named(tmp_path, capsys, old, new, key):
+    path = _write(tmp_path, SRB_CUSTOM.replace(old, new, 1))
+    with pytest.raises(SpecFileError, match=f"key '{key}' must be an integer"):
+        load_custom_system(path)
+    assert main(["check", "--system", path, "--param", "y0=0.7,0.3,0.2"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert path in err and f"key '{key}'" in err and "invalid literal" not in err

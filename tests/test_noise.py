@@ -77,20 +77,21 @@ def test_values_are_read_only():
         incs.values[0, 0] = 1.0
 
 
-class _ExtremeGenerator:
-    """Stands in for ``np.random.Generator``: its ``integers`` alternate the
-    largest and the smallest value of [low, high)."""
+class _ExtremePCG64:
+    """Stands in for ``np.random.PCG64``: its raw outputs alternate the
+    largest and the smallest 64-bit value, so the top 53 bits alternate
+    2**53 - 1 and 0."""
 
-    def __init__(self, bit_generator):
+    def __init__(self, seed):
         pass
 
-    def integers(self, low, high, size):
-        return np.resize(np.array([high - 1, low], dtype=np.int64), size)
+    def random_raw(self, size):
+        return np.resize(np.array([2**64 - 1, 0], dtype=np.uint64), size)
 
 
 def test_extreme_integer_draws_give_finite_increments(monkeypatch):
     # for j = 2**53 - 1, j + 0.5 rounds to 2**53: a uniform of exactly 1
-    monkeypatch.setattr(np.random, "Generator", _ExtremeGenerator)
+    monkeypatch.setattr(np.random, "PCG64", _ExtremePCG64)
     grid = TimeGrid(0.0, 1.0, 4)
     for seed in (0, [0, 1]):
         values = sample_increments(grid, 2, seed).values
@@ -98,6 +99,20 @@ def test_extreme_integer_draws_give_finite_increments(monkeypatch):
         top, bottom = values[0, ..., 0], values[0, ..., 1]
         assert np.all(top == ndtri(1.0 - 2.0**-53) * math.sqrt(grid.h))
         assert np.all(bottom == ndtri(2.0**-54) * math.sqrt(grid.h))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 1), (16, 2), (5, 3)])
+def test_raw_draws_are_the_integers_of_the_generator(shape):
+    # numpy's bounded draw over [0, 2**53) never rejects: it is raw >> 11
+    n_steps, m = shape
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    for base in (0, 7, 2024, 2**40 + 3):
+        seeds = [sample_seed(base, i) for i in range(11)]
+        j = np.stack([np.random.Generator(np.random.PCG64(s)).integers(0, 1 << 53, size=shape)
+                      for s in seeds], axis=1)
+        u = np.minimum((j + 0.5) * 2.0**-53, 1.0 - 2.0**-53)
+        expected = ndtri(u) * math.sqrt(grid.h)
+        assert np.array_equal(sample_increments(grid, m, seeds).values, expected)
 
 
 def test_shape_mismatch_rejected():
