@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .noise import TruncationPolicy
-from .sde import MAX_ITER, fd_vector_jacobian, fixed_point
+from .sde import MAX_ITER, fixed_point
 
 
 def j_inverse(n: int) -> np.ndarray:
@@ -113,10 +112,3 @@ def alpha_step(shs, z, h: float, dw, config: AlphaSchemeConfig):
 
     return fixed_point(update, z, config.tol, MAX_ITER)
 
-
-def symplectic_residual(step: Callable, z, h: float, dw, eps: float | None = None) -> float:
-    """Max-abs entry of M J^-1 M^T - J^-1 with M the fd Jacobian of the step."""
-    z = np.asarray(z, dtype=float)
-    Jinv = j_inverse(z.shape[-1] // 2)
-    M = fd_vector_jacobian(lambda x: step(x, h, dw), z, eps)
-    return float(np.max(np.abs(M @ Jinv @ M.T - Jinv)))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .alpha_gf import AlphaSchemeConfig, alpha_step, j_inverse
 from .noise import truncate_increments
-from .poisson import CheckReport, PoissonSystem, ScalarField, _report, fold_fields
+from .poisson import PoissonSystem, ScalarField, fold_fields
 from .sde import DomainError, fd_vector_jacobian
 
 
@@ -63,9 +63,9 @@ class CanonicalSHS:
         return len(self.hamiltonians) - 1
 
 
-def verify_chart(chart: Chart, sys: PoissonSystem, points) -> CheckReport:
-    """Worst entry of A(y) B(y) A(y)^T - B0 over the points; a chart Jacobian
-    with condition number above 1e12 is a ValueError."""
+def verify_chart(chart: Chart, sys: PoissonSystem, points) -> np.ndarray:
+    """Largest entry of |A(y) B(y) A(y)^T - B0| at each point; a chart
+    Jacobian with condition number above 1e12 is a ValueError."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     A = chart.jacobian(points)
     cond = np.linalg.cond(A)
@@ -73,7 +73,7 @@ def verify_chart(chart: Chart, sys: PoissonSystem, points) -> CheckReport:
         worst = points[int(np.argmax(cond))]
         raise ValueError(f"chart Jacobian numerically singular at {worst}")
     res = A @ sys.structure(points) @ np.swapaxes(A, -1, -2) - chart.b0
-    return _report(np.max(np.abs(res), axis=(-1, -2)), points)
+    return np.max(np.abs(res), axis=(-1, -2))
 
 
 def _block_sign(chart: Chart) -> float:

@@ -16,6 +16,7 @@ rejects with a ValueError).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -341,6 +342,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # one parser per process: argparse builds reference cycles
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="spoisson",

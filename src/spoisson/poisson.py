@@ -3,8 +3,8 @@
 A Poisson system dy = B(y)(grad K_0 dt + sum_r grad K_r o dW_r) is described
 by its skew structure matrix B (which must satisfy the Jacobi condition) and
 m+1 scalar Hamiltonians.  The validators here check those properties
-numerically at user-supplied points and report the worst residual, entrywise
-max-abs, together with the point that produced it.
+numerically at user-supplied points and return the residual at each point,
+entrywise max-abs; the caller picks the worst.
 
 Rank constancy of B is declared by the system author and is not verified.
 """
@@ -152,17 +152,6 @@ def _bgrad_jacobian(B, dB, g, hess):
     return np.einsum("...acb,...c->...ab", dB, g) + B @ hess
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    max_residual: float
-    worst_point: np.ndarray
-
-
-def _report(residuals: np.ndarray, points: np.ndarray) -> CheckReport:
-    worst = int(np.argmax(residuals))
-    return CheckReport(max_residual=float(residuals[worst]), worst_point=np.array(points[worst]))
-
-
 def drift_and_diffusions(sys: PoissonSystem) -> SDE:
     """Coefficient fields a = B grad K_0 and b_r = B grad K_r of the system."""
 
@@ -181,16 +170,15 @@ def bracket(F: ScalarField, G: ScalarField, sys: PoissonSystem, y):
     return np.einsum("...i,...ij,...j->...", F.grad(y), sys.structure(y), G.grad(y))
 
 
-def check_skew(sys: PoissonSystem, points) -> CheckReport:
-    """Worst entry of B(y) + B(y)^T over the points."""
+def check_skew(sys: PoissonSystem, points) -> np.ndarray:
+    """Largest entry of |B(y) + B(y)^T| at each of the (k, d) points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     B = sys.structure(points)
-    res = np.max(np.abs(B + np.swapaxes(B, -1, -2)), axis=(-1, -2))
-    return _report(res, points)
+    return np.max(np.abs(B + np.swapaxes(B, -1, -2)), axis=(-1, -2))
 
 
-def check_jacobi(sys: PoissonSystem, points) -> CheckReport:
-    """Worst cyclic-sum residual of the Jacobi condition over the points.
+def check_jacobi(sys: PoissonSystem, points) -> np.ndarray:
+    """Largest cyclic-sum residual of the Jacobi condition at each point.
 
     Residual per point and index triple (i, j, k):
     sum_s (dB_ij/dy_s B_sk + dB_jk/dy_s B_si + dB_ki/dy_s B_sj).
@@ -200,16 +188,14 @@ def check_jacobi(sys: PoissonSystem, points) -> CheckReport:
     B = sys.structure(points)
     T = np.einsum("...ijs,...sk->...ijk", dB, B)
     R = T + np.moveaxis(T, (-3, -2, -1), (-1, -3, -2)) + np.moveaxis(T, (-3, -2, -1), (-2, -1, -3))
-    res = np.max(np.abs(R), axis=(-1, -2, -3))
-    return _report(res, points)
+    return np.max(np.abs(R), axis=(-1, -2, -3))
 
 
-def check_casimir(C: ScalarField, sys: PoissonSystem, points) -> CheckReport:
-    """Worst entry of grad C(y)^T B(y) over the points."""
+def check_casimir(C: ScalarField, sys: PoissonSystem, points) -> np.ndarray:
+    """Largest entry of |grad C(y)^T B(y)| at each point."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     rows = np.einsum("...i,...ij->...j", C.grad(points), sys.structure(points))
-    res = np.max(np.abs(rows), axis=-1)
-    return _report(res, points)
+    return np.max(np.abs(rows), axis=-1)
 
 
 def variational_jacobian(
@@ -251,11 +237,11 @@ def variational_jacobian(
 
 
 def poisson_map_residual(
-    step: Callable, sys: PoissonSystem, y, h: float, dw, eps: float | None = None
+    step: Callable, structure: Callable, y, h: float, dw, eps: float | None = None
 ) -> float:
-    """Max-abs entry of M B(y) M^T - B(step(y)) with M the fd step Jacobian."""
+    """Max-abs entry of M B(y) M^T - B(step(y)), M the fd step Jacobian, B = structure."""
     y = np.asarray(y, dtype=float)
     M = fd_vector_jacobian(lambda x: step(x, h, dw), y, eps)
     y_new = step(y, h, np.asarray(dw, dtype=float))
-    res = M @ sys.structure(y) @ M.T - sys.structure(y_new)
+    res = M @ structure(y) @ M.T - structure(y_new)
     return float(np.max(np.abs(res)))

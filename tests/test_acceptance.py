@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from spoisson.alpha_gf import AlphaSchemeConfig, symplectic_residual
+from spoisson.alpha_gf import AlphaSchemeConfig, j_inverse
 from spoisson.canonical import alpha_scheme, alpha_scheme_map, make_alpha_stepper, verify_chart
 from spoisson.experiments import em_stepper, iem_stepper, order_experiment
 from spoisson.noise import TimeGrid, sample_increments, sample_seed
@@ -170,8 +170,8 @@ def test_criterion_5_poisson_map_property():
     worst_scheme, worst_em = 0.0, 0.0
     for y in _random_srb_states(rng):
         dw = math.sqrt(h) * rng.standard_normal(1)
-        worst_scheme = max(worst_scheme, poisson_map_residual(scheme_rb, sys_rb, y, h, dw, eps=eps))
-        worst_em = max(worst_em, poisson_map_residual(em_rb, sys_rb, y, h, dw, eps=eps))
+        worst_scheme = max(worst_scheme, poisson_map_residual(scheme_rb, sys_rb.structure, y, h, dw, eps=eps))
+        worst_em = max(worst_em, poisson_map_residual(em_rb, sys_rb.structure, y, h, dw, eps=eps))
     assert worst_scheme < 1e-6
     assert worst_em > 1e-3
     srb_detail = f"srb scheme {worst_scheme:.1e} < 1e-6, EM control {worst_em:.1e} > 1e-3"
@@ -186,8 +186,8 @@ def test_criterion_5_poisson_map_property():
     for _ in range(20):
         y = rng.uniform(0.3, 2.5, size=3)
         dw = math.sqrt(h) * rng.standard_normal(1)
-        worst_scheme = max(worst_scheme, poisson_map_residual(scheme_lv, sys_lv, y, h, dw, eps=eps))
-        worst_em = max(worst_em, poisson_map_residual(em_lv, sys_lv, y, h, dw, eps=eps))
+        worst_scheme = max(worst_scheme, poisson_map_residual(scheme_lv, sys_lv.structure, y, h, dw, eps=eps))
+        worst_em = max(worst_em, poisson_map_residual(em_lv, sys_lv.structure, y, h, dw, eps=eps))
     assert worst_scheme < 1e-6
     assert worst_em > 1e-3
     _ok(
@@ -212,7 +212,7 @@ def test_criterion_6_symplecticity_of_canonical_schemes():
             for _ in range(20):
                 z = draw()
                 dw = math.sqrt(h) * rng.standard_normal(1)
-                res = symplectic_residual(stepper, z, h, dw, eps=eps)
+                res = poisson_map_residual(stepper, lambda z: j_inverse(shs.n), z, h, dw, eps=eps)
                 assert res < 1e-6, f"{name} alpha={alpha}: residual {res}"
                 worst = max(worst, res)
     _ok("criterion 6 (symplecticity)", f"worst residual {worst:.1e} < 1e-6 over all alpha")
@@ -226,13 +226,13 @@ def test_criterion_7_structural_validators():
 
     sys_rb = rb.system(rb.REFERENCE_PARAMS)
     sys_lv = lv.system(lv.REFERENCE_PARAMS)
-    j_rb = check_jacobi(sys_rb, pts_rb).max_residual
-    j_lv = check_jacobi(sys_lv, pts_lv).max_residual
+    j_rb = check_jacobi(sys_rb, pts_rb).max()
+    j_lv = check_jacobi(sys_lv, pts_lv).max()
     assert j_rb < 1e-8 and j_lv < 1e-8
 
     chart_pts = pts_rb[rb.chart(0.5).domain(pts_rb)]
-    c_rb = verify_chart(rb.chart(0.5), sys_rb, chart_pts).max_residual
-    c_lv = verify_chart(lv.chart(lv.REFERENCE_PARAMS), sys_lv, pts_lv).max_residual
+    c_rb = verify_chart(rb.chart(0.5), sys_rb, chart_pts).max()
+    c_lv = verify_chart(lv.chart(lv.REFERENCE_PARAMS), sys_lv, pts_lv).max()
     assert c_rb < 1e-8 and c_lv < 1e-8
 
     # bracket antisymmetry and the Leibniz rule on B1

@@ -1,4 +1,5 @@
 import ast
+import gc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -16,8 +17,10 @@ from spoisson.cli import (
     main,
     resolve_config,
 )
+from spoisson import experiments
 from spoisson.canonical import verify_chart
 from spoisson.custom import load_custom_system
+from spoisson.models import rigid_body as rb
 
 BAD_STRUCTURE_SPEC = """
 dim = 3
@@ -371,7 +374,7 @@ def test_check_prints_the_worst_state_of_a_failing_validator(tmp_path, capsys):
     chart = model.chart(model.y0)
     states = model.check_points(np.random.default_rng(3))
     states = states[model.system.domain(states) & chart.domain(states)]
-    residuals = [verify_chart(chart, model.system, y).max_residual for y in states]
+    residuals = [verify_chart(chart, model.system, y).max() for y in states]
     assert np.array_equal(point, states[np.argmax(residuals)])
     assert f"residual {max(residuals):.3e}" in chart_line
     # passing lines, and the map diagnostics, which have no single worst state, print none
@@ -379,6 +382,37 @@ def test_check_prints_the_worst_state_of_a_failing_validator(tmp_path, capsys):
         if not line.startswith("chart"):
             assert "at y" not in line
     assert any(line.startswith("poisson_map") and "FAIL" in line for line in lines)
+
+
+def test_check_fails_a_nan_residual_at_its_state(monkeypatch, capsys):
+    # a NaN residual is the worst point of its line, even next to a larger
+    # finite one, and FAILs the line with that state
+    jacobi = experiments.check_jacobi
+
+    def jacobi_with_nan(sys, points):
+        res = jacobi(sys, points)
+        res[1], res[3] = 1.0, np.nan
+        return res
+
+    monkeypatch.setattr(experiments, "check_jacobi", jacobi_with_nan)
+    assert main(["check", "--system", "srb"]) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    jacobi_line = next(line for line in lines if line.startswith("jacobi"))
+    assert "residual nan" in jacobi_line and "FAIL" in jacobi_line
+    model = rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0)
+    states = model.check_points(np.random.default_rng(ExperimentConfig().seed))
+    states = states[model.chart(model.y0).domain(states)]
+    point = np.array(ast.literal_eval(jacobi_line.split("  at y = ")[1]))
+    assert np.array_equal(point, states[3])
+    assert [line.split()[0] for line in lines if "FAIL" in line] == ["jacobi"]
+
+
+def test_check_fails_a_nan_map_residual(monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "poisson_map_residual", lambda *args, **kwargs: np.nan)
+    assert main(["check", "--system", "srb"]) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in lines if "FAIL" in line] == [
+        ["symplectic", "residual", "nan"], ["poisson_map", "residual", "nan"]]
 
 
 def test_custom_check_without_states_on_the_level_fails_symplectic_only(capsys):
@@ -468,3 +502,12 @@ def test_paths_and_casimir_default_to_alpha_zero(command):
     cfg = resolve_config(build_parser().parse_args([command]))
     assert cfg.alpha == (0.0,)
     assert resolve_config(build_parser().parse_args(["order"])).alpha == (0.0, 0.5, 1.0)
+
+
+def test_parser_is_built_once_and_commands_leave_no_reference_cycles(capsys):
+    assert build_parser() is build_parser()
+    for argv in (["casimir", "--system", "srb", "--T", "0.1"], ["paths", "--system", "srb", "--T", "0.1"]):
+        assert main(argv) == EXIT_OK  # warm-up: imports and caches
+        gc.collect()
+        assert main(argv) == EXIT_OK
+        assert gc.collect() == 0
