@@ -3,7 +3,7 @@
 from .alpha_gf import AlphaSchemeConfig, alpha_step, j_inverse, sbar_gradient
 from .canonical import CanonicalSHS, Chart, Model, alpha_scheme, alpha_scheme_map, make_alpha_stepper, poisson_integrator, transform_system, verify_chart
 from .noise import TimeGrid, TruncationPolicy, WienerIncrements, coarsen, coarsen_values, sample_increments, sample_seed, truncate_increments, truncation_bound
-from .poisson import PoissonSystem, ScalarField, bracket, check_casimir, check_jacobi, check_skew, drift_and_diffusions, fold_fields, poisson_map_residual, scale_field, variational_jacobian
+from .poisson import PoissonSystem, ScalarField, check_casimir, check_jacobi, check_skew, drift_and_diffusions, fold_fields, poisson_map_residual, scale_field, variational_jacobian
 from .sde import (
     DivergenceError,
     DomainError,

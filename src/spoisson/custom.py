@@ -3,9 +3,10 @@
 A custom system file is key = value text.  Matrix and vector entries are
 expressions in the state variables y1..yd (z1..zd for chart inverses) plus a
 whitelisted set of numpy functions; no other names are allowed.  Loading a
-file differentiates them exactly on their syntax trees (gradients, Hessians,
-dB, the chart Jacobian and H_r(z, c) = s K_r(theta^-1(z, c)) in z1..z2n) and
-compiles each field to one function.
+file checks every expression; each field is differentiated exactly on its
+syntax tree (gradients, Hessians, dB, the chart Jacobian and H_r(z, c) =
+s K_r(theta^-1(z, c)) in z1..z2n) and compiled to one function on its first
+call.
 
 Example::
 
@@ -132,6 +133,20 @@ def _subst(t, env: dict):
     return ast.BinOp(a, t.op, b, **_LOC)
 
 
+def _rule(e):
+    """The rule tree of de and the operands it reads; rejects e if no rule applies."""
+    key, args = None, ()
+    if isinstance(e, (ast.BinOp, ast.UnaryOp)):
+        key = type(e.op).__name__
+        args = [e.left, e.right] if isinstance(e, ast.BinOp) else [e.operand]
+    elif isinstance(e, ast.Call) and isinstance(e.func, ast.Name) and not e.keywords:
+        key, args = e.func.id, e.args
+    rule, arity = _RULES.get(key, (None, -1))
+    if len(args) != arity:
+        raise SpecFileError(f"cannot differentiate {ast.unparse(e)!r}")
+    return rule, args
+
+
 def _diff(e, v: str, memo: dict | None = None):
     """The tree of de/dv; ``memo``, one per load, maps (id(t), v) to (t, dt/dv)."""
     if isinstance(e, ast.Name):
@@ -140,18 +155,41 @@ def _diff(e, v: str, memo: dict | None = None):
         return _ZERO
     memo = {} if memo is None else memo
     if (id(e), v) not in memo:
-        key, args = None, ()
-        if isinstance(e, (ast.BinOp, ast.UnaryOp)):
-            key = type(e.op).__name__
-            args = [e.left, e.right] if isinstance(e, ast.BinOp) else [e.operand]
-        elif isinstance(e, ast.Call) and isinstance(e.func, ast.Name) and not e.keywords:
-            key, args = e.func.id, e.args
-        rule, arity = _RULES.get(key, (None, -1))
-        if len(args) != arity:
-            raise SpecFileError(f"cannot differentiate {ast.unparse(e)!r}")
+        rule, args = _rule(e)
         env = {**dict(zip("ab", args)), **dict(zip(("da", "db"), (_diff(x, v, memo) for x in args)))}
         memo[id(e), v] = e, _subst(rule, env)  # e held, so that its id is not reused
     return memo[id(e), v][1]
+
+
+def _check_rules(trees) -> None:
+    """Reject the first node (depth first) that _diff would reject: anything
+    outside a comparison that no rule differentiates.  The rules are closed
+    under differentiation, so the trees derived from checked ones need no check."""
+    for t in trees:
+        if not isinstance(t, (ast.Name, ast.Constant, ast.Compare)):
+            _check_rules(_rule(t)[1])
+
+
+def _operands(t) -> list | None:
+    """The operands of an operator, a call or a single comparison; None otherwise."""
+    return ([t.left, t.right] if isinstance(t, ast.BinOp) else [t.operand] if isinstance(t, ast.UnaryOp)
+            else [t.func, *t.args] if isinstance(t, ast.Call) and not t.keywords
+            else [t.left, *t.comparators] if isinstance(t, ast.Compare) and len(t.ops) == 1 else None)
+
+
+def _check_names(trees, names) -> None:
+    """Reject the first name (depth first) outside ``names`` and the whitelist,
+    and short-circuits (and, or, if, a < b < c) and other syntax, which could
+    skip the binding of a shared local of compile_field."""
+    trees, known = list(trees), {*names, *_ALLOWED_FUNCS}
+    stack = trees[::-1]
+    while stack:
+        t = stack.pop()
+        a = _operands(t)
+        if a is None and not (isinstance(t, ast.Constant) or isinstance(t, ast.Name) and t.id in known):
+            what = "unknown name" if isinstance(t, ast.Name) else "unsupported syntax"
+            raise SpecFileError(f"{what} {ast.unparse(t)!r} in {', '.join(map(ast.unparse, trees))!r}")
+        stack += (a or [])[::-1]
 
 
 def _jacobian(trees: np.ndarray, names, memo: dict | None = None) -> np.ndarray:
@@ -176,26 +214,20 @@ def _entries(text: str, ndim: int) -> np.ndarray:
     return np.array([r.elts for r in rows] if ndim == 2 else tree.elts, dtype=object)
 
 
-def _share(trees, names) -> list:
-    """The trees with a ** b as _pow(a, b) and each compound subtree that occurs
-    more than once (keyed bottom-up) bound to a local _t<i> by := at its first
-    use in evaluation order.  Rejects first names outside ``names`` and the
-    whitelist, and short-circuits (and, or, if, a < b < c) and other syntax."""
-    known, ids, index, reps, uses, bound = {*names, *_ALLOWED_FUNCS}, {}, {}, [], Counter(), set()
+def _share(trees) -> list:
+    """The checked trees with a ** b as _pow(a, b) and each compound subtree
+    that occurs more than once (keyed bottom-up) bound to a local _t<i> by :=
+    at its first use in evaluation order."""
+    ids, index, reps, uses, bound = {}, {}, [], Counter(), set()
 
     def visit(t):  # the number of t's key: its operation and its operands' numbers
         if id(t) not in index:
-            a = ([t.left, t.right] if isinstance(t, ast.BinOp) else [t.operand] if isinstance(t, ast.UnaryOp)
-                 else [t.func, *t.args] if isinstance(t, ast.Call) and not t.keywords
-                 else [t.left, *t.comparators] if isinstance(t, ast.Compare) and len(t.ops) == 1 else None)
+            a = _operands(t)
             if a is not None:
                 a = [visit(x) for x in a]
                 k = (type(t), type(getattr(t, "op", None)), *map(type, getattr(t, "ops", ())), *a)
-            elif isinstance(t, ast.Constant) or isinstance(t, ast.Name) and t.id in known:
-                k = t.id if isinstance(t, ast.Name) else (type(t.value), repr(t.value))
             else:
-                what = "unknown name" if isinstance(t, ast.Name) else "unsupported syntax"
-                raise SpecFileError(f"{what} {ast.unparse(t)!r} in {', '.join(map(ast.unparse, trees))!r}")
+                k = t.id if isinstance(t, ast.Name) else (type(t.value), repr(t.value))
             if k not in ids:
                 ids[k] = len(reps)
                 reps.append((t, a))
@@ -226,12 +258,12 @@ def _share(trees, names) -> list:
 
 
 def compile_field(trees, names):
-    """One compiled function (..., k) -> (..., *shape) of an array of trees in
-    the variables ``names``: the state holds the first k, the rest are passed
-    as extra arguments.  Constant entries broadcast over the batch."""
+    """One compiled function (..., k) -> (..., *shape) of an array of checked
+    trees in the variables ``names``: the state holds the first k, the rest are
+    passed as extra arguments.  Constant entries broadcast over the batch."""
     trees = np.array(trees, dtype=object)
     args = ast.arguments([], [ast.arg(n, **_LOC) for n in names], None, [], [], None, [])
-    body = ast.Tuple(_share(list(trees.flat), names), ast.Load(), **_LOC)
+    body = ast.Tuple(_share(list(trees.flat)), ast.Load(), **_LOC)
     fn = eval(compile(ast.Expression(ast.Lambda(args, body, **_LOC)), "<expr>", "eval"), _GLOBALS)
 
     def f(y, *bound):
@@ -245,20 +277,44 @@ def compile_field(trees, names):
     return f
 
 
+def _lazy(build):
+    """The function that build() returns, built on its first call."""
+    build = cache(build)
+    return lambda *args: build()(*args)
+
+
 def compile_expr(expr: str, dim: int):
-    """Compile an expression of y1..yd into a batched callable (..., d) -> (...)."""
-    return compile_field(_parse(expr), [f"y{i + 1}" for i in range(dim)])
+    """An expression of y1..yd as a batched callable (..., d) -> (...),
+    checked now and compiled on its first call."""
+    tree, ys = _parse(expr), [f"y{i + 1}" for i in range(dim)]
+    _check_names([tree], ys)
+    return _lazy(lambda: compile_field(tree, ys))
 
 
 def _scalar_field(tree, names, k: int | None = None, memo: dict | None = None) -> ScalarField:
-    """Compiled value, gradient and jet (gradient, Hessian) of a tree, the
-    derivatives in the first k names; the Hessian is symmetric by construction."""
-    grad = _jacobian(np.array(tree, dtype=object), names[:k], memo)
-    hess = np.empty(2 * grad.shape, dtype=object)
-    for i, j in zip(*np.triu_indices(len(grad))):
-        hess[i, j] = hess[j, i] = _diff(grad[i], names[j], memo)
-    gf, hf = compile_field(grad, names), compile_field(hess, names)
-    return ScalarField(compile_field(tree, names), gf, lambda y, *b: (gf(y, *b), hf(y, *b)))
+    """Value, gradient and jet (gradient, Hessian) of a checked tree, the
+    derivatives in the first k names, each derived and compiled on its first
+    call.  The jet is one compiled function of the gradient and Hessian
+    entries, so that it evaluates their common subexpressions once; the
+    Hessian is symmetric by construction."""
+    memo = {} if memo is None else memo
+    grad = lambda: _jacobian(np.array(tree, dtype=object), names[:k], memo)
+
+    def build_jet():
+        g = grad()
+        n, hess = len(g), np.empty(2 * g.shape, dtype=object)
+        for i, j in zip(*np.triu_indices(n)):
+            hess[i, j] = hess[j, i] = _diff(g[i], names[j], memo)
+        f = compile_field(np.concatenate([g, hess.ravel()]), names)
+
+        def jet(y, *bound):
+            out = f(y, *bound)
+            return out[..., :n], out[..., n:].reshape(out.shape[:-1] + (n, n))
+
+        return jet
+
+    return ScalarField(_lazy(lambda: compile_field(tree, names)),
+                       _lazy(lambda: compile_field(grad(), names)), _lazy(build_jet))
 
 
 def _model(system: PoissonSystem, chart: Chart | None = None, fields=()) -> Model:
@@ -312,13 +368,22 @@ def load_custom_system(path: str) -> Model:
         pred = compile_expr(keys["domain"], dim)
         domain = lambda y: pred(y) != 0.0
 
+    # Every spec error is raised here, so that a bad file fails at load and
+    # not at the first call of a field.
+    trees = {k: _parse(keys[k]) for k in (*ks, *casimirs)}
+    _check_names(B.flat, ys)
+    _check_rules(B.flat)
+    for t in trees.values():
+        _check_rules([t])
+        _check_names([t], ys)
+    field = lambda k: _scalar_field(trees[k], ys, None, memo)
     system = PoissonSystem(
         dim=dim,
-        structure=compile_field(B, ys),
-        hamiltonians=tuple(_scalar_field(_parse(keys[k]), ys, None, memo) for k in ks),
+        structure=_lazy(lambda: compile_field(B, ys)),
+        hamiltonians=tuple(map(field, ks)),
         rank=rank,
-        structure_derivative=compile_field(_jacobian(B, ys, memo), ys),
-        casimirs=tuple(_scalar_field(_parse(keys[k]), ys, None, memo) for k in casimirs),
+        structure_derivative=_lazy(lambda: compile_field(_jacobian(B, ys, memo), ys)),
+        casimirs=tuple(map(field, casimirs)),
         domain=domain,
     )
 
@@ -329,11 +394,15 @@ def load_custom_system(path: str) -> Model:
     b0 = _entries(keys["chart_b0"], 2)
     if fwd.shape != (dim,) or inv.shape != (dim,) or b0.shape != (dim, dim):
         raise SpecFileError(f"the chart needs {dim}, {dim} and {dim}x{dim} entries")
-    jacobian = compile_field(_jacobian(fwd, ys, memo), ys)
-    chart = Chart(n=n, forward=compile_field(fwd, ys), inverse=compile_field(inv, zs),
-                  b0=compile_field(b0, [])(np.zeros(0)), jacobian=jacobian, domain=domain)
-    # H_r(z, c) = s K_r(theta^-1(z, c)), s the sign of the chart block
+    _check_rules(fwd)
+    for entries, names in ((fwd, ys), (inv, zs), (b0, [])):
+        _check_names(entries.flat, names)
+    chart = Chart(n=n, forward=_lazy(lambda: compile_field(fwd, ys)), inverse=_lazy(lambda: compile_field(inv, zs)),
+                  b0=compile_field(b0, [])(np.zeros(0)),
+                  jacobian=_lazy(lambda: compile_field(_jacobian(fwd, ys, memo), ys)), domain=domain)
+    # H_r(z, c) = s K_r(theta^-1(z, c)), s the sign of the chart block; the
+    # inverse entries are checked where a K_r reads them
     sign, inverse = ast.Constant(_block_sign(chart), **_LOC), dict(zip(ys, inv))
-    trees = (_subst(_parse(keys[k]), inverse) for k in ks)
-    fields = tuple(_scalar_field(ast.BinOp(sign, ast.Mult(), t, **_LOC), zs, 2 * n, memo) for t in trees)
-    return _model(system, chart, fields)
+    H = [ast.BinOp(sign, ast.Mult(), _subst(trees[k], inverse), **_LOC) for k in ks]
+    _check_rules(H)
+    return _model(system, chart, tuple(_scalar_field(t, zs, 2 * n, memo) for t in H))

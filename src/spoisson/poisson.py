@@ -1,4 +1,4 @@
-"""Stochastic Poisson systems: brackets, structural validators, Jacobians.
+"""Stochastic Poisson systems: structural validators, Jacobians.
 
 A Poisson system dy = B(y)(grad K_0 dt + sum_r grad K_r o dW_r) is described
 by its skew structure matrix B (which must satisfy the Jacobi condition) and
@@ -162,12 +162,6 @@ def drift_and_diffusions(sys: PoissonSystem) -> SDE:
         drift=make_field(sys.hamiltonians[0]),
         diffusions=tuple(make_field(K) for K in sys.hamiltonians[1:]),
     )
-
-
-def bracket(F: ScalarField, G: ScalarField, sys: PoissonSystem, y):
-    """Poisson bracket {F, G}(y) = grad F(y)^T B(y) grad G(y)."""
-    y = np.asarray(y, dtype=float)
-    return np.einsum("...i,...ij,...j->...", F.grad(y), sys.structure(y), G.grad(y))
 
 
 def check_skew(sys: PoissonSystem, points) -> np.ndarray:

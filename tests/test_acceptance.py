@@ -15,7 +15,6 @@ from spoisson.experiments import em_stepper, iem_stepper, order_experiment
 from spoisson.noise import TimeGrid, sample_increments, sample_seed
 from spoisson.poisson import (
     ScalarField,
-    bracket,
     check_jacobi,
     poisson_map_residual,
     variational_jacobian,
@@ -25,6 +24,7 @@ from spoisson.poisson import drift_and_diffusions
 from spoisson.models import lotka_volterra as lv
 from spoisson.models import rigid_body as rb
 
+from oracles import bracket
 from transcriptions import mixed_point_update, slv_update, srb_update
 
 SEED = 20240801

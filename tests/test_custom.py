@@ -1,6 +1,7 @@
 import ast
 import dis
 import gc
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -234,8 +235,28 @@ def _unshared(trees, names):
     return f
 
 
+# a state, and chart coordinates (z1, z2, c) with 2c > z1**2
+Y0, W = np.array([0.7, 0.3, 0.2]), np.array([0.3, 0.6, 0.31])
+
+
+def _outputs(model, reverse=False):
+    """label -> output of every compiled function of a loaded model, each
+    called once: B, dB, the domain, the chart's maps, then each scalar field's
+    value, gradient and jet, or all of it in reverse order (jets first)."""
+    system, chart, shs = model.system, model.chart(Y0), model.shs(Y0)
+    calls = [("B", system.structure, Y0), ("dB", system.structure_derivative, Y0),
+             ("domain", system.domain, Y0), ("forward", chart.forward, Y0),
+             ("inverse", chart.inverse, W), ("jacobian", chart.jacobian, Y0)]
+    fields = [*system.hamiltonians, *system.casimirs, *shs.hamiltonians]
+    for i, F in enumerate(fields):
+        x = W[:2] if i >= len(fields) - len(shs.hamiltonians) else Y0
+        calls += [(f"{i}.value", F.value, x), (f"{i}.grad", F.grad, x), (f"{i}.jet", F.hess, x)]
+    return {label: f(x) for label, f, x in (calls[::-1] if reverse else calls)}
+
+
 def _compiled_fields(monkeypatch, tmp_path, text):
-    """(trees, names, compiled function) of each compile_field call of a load."""
+    """(trees, names, compiled function) of each compile_field call of a load
+    whose every compiled function has been called once."""
     calls = []
 
     def recording(trees, names):
@@ -244,7 +265,7 @@ def _compiled_fields(monkeypatch, tmp_path, text):
         return f
 
     monkeypatch.setattr(custom_module, "compile_field", recording)
-    load_custom_system(_write(tmp_path, text))
+    _outputs(load_custom_system(_write(tmp_path, text)))
     return calls
 
 
@@ -263,13 +284,24 @@ def test_shared_locals_give_the_bits_of_the_unshared_trees(monkeypatch, tmp_path
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (names, trees)
 
 
-def test_compiled_hessian_of_h0_calls_sqrt_once(monkeypatch, tmp_path):
+def test_compiled_jet_of_h0_loads_sqrt_once(monkeypatch, tmp_path):
     calls = _compiled_fields(monkeypatch, tmp_path, SRB_CUSTOM)
-    trees, _, f = next(c for c in calls if c[1] == ["z1", "z2", "z3"] and c[0].shape == (2, 2))
-    assert sum(ast.unparse(t).count("sqrt(") for t in trees.flat) > 1
+    # the jet of H_0 in (z1, z2): 2 gradient and 4 Hessian entries, one function
+    trees, _, f = next(c for c in calls if c[1] == ["z1", "z2", "z3"] and c[0].shape == (6,))
+    assert all(ast.unparse(t).count("sqrt(") for t in trees[:2])
+    assert sum(ast.unparse(t).count("sqrt(") for t in trees[2:]) > 1
     fn = next(c.cell_contents for c in f.__closure__ if callable(c.cell_contents))
     loads = [i.argval for i in dis.get_instructions(fn.__code__) if i.opname == "LOAD_GLOBAL"]
     assert loads.count("sqrt") == 1
+
+
+def test_build_order_does_not_change_a_bit(tmp_path):
+    path = _write(tmp_path, SRB_CUSTOM)
+    first, second = _outputs(load_custom_system(path)), _outputs(load_custom_system(path), reverse=True)
+    assert first.keys() == second.keys() and len(first) == 21
+    for label, out in first.items():
+        for a, b in zip(*(o if isinstance(o, tuple) else (o,) for o in (out, second[label]))):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), label
 
 
 def test_a_load_leaves_no_reference_cycles(tmp_path):
@@ -280,6 +312,8 @@ def test_a_load_leaves_no_reference_cycles(tmp_path):
     gc.disable()
     try:
         load_custom_system(path)
+        assert gc.collect() == 0
+        _outputs(load_custom_system(path))  # every compiled function built
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -325,3 +359,28 @@ def test_a_key_that_is_not_an_integer_is_named(tmp_path, capsys, old, new, key):
     assert main(["check", "--system", path, "--param", "y0=0.7,0.3,0.2"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert path in err and f"key '{key}'" in err and "invalid literal" not in err
+
+
+# Each key's value with a subexpression {} spliced in: every key that is
+# differentiated or compiled, so a spec error cannot wait for a first call.
+SPLICES = {
+    "K0": ("K0 = ", "K0 = {} + "),
+    "casimir": ("casimir = ", "casimir = {} + "),
+    "B": ("B = [[0,", "B = [[{},"),
+    "chart_forward": ("chart_forward = [y2", "chart_forward = [{} + y2"),
+    "chart_inverse": ("z1, sqrt", "{} + z1, sqrt"),
+}
+
+
+@pytest.mark.parametrize("key", SPLICES)
+@pytest.mark.parametrize("bad", ["{} % 2", "foo({})", "q * {}"], ids=["mod", "unknown_function", "unknown_name"])
+def test_a_spec_error_is_rejected_at_load(tmp_path, capsys, key, bad):
+    old, new = SPLICES[key]
+    expr = bad.format("z1" if key == "chart_inverse" else "y1")
+    assert SRB_CUSTOM.count(old) == 1
+    path = _write(tmp_path, SRB_CUSTOM.replace(old, new.format(expr)))
+    with pytest.raises(SpecFileError, match=re.escape(expr)):
+        load_custom_system(path)
+    assert main(["casimir", "--system", path, "--param", "y0=0.7,0.3,0.2"]) == EXIT_CONFIG
+    assert "configuration error: cannot load custom system" in capsys.readouterr().err
+

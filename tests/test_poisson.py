@@ -14,7 +14,6 @@ from spoisson.noise import TimeGrid, sample_increments
 from spoisson.poisson import (
     PoissonSystem,
     ScalarField,
-    bracket,
     check_casimir,
     check_jacobi,
     check_skew,
@@ -27,6 +26,8 @@ from spoisson.poisson import (
 from spoisson.sde import euler_maruyama_step, fd_vector_jacobian, midpoint_step
 from spoisson.models import lotka_volterra as lv
 from spoisson.models import rigid_body as rb
+
+from oracles import bracket
 
 
 def _constant_structure(mat):

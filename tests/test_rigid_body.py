@@ -7,7 +7,6 @@ from spoisson.experiments import paths_experiment
 from spoisson.noise import TimeGrid, TruncationPolicy, sample_increments, truncate_increments
 from spoisson.poisson import (
     ScalarField,
-    bracket,
     check_casimir,
     check_jacobi,
     check_skew,
@@ -16,6 +15,8 @@ from spoisson.poisson import (
 )
 from spoisson.sde import DomainError, fd_vector_jacobian, integrate, midpoint_step
 from spoisson.models import rigid_body as rb
+
+from oracles import bracket
 
 
 def _domain_points(n=100, seed=0, casimir_value=0.5):
