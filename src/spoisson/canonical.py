@@ -141,7 +141,7 @@ def poisson_integrator(chart: Chart, symplectic_stepper: Callable, frozen_c) -> 
 
     The returned map sends y to theta^-1(stepper(Z(theta(y))), C) with C the
     frozen Casimir values, so every iterate reproduces them exactly up to
-    inverse-map round-off.
+    inverse-map round-off.  ``frozen_c`` is (l,), or (..., l): one per state.
     """
     frozen_c = np.atleast_1d(np.asarray(frozen_c, dtype=float))
     tn = 2 * chart.n
@@ -154,7 +154,7 @@ def poisson_integrator(chart: Chart, symplectic_stepper: Callable, frozen_c) -> 
                 raise DomainError("state outside chart domain", state=y, mask=~ok)
         z = chart.forward(y)[..., :tn]
         z_new = symplectic_stepper(z, h, dw)
-        c = np.broadcast_to(frozen_c, z_new.shape[:-1] + frozen_c.shape)
+        c = np.broadcast_to(frozen_c, z_new.shape[:-1] + frozen_c.shape[-1:])
         return chart.inverse(np.concatenate([z_new, c], axis=-1))
 
     return step
@@ -167,9 +167,10 @@ class Model:
     ``chart(y)`` builds the canonical chart for the level set of the state y
     (``None``: the system has no chart).  ``shs(y)`` is the
     transformed system with exact derivatives and the Casimirs frozen at
-    their values at the state y.  ``default_T`` maps each CLI command to its
-    default final time, and ``check_points(rng)`` samples the (k, d) states
-    that ``check`` validates at.  A ``y0`` outside either domain is a ValueError.
+    their values at the state y.  Both take a batch y (..., d), each state on
+    its own level (``casimir_values`` (..., l)).  ``default_T`` maps each CLI
+    command to its default final time, and ``check_points(rng)`` samples the
+    (k, d) states that ``check`` validates at.  A ``y0`` outside either domain is a ValueError.
     """
 
     name: str
@@ -217,13 +218,6 @@ def alpha_scheme_map(model: Model, config: AlphaSchemeConfig) -> Callable:
     come from the input state on every call.  Along a trajectory the two
     coincide (the Casimir is preserved exactly); off the initial level set
     this is the map the scheme defines on the whole domain, which Jacobian
-    diagnostics probe.  Batched inputs step row by row."""
-
-    def step(y, h, dw):
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            return alpha_scheme(model, y, config)(y, h, dw)
-        dw = np.broadcast_to(np.asarray(dw, dtype=float), y.shape[:-1] + (1,))
-        return np.stack([step(yi, h, di) for yi, di in zip(y, dw)])
-
-    return step
+    diagnostics probe.  A batch of states steps at once, each state on its
+    own level."""
+    return lambda y, h, dw: alpha_scheme(model, y, config)(y, h, dw)

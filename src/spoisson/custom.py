@@ -319,12 +319,13 @@ def _scalar_field(tree, names, k: int | None = None, memo: dict | None = None) -
 
 def _model(system: PoissonSystem, chart: Chart | None = None, fields=()) -> Model:
     """The system as a :class:`Model` with y0 unset, whose transformed system
-    binds the chart Casimirs theta(y)[2n:] into the compiled H_r(z, c) of
-    ``fields`` (c passed after z)."""
+    binds the chart Casimirs theta(y)[..., 2n:] into the compiled H_r(z, c)
+    of ``fields`` (c passed after z, one level per state of a batch y)."""
 
     def shs(y) -> CanonicalSHS:
-        c = chart.forward(np.asarray(y, dtype=float))[2 * chart.n:]
-        bind = lambda f: lambda z: f(z, *c)
+        c = chart.forward(np.asarray(y, dtype=float))[..., 2 * chart.n:]
+        levels = np.moveaxis(c, -1, 0)
+        bind = lambda f: lambda z: f(z, *levels)
         return CanonicalSHS(chart.n, c, tuple(
             ScalarField(bind(H.value), bind(H.grad), bind(H.hess)) for H in fields))
 

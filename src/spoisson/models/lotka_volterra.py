@@ -209,9 +209,9 @@ def chart(params: LVParams) -> Chart:
                  domain=_positive_domain)
 
 
-def transformed_shs(params: LVParams, casimir_value: float) -> CanonicalSHS:
+def transformed_shs(params: LVParams, casimir_value) -> CanonicalSHS:
     """Analytic canonical Hamiltonian H = -K o theta^-1 (sign from the chart
-    block, see module docstring); the noise Hamiltonian is c2 H."""
+    block, see module docstring) on each level C; the noise Hamiltonian is c2 H."""
     a, b, r, nu, mu = params.a, params.b, params.r, params.nu, params.mu
     c = casimir_value
 
@@ -242,7 +242,7 @@ def transformed_shs(params: LVParams, casimir_value: float) -> CanonicalSHS:
     H = ScalarField(value=value, grad=lambda z: jet(z, hess=False), hess=jet)
     return CanonicalSHS(
         n=1,
-        casimir_values=np.array([casimir_value]),
+        casimir_values=np.asarray(casimir_value, dtype=float)[..., None],
         hamiltonians=(H, scale_field(H, params.c2)),
     )
 
@@ -254,7 +254,7 @@ def model(params: LVParams, y0) -> Model:
         name="slv",
         system=system(params),
         chart=lambda y: chart(params),
-        shs=lambda y: transformed_shs(params, float(casimir(params).value(y))),
+        shs=lambda y: transformed_shs(params, casimir(params).value(y)),
         y0=np.asarray(y0, dtype=float),
         default_T={"paths": 10.0, "casimir": 10.0, "order": 2.0},
         check_points=lambda rng: rng.uniform(0.2, 2.5, size=(100, 3)),

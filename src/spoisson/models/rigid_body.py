@@ -106,9 +106,9 @@ def system(params: RigidBodyParams) -> PoissonSystem:
     )
 
 
-def chart(casimir_value: float) -> Chart:
-    """Canonical chart (P, Q, C) = (y2, atan2(y3, y1), |y|^2/2)."""
-    if casimir_value <= 0:
+def chart(casimir_value) -> Chart:
+    """Canonical chart (P, Q, C) = (y2, atan2(y3, y1), |y|^2/2) on each level C."""
+    if np.any(casimir_value <= 0):
         raise ValueError("Casimir value must be positive")
     two_c = 2.0 * casimir_value
 
@@ -152,8 +152,8 @@ def chart(casimir_value: float) -> Chart:
     return Chart(n=1, forward=forward, inverse=inverse, b0=b0, jacobian=jacobian, domain=domain)
 
 
-def transformed_shs(params: RigidBodyParams, casimir_value: float) -> CanonicalSHS:
-    """Analytic canonical Hamiltonian in chart coordinates (P, Q).
+def transformed_shs(params: RigidBodyParams, casimir_value) -> CanonicalSHS:
+    """Analytic canonical Hamiltonian in chart coordinates (P, Q) on each level C.
 
     H(P, Q) = (2C - P^2) cos^2(Q) / (2 I1) + P^2 / (2 I2)
               + (2C - P^2) sin^2(Q) / (2 I3); the noise Hamiltonian is c1 H.
@@ -189,7 +189,7 @@ def transformed_shs(params: RigidBodyParams, casimir_value: float) -> CanonicalS
     H = ScalarField(value=value, grad=lambda z: jet(z, hess=False), hess=jet)
     return CanonicalSHS(
         n=1,
-        casimir_values=np.array([casimir_value]),
+        casimir_values=np.asarray(casimir_value, dtype=float)[..., None],
         hamiltonians=(H, scale_field(H, params.c1)),
     )
 
@@ -205,8 +205,8 @@ def model(params: RigidBodyParams, y0) -> Model:
     return Model(
         name="srb",
         system=system(params),
-        chart=lambda y: chart(float(CASIMIR.value(y))),
-        shs=lambda y: transformed_shs(params, float(CASIMIR.value(y))),
+        chart=lambda y: chart(CASIMIR.value(y)),
+        shs=lambda y: transformed_shs(params, CASIMIR.value(y)),
         y0=np.asarray(y0, dtype=float),
         default_T={"paths": 10.0, "casimir": 500.0, "order": 10.0},
         check_points=_check_points,

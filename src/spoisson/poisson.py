@@ -232,10 +232,11 @@ def variational_jacobian(
 
 def poisson_map_residual(
     step: Callable, structure: Callable, y, h: float, dw, eps: float | None = None
-) -> float:
-    """Max-abs entry of M B(y) M^T - B(step(y)), M the fd step Jacobian, B = structure."""
-    y = np.asarray(y, dtype=float)
-    M = fd_vector_jacobian(lambda x: step(x, h, dw), y, eps)
-    y_new = step(y, h, np.asarray(dw, dtype=float))
-    res = M @ structure(y) @ M.T - structure(y_new)
-    return float(np.max(np.abs(res)))
+) -> np.ndarray:
+    """Max-abs entry of M B(y) M^T - B(step(y)) at each state of y (..., d),
+    stepped with its own dw (..., m); M is the fd step Jacobian, B =
+    structure.  One state gives one value."""
+    y, dw = np.asarray(y, dtype=float), np.asarray(dw, dtype=float)
+    M = fd_vector_jacobian(lambda x: step(x, h, dw[..., None, :]), y, eps)
+    res = M @ structure(y) @ np.swapaxes(M, -1, -2) - structure(step(y, h, dw))
+    return np.max(np.abs(res), axis=(-1, -2))

@@ -101,14 +101,17 @@ def fd_vector_jacobian(f: Callable, y: np.ndarray, eps: float | None = None) -> 
     y +- eps e_j stacked on a new axis before the last.  The result has shape
     (..., *out, d) with last index j the derivative in y_j (a gradient for
     scalar fields, a Jacobian [..., i, j] = df_i/dy_j for vector fields).
-    The default eps = cbrt(ulp) (1 + max|y|) balances truncation and round-off.
+    The default eps = cbrt(ulp) (1 + max|y|), per state, balances truncation
+    and round-off; a batch's rows get the derivatives they get alone.
     """
     y = np.asarray(y, dtype=float)
     if eps is None:
-        eps = _FD_EPS * (1.0 + float(np.max(np.abs(y))))
-    E = eps * np.eye(y.shape[-1])
+        eps = _FD_EPS * (1.0 + np.max(np.abs(y), axis=-1, keepdims=True))
+    eps = np.asarray(eps, dtype=float)
+    E = eps[..., None] * np.eye(y.shape[-1])
     out = np.asarray(f(np.concatenate([y[..., None, :] + E, y[..., None, :] - E], axis=-2)))
     plus, minus = np.split(out, 2, axis=y.ndim - 1)
+    eps = eps.reshape(eps.shape + (1,) * (out.ndim - y.ndim))  # over the output axes
     return np.moveaxis((plus - minus) / (2.0 * eps), y.ndim - 1, -1)
 
 

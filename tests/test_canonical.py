@@ -9,6 +9,7 @@ from spoisson.alpha_gf import AlphaSchemeConfig
 from spoisson.canonical import (
     Chart,
     alpha_scheme,
+    alpha_scheme_map,
     j_inverse,
     make_alpha_stepper,
     poisson_integrator,
@@ -247,12 +248,19 @@ REFERENCE = {"srb": rb.REFERENCE_PARAMS, "slv": lv.REFERENCE_PARAMS}
 @example(seed=2679746384, **REFERENCE)  # srb, alpha = 1/2: a single state's cos(q) ** 2 missed by an ulp
 @example(seed=3934851, **REFERENCE)  # custom, alpha = 1: likewise for a compiled ** 2
 def test_batched_rows_equal_single_rows_bit_for_bit(name, alpha, seed, srb, slv):
+    # the scheme frozen at y0, and the self-starting map, whose rows lie on
+    # different Casimir levels
     model = BATCH_MODELS[name](srb, slv)
-    step = alpha_scheme(model, model.y0, AlphaSchemeConfig(alpha=alpha))
+    config = AlphaSchemeConfig(alpha=alpha)
     rng = np.random.default_rng(seed)
     ys = model.y0 + 0.05 * rng.standard_normal((16, 3))
-    for _ in range(3):
-        dw = 0.2 * rng.standard_normal((16, 1))
+    dws = 0.2 * rng.standard_normal((3, 16, 1))
+    for step in (alpha_scheme(model, model.y0, config), alpha_scheme_map(model, config)):
+        _assert_batch_steps_row_by_row(step, ys, dws)
+
+
+def _assert_batch_steps_row_by_row(step, ys, dws):
+    for dw in dws:
         try:
             batched = step(ys, 0.04, dw)
         except StepError as exc:  # drawn constants past the solve's limit: each row it names fails alone
@@ -264,3 +272,9 @@ def test_batched_rows_equal_single_rows_bit_for_bit(name, alpha, seed, srb, slv)
         single = np.stack([step(y, 0.04, d) for y, d in zip(ys, dw)])
         assert np.array_equal(batched, single)
         ys = batched
+
+
+def test_rigid_body_chart_rejects_a_non_positive_casimir_value_in_a_batch():
+    rb.chart(np.array([0.5, 1e-3, 2.0]))
+    with pytest.raises(ValueError, match="positive"):
+        rb.chart(np.array([0.5, 0.0, 2.0]))

@@ -377,7 +377,7 @@ def test_check_prints_the_worst_state_of_a_failing_validator(tmp_path, capsys):
     residuals = [verify_chart(chart, model.system, y).max() for y in states]
     assert np.array_equal(point, states[np.argmax(residuals)])
     assert f"residual {max(residuals):.3e}" in chart_line
-    # passing lines, and the map diagnostics, which have no single worst state, print none
+    # passing lines print no state, nor do the map lines, which report only their worst residual
     for line in lines:
         if not line.startswith("chart"):
             assert "at y" not in line

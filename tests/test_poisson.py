@@ -280,6 +280,15 @@ def test_fd_step_jacobian_identity_and_linear_maps():
     assert np.allclose(J, M, atol=1e-9)
 
 
+def test_fd_jacobian_of_a_batch_is_each_row_alone():
+    # the default step is per state: (0.3, -0.7) next to (5, 2) keeps its bits
+    ys = np.array([[0.3, -0.7], [5.0, 2.0], [-1.2, 0.4]])
+    field = lambda y: np.stack([np.sin(y[..., 0]) * y[..., 1], np.exp(0.3 * y[..., 1])], axis=-1)
+    scalar = lambda y: np.cos(y[..., 0]) * y[..., 1] ** 2
+    for f in (field, scalar):
+        assert np.array_equal(fd_vector_jacobian(f, ys), np.stack([fd_vector_jacobian(f, y) for y in ys]))
+
+
 def test_variational_jacobian_zero_hamiltonians_is_identity():
     zero = ScalarField(
         value=lambda y: np.zeros(np.shape(y)[:-1]),
@@ -385,6 +394,31 @@ def test_poisson_map_residual_alpha_scheme_vs_em():
 
 
 SRB_CUSTOM = Path(__file__).resolve().parents[1] / "bench" / "srb_custom.txt"
+MAP_MODELS = {
+    "srb": lambda: rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0),
+    "slv": lambda: lv.model(lv.REFERENCE_PARAMS, lv.REFERENCE_Y0),
+    "custom": lambda: replace(load_custom_system(str(SRB_CUSTOM)), y0=np.array([0.7, 0.3, 0.2])),
+}
+
+
+@pytest.mark.parametrize("name, em", [("srb", False), ("slv", False), ("custom", False), ("srb", True)])
+def test_poisson_map_residual_of_a_batch_is_each_state_alone(name, em):
+    from spoisson.alpha_gf import AlphaSchemeConfig
+    from spoisson.canonical import alpha_scheme_map
+    from spoisson.experiments import em_stepper
+
+    model = MAP_MODELS[name]()
+    sysm = model.system
+    step = em_stepper(sysm) if em else alpha_scheme_map(model, AlphaSchemeConfig(alpha=0.25))
+    rng = np.random.default_rng(11)
+    ys = model.check_points(rng)
+    ys = ys[model.chart(model.y0).domain(ys)][:6]
+    dw = 0.1 * rng.standard_normal((len(ys), 1))
+    for eps in (None, 1e-6):
+        batched = poisson_map_residual(step, sysm.structure, ys, 0.01, dw, eps)
+        single = [poisson_map_residual(step, sysm.structure, y, 0.01, d, eps) for y, d in zip(ys, dw)]
+        assert batched.shape == (len(ys),)
+        assert np.array_equal(batched, single)
 # name -> (system factory, a state, number of distinct fields among K_0, K_1)
 FOLD_SYSTEMS = {
     "srb": (lambda: rb.system(rb.REFERENCE_PARAMS), rb.REFERENCE_Y0, 1),
