@@ -372,7 +372,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         return args.fn(cfg)
-    except ValueError as exc:  # a failure inside a step is an IntegrationError or StepError
+    except (ValueError, OSError) as exc:  # a failure inside a step is an IntegrationError or StepError
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (IntegrationError, StepError) as exc:

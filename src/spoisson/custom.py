@@ -391,6 +391,8 @@ def load_custom_system(path: str) -> Model:
     if "chart_forward" not in keys:
         return _model(system)
     n, zs = integer("chart_n"), [f"z{i + 1}" for i in range(dim)]
+    if not 1 <= n <= dim // 2:
+        raise SpecFileError(f"chart_n must be in [1, {dim // 2}] for dim = {dim}, got {n}")
     fwd, inv = _entries(keys["chart_forward"], 1), _entries(keys["chart_inverse"], 1)
     b0 = _entries(keys["chart_b0"], 2)
     if fwd.shape != (dim,) or inv.shape != (dim,) or b0.shape != (dim, dim):

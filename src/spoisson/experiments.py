@@ -2,10 +2,11 @@
 reference, Casimir evolution against Euler-Maruyama, strong-order estimation,
 and the structural check suite.
 
-These functions are the engine behind the CLI commands and the scripts in
-scripts/; they return plain data, leaving I/O to the caller.  Reproducibility:
-sample i of any Monte Carlo run uses the substream seed
-SeedSequence(seed, spawn_key=(i,)), and reductions run in sample order.
+These functions are the engine behind the CLI commands, which
+scripts/experiments.py runs as one set; they return plain data, leaving I/O
+to the caller.  Reproducibility: sample i of any Monte Carlo run uses the
+substream seed SeedSequence(seed, spawn_key=(i,)), and reductions run in
+sample order.
 """
 from __future__ import annotations
 
@@ -83,11 +84,11 @@ def paths_experiment(
     ref_factor = max(1, min(ref_factor, 10**6 // grid.n_steps))
     fine_grid = TimeGrid(grid.t0, grid.T, grid.n_steps * ref_factor)
     fine = sample_increments(fine_grid, sys.n_noise, seed)
-    reference = integrate(reference_stepper(sys, tol), y0, fine_grid, fine)
+    reference = integrate(reference_stepper(sys, tol), y0, fine)
     start = y0 if stack is None else np.broadcast_to(y0, (stack,) + np.shape(y0))
     return PathsResult(
         times=grid.times(),
-        states=integrate(scheme, start, grid, coarsen(fine, ref_factor)),
+        states=integrate(scheme, start, coarsen(fine, ref_factor)),
         reference=reference[::ref_factor],
         ref_step=fine_grid.h,
     )
@@ -116,7 +117,7 @@ def casimir_experiment(
     for key, scheme in schemes.items():
         stacked = isinstance(key, tuple)
         start = np.broadcast_to(y0, (len(key),) + np.shape(y0)) if stacked else y0
-        C = casimir.value(integrate(scheme, start, grid, noise))
+        C = casimir.value(integrate(scheme, start, noise))
         columns.update(zip(key, C.T) if stacked else [(key, C)])
     return CasimirResult(times=grid.times(), columns=columns)
 

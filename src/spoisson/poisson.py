@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .noise import TimeGrid, WienerIncrements
+from .noise import WienerIncrements
 from .sde import SDE, fd_vector_jacobian, integrate, midpoint_step
 
 
@@ -195,7 +195,6 @@ def check_casimir(C: ScalarField, sys: PoissonSystem, points) -> np.ndarray:
 def variational_jacobian(
     sys: PoissonSystem,
     y0,
-    grid: TimeGrid,
     noise: WienerIncrements,
     tol: float = 1e-12,
 ) -> np.ndarray:
@@ -226,7 +225,7 @@ def variational_jacobian(
         diffusions=tuple(aug_field(K) for K in sys.hamiltonians[1:]),
     )
     u0 = np.concatenate([np.asarray(y0, dtype=float), np.eye(d).ravel()])
-    states = integrate(lambda u, h, dw: midpoint_step(aug, u, h, dw, tol=tol), u0, grid, noise)
+    states = integrate(lambda u, h, dw: midpoint_step(aug, u, h, dw, tol=tol), u0, noise)
     return states[-1][d:].reshape(d, d)
 
 

@@ -185,15 +185,13 @@ def implicit_euler_maruyama_step(sde: SDE, y, h: float, dw, tol: float = 1e-12):
     return fixed_point(update, y, tol, MAX_ITER)
 
 
-def integrate(stepper: Callable, y0, grid: TimeGrid, noise: WienerIncrements) -> np.ndarray:
-    """Run a one-step map over the grid; the (n_steps + 1, ...) array of states."""
-    if noise.grid != grid:
-        raise ValueError("noise was generated on a different grid")
+def integrate(stepper: Callable, y0, noise: WienerIncrements) -> np.ndarray:
+    """Run a one-step map over noise.grid; the (n_steps + 1, ...) array of states."""
     y = np.asarray(y0, dtype=float)
-    states = np.empty((grid.n_steps + 1,) + y.shape)
+    states = np.empty((noise.grid.n_steps + 1,) + y.shape)
     states[0] = y
-    h = grid.h
-    for j in range(grid.n_steps):
+    h = noise.grid.h
+    for j in range(noise.grid.n_steps):
         try:
             y = stepper(y, h, noise.values[j])
         except Exception as exc:

@@ -82,7 +82,7 @@ def test_criterion_1_casimir_preservation():
             AlphaSchemeConfig(alpha=alpha),
         )
         start = time.perf_counter()
-        states = integrate(step, rb.REFERENCE_Y0, grid, noise)
+        states = integrate(step, rb.REFERENCE_Y0, noise)
         elapsed = time.perf_counter() - start
         drift = float(np.max(np.abs(rb.CASIMIR.value(states) - 0.5)))
         assert drift < 1e-10
@@ -101,7 +101,7 @@ def test_criterion_2_euler_maruyama_drifts():
     sys_rb = rb.system(rb.REFERENCE_PARAMS)
     grid = TimeGrid(0.0, 500.0, 50_000)
     noise = sample_increments(grid, 1, SEED)
-    states = integrate(em_stepper(sys_rb), rb.REFERENCE_Y0, grid, noise)
+    states = integrate(em_stepper(sys_rb), rb.REFERENCE_Y0, noise)
     rb_drift = float(np.max(np.abs(rb.CASIMIR.value(states) - 0.5)))
     assert rb_drift > 1e-3
 
@@ -111,7 +111,7 @@ def test_criterion_2_euler_maruyama_drifts():
     noise = sample_increments(grid, 1, SEED)
     lv_drifts = []
     for stepper in (em_stepper(sys_lv), iem_stepper(sys_lv)):
-        states = integrate(stepper, lv.REFERENCE_Y0, grid, noise)
+        states = integrate(stepper, lv.REFERENCE_Y0, noise)
         lv_drifts.append(float(np.max(np.abs(cas.value(states) - SLV_C2))))
     assert min(lv_drifts) > 1e-3
     _ok(
@@ -313,7 +313,7 @@ def test_criterion_9_oracle_equivalences():
     sde = drift_and_diffusions(sys_rb)
     grid = TimeGrid(0.0, 0.1, 1000)
     noise = sample_increments(grid, 1, SEED + 5)
-    Z = variational_jacobian(sys_rb, rb.REFERENCE_Y0, grid, noise)
+    Z = variational_jacobian(sys_rb, rb.REFERENCE_Y0, noise)
 
     def flow(y, h, dw):
         y = np.asarray(y, dtype=float)

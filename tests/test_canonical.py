@@ -227,8 +227,8 @@ def test_generic_alpha_scheme_tracks_analytic_model():
     analytic = alpha_scheme(model, rb.REFERENCE_Y0, config)
     grid = TimeGrid(0.0, 0.5, 50)
     noise = sample_increments(grid, 1, 7)
-    t1 = integrate(generic, rb.REFERENCE_Y0, grid, noise)
-    t2 = integrate(analytic, rb.REFERENCE_Y0, grid, noise)
+    t1 = integrate(generic, rb.REFERENCE_Y0, noise)
+    t2 = integrate(analytic, rb.REFERENCE_Y0, noise)
     assert np.max(np.abs(t1 - t2)) < 1e-8
 
 

@@ -231,6 +231,17 @@ def test_config_errors_exit_3(tmp_path):
     assert main(["order", "--config", str(cfg)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_exits_3_with_one_line(where, tmp_path, capsys):
+    # the path is opened when the CSV is written, after the run
+    output = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
+    argv = ["paths", "--system", "srb", "--T", "0.02", "--ref-factor", "1", "--output", str(output)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert str(output) in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -104,7 +104,7 @@ def test_custom_composed_scheme_preserves_casimir(tmp_path):
     grid = TimeGrid(0.0, 1.0, 100)
     noise = sample_increments(grid, 1, 5)
     cas = custom.system.casimirs[0]
-    states = integrate(step, y0, grid, noise)
+    states = integrate(step, y0, noise)
     assert np.max(np.abs(cas.value(states) - 0.5)) < 1e-10
     assert np.max(np.abs(states[0] - y0)) == 0.0
 
@@ -359,6 +359,16 @@ def test_a_key_that_is_not_an_integer_is_named(tmp_path, capsys, old, new, key):
     assert main(["check", "--system", path, "--param", "y0=0.7,0.3,0.2"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert path in err and f"key '{key}'" in err and "invalid literal" not in err
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_a_chart_n_outside_one_to_half_the_dimension_is_rejected_at_load(tmp_path, capsys, n):
+    path = _write(tmp_path, SRB_CUSTOM.replace("chart_n = 1", f"chart_n = {n}", 1))
+    with pytest.raises(SpecFileError, match=rf"chart_n must be in \[1, 1\] for dim = 3, got {n}"):
+        load_custom_system(path)
+    assert main(["casimir", "--system", path, "--param", "y0=0.7,0.3,0.2", "--T", "0.1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert path in err and "chart_n must be in [1, 1]" in err
 
 
 # Each key's value with a subexpression {} spliced in: every key that is

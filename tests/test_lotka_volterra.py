@@ -152,7 +152,7 @@ def test_alpha_scheme_reference_run():
             lv.REFERENCE_Y0,
             AlphaSchemeConfig(alpha=alpha),
         )
-        states = integrate(step, lv.REFERENCE_Y0, grid, noise)
+        states = integrate(step, lv.REFERENCE_Y0, noise)
         assert np.max(np.abs(cas.value(states) - C2_REFERENCE)) < 1e-10
         assert np.min(states) > 0.0
 
@@ -166,7 +166,7 @@ def test_positivity_across_seeds():
     grid = TimeGrid(0.0, 10.0, 250)  # h = 0.04
     for i in range(10):
         noise = sample_increments(grid, 1, sample_seed(99, i))
-        states = integrate(step, lv.REFERENCE_Y0, grid, noise)
+        states = integrate(step, lv.REFERENCE_Y0, noise)
         assert np.min(states) > 0.0
 
 
@@ -176,7 +176,7 @@ def test_euler_maruyama_variants_leak_casimir():
     grid = TimeGrid(0.0, 10.0, 1000)
     noise = sample_increments(grid, 1, 42)
     for stepper in (em_stepper(sysm), iem_stepper(sysm)):
-        states = integrate(stepper, lv.REFERENCE_Y0, grid, noise)
+        states = integrate(stepper, lv.REFERENCE_Y0, noise)
         assert np.max(np.abs(cas.value(states) - C2_REFERENCE)) > 1e-3
 
 

@@ -304,7 +304,7 @@ def test_variational_jacobian_zero_hamiltonians_is_identity():
     )
     grid = TimeGrid(0.0, 1.0, 10)
     noise = sample_increments(grid, 1, 0)
-    Z = variational_jacobian(sysm, np.array([1.0, 0.5, -0.5]), grid, noise)
+    Z = variational_jacobian(sysm, np.array([1.0, 0.5, -0.5]), noise)
     assert np.allclose(Z, np.eye(3), atol=1e-14)
 
 
@@ -312,7 +312,7 @@ def test_variational_jacobian_linear_shs_is_symplectic():
     sysm = _oscillator_system()
     grid = TimeGrid(0.0, 1.0, 200)
     noise = sample_increments(grid, 1, 21)
-    M = variational_jacobian(sysm, np.array([0.4, -0.9]), grid, noise)
+    M = variational_jacobian(sysm, np.array([0.4, -0.9]), noise)
     Jinv = j_inverse(1)
     assert np.max(np.abs(M @ Jinv @ M.T - Jinv)) < 1e-8
     assert abs(np.linalg.det(M) - 1.0) < 1e-8
@@ -323,7 +323,7 @@ def test_variational_jacobian_matches_fd_of_composed_flow():
     sde = drift_and_diffusions(sysm)
     grid = TimeGrid(0.0, 0.1, 1000)
     noise = sample_increments(grid, 1, 5)
-    Z = variational_jacobian(sysm, rb.REFERENCE_Y0, grid, noise)
+    Z = variational_jacobian(sysm, rb.REFERENCE_Y0, noise)
 
     def flow(y, h, dw):
         y = np.asarray(y, dtype=float)
@@ -350,7 +350,7 @@ def test_variational_jacobian_requires_derivative_data():
     grid = TimeGrid(0.0, 0.1, 10)
     noise = sample_increments(grid, 1, 0)
     with pytest.raises(ValueError):
-        variational_jacobian(sysm, rb.REFERENCE_Y0, grid, noise)
+        variational_jacobian(sysm, rb.REFERENCE_Y0, noise)
 
 
 def test_poisson_map_residual_exact_rotation():

@@ -131,7 +131,7 @@ def test_alpha_scheme_preserves_casimir():
             rb.REFERENCE_Y0,
             AlphaSchemeConfig(alpha=alpha),
         )
-        states = integrate(step, rb.REFERENCE_Y0, grid, noise)
+        states = integrate(step, rb.REFERENCE_Y0, noise)
         assert np.max(np.abs(rb.CASIMIR.value(states) - 0.5)) < 1e-10
 
 
@@ -160,8 +160,8 @@ def test_alpha_scheme_noise_free_limit_is_deterministic():
         rb.REFERENCE_Y0,
         AlphaSchemeConfig(alpha=0.5),
     )
-    t1 = integrate(step, rb.REFERENCE_Y0, grid, sample_increments(grid, 1, 1))
-    t2 = integrate(step, rb.REFERENCE_Y0, grid, sample_increments(grid, 1, 2))
+    t1 = integrate(step, rb.REFERENCE_Y0, sample_increments(grid, 1, 1))
+    t2 = integrate(step, rb.REFERENCE_Y0, sample_increments(grid, 1, 2))
     assert np.array_equal(t1, t2)
 
 
@@ -188,7 +188,7 @@ def test_spherical_scheme_casimir_exact_by_construction():
     step = rb.spherical_scheme(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0)
     grid = TimeGrid(0.0, 5.0, 500)
     noise = sample_increments(grid, 1, 31)
-    states = integrate(step, rb.REFERENCE_Y0, grid, noise)
+    states = integrate(step, rb.REFERENCE_Y0, noise)
     assert np.max(np.abs(rb.CASIMIR.value(states) - 0.5)) < 1e-14
 
 
@@ -201,8 +201,8 @@ def test_spherical_pushforward_consistency():
     sph = rb.spherical_system(rb.REFERENCE_PARAMS, R)
     sde = drift_and_diffusions(rb.system(rb.REFERENCE_PARAMS))
     th0 = rb.to_angles(rb.REFERENCE_Y0, R)
-    sph_states = integrate(lambda th, h, dw: midpoint_step(sph, th, h, dw), th0, grid, noise)
-    org_states = integrate(lambda y, h, dw: midpoint_step(sde, y, h, dw), rb.REFERENCE_Y0, grid, noise)
+    sph_states = integrate(lambda th, h, dw: midpoint_step(sph, th, h, dw), th0, noise)
+    org_states = integrate(lambda y, h, dw: midpoint_step(sde, y, h, dw), rb.REFERENCE_Y0, noise)
     diff = rb.from_angles(sph_states[-1], R) - org_states[-1]
     assert np.max(np.abs(diff)) < 1e-3
 
@@ -212,7 +212,7 @@ def test_one_step_jacobian_matches_variational():
     grid = TimeGrid(0.0, h, 1)
     noise = sample_increments(grid, 1, 9)
     sysm = rb.system(rb.REFERENCE_PARAMS)
-    Z = variational_jacobian(sysm, rb.REFERENCE_Y0, grid, noise)
+    Z = variational_jacobian(sysm, rb.REFERENCE_Y0, noise)
     # The draw is inside the truncation band, so the scheme steps it unclamped.
     dw = noise.values[0]
     assert np.array_equal(truncate_increments(dw, h, TruncationPolicy()), dw)

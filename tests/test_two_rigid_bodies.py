@@ -1,0 +1,80 @@
+"""A custom system of dimension d = 6 with n = 2 and two Casimirs: two rigid
+bodies coupled through K0 (two_rigid_bodies.txt), each on its own
+rigid-body chart."""
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from spoisson.alpha_gf import AlphaSchemeConfig, sbar_gradient
+from spoisson.canonical import alpha_scheme, alpha_scheme_map
+from spoisson.cli import EXIT_OK, main
+from spoisson.custom import load_custom_system
+from spoisson.noise import TimeGrid, sample_increments
+from spoisson.sde import integrate
+
+SPEC = str(Path(__file__).with_name("two_rigid_bodies.txt"))
+Y0 = np.array([0.7, 0.3, 0.2, 0.4, 0.5, 0.6])
+
+
+@pytest.fixture(scope="module")
+def model():
+    return replace(load_custom_system(SPEC), y0=Y0)
+
+
+def test_the_spec_has_two_degrees_of_freedom_and_two_casimirs(model):
+    assert model.chart(Y0).n == 2 and model.system.rank == 4
+    assert len(model.system.casimirs) == 2 and model.shs(Y0).casimir_values.shape == (2,)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_check_passes_every_line(seed, capsys):
+    argv = ["check", "--system", SPEC, "--param", "y0=" + ",".join(map(str, Y0)), "--seed", str(seed)]
+    assert main(argv) == EXIT_OK
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [line[0] for line in lines] == [
+        "skew", "jacobi", "casimir[0]", "casimir[1]", "chart", "symplectic", "poisson_map"]
+    assert all(line[-1] == "PASS" for line in lines)
+    residual = {line[0]: float(line[2]) for line in lines}
+    # measured at seeds 0-2: chart <= 5.4e-16, symplectic 1.4-1.6e-10, Poisson map 5.0-6.2e-10
+    assert residual["chart"] < 1e-15
+    assert residual["symplectic"] < 1e-9
+    assert residual["poisson_map"] < 1e-8
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_each_casimir_is_preserved_along_a_path(model, alpha):
+    step = alpha_scheme(model, Y0, AlphaSchemeConfig(alpha=alpha))
+    states = integrate(step, Y0, sample_increments(TimeGrid(0.0, 2.0, 200), 1, 3))
+    for C in model.system.casimirs:
+        values = C.value(states)
+        assert np.max(np.abs(values - values[0])) < 1e-14  # measured 1.1e-16
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_a_batch_of_states_steps_as_each_row_alone(model, alpha):
+    rng = np.random.default_rng(8)
+    ys = Y0 + 0.05 * rng.standard_normal((8, 6))
+    dw = 0.1 * rng.standard_normal((8, 1))
+    config = AlphaSchemeConfig(alpha=alpha)
+    for step in (alpha_scheme(model, Y0, config), alpha_scheme_map(model, config)):
+        single = np.stack([step(y, 0.01, d) for y, d in zip(ys, dw)])
+        assert np.array_equal(step(ys, 0.01, dw), single)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
+def test_sbar_gradient_is_the_gradient_of_sbar(model, alpha):
+    # The G term pairs P_k with Q_k: G = sum_k dH1/dQ_k dH1/dP_k for k = 1, 2.
+    shs = model.shs(Y0)
+    n, (H0, H1) = shs.n, shs.hamiltonians
+    h, dw = 0.01, 0.3
+
+    def sbar(z):
+        g1 = H1.grad(z)
+        return H0.value(z) * h + H1.value(z) * dw + (2 * alpha - 1) * (g1[n:] @ g1[:n]) * dw**2 / 2
+
+    zhat = model.chart(Y0).forward(Y0)[: 2 * n] + np.array([0.02, -0.03, 0.05, 0.01])
+    eps = 1e-6
+    fd = np.array([(sbar(zhat + eps * e) - sbar(zhat - eps * e)) / (2 * eps) for e in np.eye(2 * n)])
+    assert np.max(np.abs(sbar_gradient(shs, zhat, h, dw, alpha) - fd)) < 1e-9  # measured 7.5e-12
