@@ -15,15 +15,20 @@ import sys
 from spoisson.cli import main as cli_main
 
 
-def run(system: str, outdir: pathlib.Path, samples: int, seed: int, ref_factor: int) -> int:
+def given(flag: str, value) -> list[str]:
+    """The flag and its value if the user gave one: the CLI owns the defaults."""
+    return [] if value is None else [flag, str(value)]
+
+
+def run(system: str, outdir: pathlib.Path, samples=None, seed=None, ref_factor=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
-    common = ["--system", system, "--seed", str(seed)]
+    common = ["--system", system, *given("--seed", seed)]
     jobs = [
         # one reference path, one column block per alpha
-        ["paths", *common, "--alpha", "0,0.5,1", "--ref-factor", str(ref_factor),
+        ["paths", *common, "--alpha", "0,0.5,1", *given("--ref-factor", ref_factor),
          "--output", str(outdir / "paths.csv")],
         ["casimir", *common, "--alpha", "0.5", "--output", str(outdir / "casimir.csv")],
-        ["order", *common, "--samples", str(samples), *(["--spherical"] if system == "srb" else []),
+        ["order", *common, *given("--samples", samples), *(["--spherical"] if system == "srb" else []),
          "--output", str(outdir / "order.csv")],
         ["check", *common],
     ]
@@ -39,10 +44,9 @@ if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--system", choices=["srb", "slv"], required=True)
     ap.add_argument("--outdir", help="default results/<system>")
-    ap.add_argument("--samples", type=int, default=500)
-    ap.add_argument("--seed", type=int, default=2024)
-    ap.add_argument("--ref-factor", type=int, default=1000,
-                    help="paths reference refinement (smaller = faster)")
+    ap.add_argument("--samples", type=int, help="order sample count")
+    ap.add_argument("--seed", type=int)
+    ap.add_argument("--ref-factor", type=int, help="paths reference refinement (smaller = faster)")
     args = ap.parse_args()
     outdir = pathlib.Path(args.outdir or f"results/{args.system}")
     sys.exit(run(args.system, outdir, args.samples, args.seed, args.ref_factor))

@@ -102,7 +102,7 @@ def transform_system(sys: PoissonSystem, chart: Chart, y0) -> CanonicalSHS:
     """
     y0 = np.asarray(y0, dtype=float)
     if chart.domain is not None and not np.all(chart.domain(y0)):
-        raise DomainError("initial state outside chart domain", state=y0)
+        raise DomainError("initial state outside chart domain")
     tn = 2 * chart.n
     ybar0 = chart.forward(y0)
     frozen_c = np.array(ybar0[..., tn:], dtype=float)
@@ -151,7 +151,7 @@ def poisson_integrator(chart: Chart, symplectic_stepper: Callable, frozen_c) -> 
         if chart.domain is not None:
             ok = np.asarray(chart.domain(y))
             if not np.all(ok):
-                raise DomainError("state outside chart domain", state=y, mask=~ok)
+                raise DomainError("state outside chart domain", mask=~ok)
         z = chart.forward(y)[..., :tn]
         z_new = symplectic_stepper(z, h, dw)
         c = np.broadcast_to(frozen_c, z_new.shape[:-1] + frozen_c.shape[-1:])
@@ -196,21 +196,19 @@ class Model:
 
 def make_alpha_stepper(shs: CanonicalSHS, config: AlphaSchemeConfig) -> Callable:
     """The alpha-generating one-step map (z, h, dw) -> z_new on chart
-    coordinates, dw of shape (..., 1): the truncated generating function is
-    for a single noise channel."""
+    coordinates, dw of shape (..., 1), clamped by ``config.truncation``: the
+    truncated generating function is for a single noise channel."""
     if shs.n_noise != 1:
         raise ValueError(f"alpha-generating schemes need a single noise channel, got {shs.n_noise}")
-    return lambda z, h, dw: alpha_step(shs, z, h, np.asarray(dw)[..., 0], config)
+    return lambda z, h, dw: alpha_step(shs, z, h, truncate_increments(dw, h, config.truncation)[..., 0], config)
 
 
 def alpha_scheme(model: Model, y0, config: AlphaSchemeConfig) -> Callable:
     """Composed alpha-generating one-step map on y: chart, symplectic step with
     the Casimirs frozen at their values at y0, inverse chart.  A state outside
     the chart domain is a DomainError at the step that takes it."""
-    chart = model.chart(y0)
-    shs = model.shs(y0)
-    inner = poisson_integrator(chart, make_alpha_stepper(shs, config), shs.casimir_values)
-    return lambda y, h, dw: inner(y, h, truncate_increments(dw, h, config.truncation))
+    chart, shs = model.chart(y0), model.shs(y0)
+    return poisson_integrator(chart, make_alpha_stepper(shs, config), shs.casimir_values)
 
 
 def alpha_scheme_map(model: Model, config: AlphaSchemeConfig) -> Callable:

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -45,47 +46,41 @@ def _yes(s) -> bool:
     return str(s).lower() in ("1", "true", "yes")
 
 
-# Every setting: its --flag (dashes for underscores) and config-file key, the
-# parser of its value and its help.  A flag beats the file, the file the default.
-_OPTIONS = {
-    "system": (str, "srb | slv | path to a custom system file"),
-    "alpha": (float_list, "comma-separated alpha values"),
-    "h": (float_list, "comma-separated step sizes"),
-    "T": (float, "final time"),
-    "samples": (int, "Monte Carlo sample count"),
-    "seed": (int, "base seed"),
-    "truncation_k": (float, "increment truncation strength k >= 1"),
-    "tol": (float, "implicit iteration tolerance"),
-    "output": (str, "CSV output path ('-' for stdout)"),
-    "ref_factor": (int, "reference refinement factor"),
-    "spherical": (_yes, "include the spherical scheme column (srb)"),
-}
-_ORDER_ONLY = ("spherical",)  # flags of the order command alone
-# Per-command defaults: paths and casimir run alpha 0 unless given --alpha.
-_COMMAND_DEFAULTS = {"order": {"h": (0.005, 0.01, 0.02, 0.04), "ref_factor": 8},
-                     "paths": {"alpha": (0.0,)}, "casimir": {"alpha": (0.0,)}}
+def _option(default, parse, doc: str):
+    """A setting's default, with the parser of its value and its help."""
+    return field(default=default, metadata={"option": (parse, doc)})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    system: str = "srb"
+    """Each setting but ``params`` is its own --flag (dashes for underscores)
+    and config-file key; a flag beats the file, the file the default."""
+
+    system: str = _option("srb", str, "srb | slv | path to a custom system file")
     params: dict = field(default_factory=dict)
-    alpha: tuple = (0.0, 0.5, 1.0)
-    h: tuple = (0.01,)
-    T: float | None = None  # None: the model's default for the command
-    samples: int = 500
-    seed: int = 2024
-    truncation_k: float = 4.0
-    tol: float = 1e-12
-    output: str = "-"
-    ref_factor: int = 1000
-    spherical: bool = False
+    alpha: tuple = _option((0.0, 0.5, 1.0), float_list, "comma-separated alpha values")
+    h: tuple = _option((0.01,), float_list, "comma-separated step sizes")
+    T: float | None = _option(None, float, "final time")  # None: the model's default for the command
+    samples: int = _option(500, int, "Monte Carlo sample count")
+    seed: int = _option(2024, int, "base seed")
+    truncation_k: float = _option(4.0, float, "increment truncation strength k >= 1")
+    tol: float = _option(1e-12, float, "implicit iteration tolerance")
+    output: str = _option("-", str, "CSV output path ('-' for stdout)")
+    ref_factor: int = _option(1000, int, "reference refinement factor")
+    spherical: bool = _option(False, _yes, "include the spherical scheme column (srb)")
 
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for alpha in self.alpha:  # the scheme config owns the alpha, tol and k rules
             _alpha_config(self, alpha)
+
+
+_OPTIONS = {f.name: f.metadata["option"] for f in fields(ExperimentConfig) if f.metadata}
+_ORDER_ONLY = ("spherical",)  # flags of the order command alone
+# Per-command defaults: paths and casimir run alpha 0 unless given --alpha.
+_COMMAND_DEFAULTS = {"order": {"h": (0.005, 0.01, 0.02, 0.04), "ref_factor": 8},
+                     "paths": {"alpha": (0.0,)}, "casimir": {"alpha": (0.0,)}}
 
 
 def load_config_file(path: str) -> dict:
@@ -199,6 +194,13 @@ def _write_csv(path: str, header: list[str], rows, metadata: list[str] = ()):
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+
+
+def _check_output(path: str) -> None:
+    """Reject an --output that cannot be a file, before the run and without
+    opening it (a failed run leaves an existing file as it was)."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"--output {path} is a directory or its directory is missing")
 
 
 def _step(cfg: ExperimentConfig, command: str) -> float:
@@ -371,6 +373,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
+        if args.command != "check" and cfg.output != "-":  # check writes no CSV
+            _check_output(cfg.output)
         return args.fn(cfg)
     except (ValueError, OSError) as exc:  # a failure inside a step is an IntegrationError or StepError
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -38,25 +38,12 @@ import numpy as np
 from .canonical import CanonicalSHS, Chart, Model, _block_sign
 from .poisson import PoissonSystem, ScalarField
 
-_ALLOWED_FUNCS = {
-    name: getattr(np, name)
-    for name in (
-        "sin", "cos", "tan", "exp", "log", "sqrt", "abs",
-        "arctan", "arctan2", "arcsin", "arccos", "sinh", "cosh", "tanh",
-        "minimum", "maximum", "sign",
-    )
-}
-_ALLOWED_FUNCS["pi"] = np.pi
-_ALLOWED_FUNCS["e"] = np.e
-
 
 def _pow(a, b):
     """a ** b as the ndarray operator computes it (a * a for b = 2), which the
     own ** of the numpy scalars of a single state can miss by an ulp."""
     return a * a if type(b) is int and b == 2 else np.asarray(a, dtype=float) ** b
 
-
-_GLOBALS = {"__builtins__": {}, "_pow": _pow, **_ALLOWED_FUNCS}
 
 # d f(a, b) in the operands a, b and their derivatives da, db.  A comparison
 # is scaled by the float 1.0, which is never folded, so that sums of them add.
@@ -74,6 +61,10 @@ _RULES = {
         "maximum": "1.0*(a >= b)*da + 1.0*(a < b)*db",
     }.items()
 }
+# The names a spec file may call: the functions with a rule (the operators'
+# keys are capitalised), and the constants pi and e.
+_ALLOWED_FUNCS = {k: getattr(np, k) for k in _RULES if k.islower()} | {"pi": np.pi, "e": np.e}
+_GLOBALS = {"__builtins__": {}, "_pow": _pow, **_ALLOWED_FUNCS}
 _temp = cache("_t{}".format)  # _share's names, kept: new ones per load churned the interned strings
 _LOC = {"lineno": 1, "col_offset": 0, "end_lineno": 1, "end_col_offset": 0}  # for compile()
 _ZERO, _ONE = ast.Constant(0, **_LOC), ast.Constant(1, **_LOC)

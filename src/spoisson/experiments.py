@@ -17,7 +17,7 @@ import numpy as np
 
 from .alpha_gf import j_inverse
 from .canonical import Model, alpha_scheme_map, make_alpha_stepper, verify_chart
-from .noise import TimeGrid, coarsen, sample_increments, truncate_increments, truncation_bound
+from .noise import TimeGrid, coarsen, sample_increments, truncation_bound
 from .poisson import (
     PoissonSystem,
     ScalarField,
@@ -224,13 +224,11 @@ def check_suite(
     worst, note = (0.0, "") if len(zs) else (np.nan, "no sampled state on the frozen level")
     truncation_bound(h, 1.0)  # the truncation's rule 0 < h < 1, before sqrt(h) below
     for alpha in alphas:  # one draw of (k, 1) gives the numbers of k draws of one
-        cfg = config(alpha)
-        stepper = make_alpha_stepper(shs, cfg)
-        dw = truncate_increments(rng.standard_normal((len(zs), 1)) * np.sqrt(h), h, cfg.truncation)
+        stepper = make_alpha_stepper(shs, config(alpha))
+        dw = rng.standard_normal((len(zs), 1)) * np.sqrt(h)
         worst = np.max(poisson_map_residual(stepper, lambda _: j_inverse(chart.n), zs, h, dw, eps=1e-6), initial=worst)
     lines.append(CheckLine("symplectic", worst, THRESHOLDS["symplectic"], note))
-    cfg = config(0.5)
-    dw = truncate_increments(rng.standard_normal((len(pick), 1)) * np.sqrt(h), h, cfg.truncation)
-    residuals = poisson_map_residual(alpha_scheme_map(model, cfg), sys.structure, points[pick], h, dw, eps=1e-6)
+    dw = rng.standard_normal((len(pick), 1)) * np.sqrt(h)
+    residuals = poisson_map_residual(alpha_scheme_map(model, config(0.5)), sys.structure, points[pick], h, dw, eps=1e-6)
     lines.append(CheckLine("poisson_map", np.max(residuals), THRESHOLDS["poisson_map"]))
     return lines

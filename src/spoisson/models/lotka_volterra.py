@@ -68,7 +68,7 @@ def _require_positive(y):
     y = np.asarray(y, dtype=float)
     if not (y > 0).all():
         bad = ~(y > 0).all(axis=-1)
-        raise DomainError("state must be componentwise positive", state=y, mask=bad)
+        raise DomainError("state must be componentwise positive", mask=bad)
     return y
 
 

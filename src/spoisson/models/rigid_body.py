@@ -125,9 +125,7 @@ def chart(casimir_value) -> Chart:
         rho2 = 2.0 * c - p**2
         bad = rho2 <= 0
         if np.any(bad):
-            raise DomainError(
-                "inverse chart undefined: P^2 >= 2C", state=ybar, mask=bad
-            )
+            raise DomainError("inverse chart undefined: P^2 >= 2C", mask=bad)
         rho = np.sqrt(rho2)
         return np.stack([rho * np.cos(q), p, rho * np.sin(q)], axis=-1)
 

@@ -42,11 +42,7 @@ class DivergenceError(StepError):
 
 
 class DomainError(StepError):
-    """State left the declared domain; carries the offending state."""
-
-    def __init__(self, message: str, state=None, mask=None):
-        super().__init__(message, mask)
-        self.state = state
+    """State left the declared domain."""
 
 
 class IntegrationError(RuntimeError):

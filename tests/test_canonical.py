@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from spoisson.canonical import (
     verify_chart,
 )
 from spoisson.custom import load_custom_system
-from spoisson.noise import TimeGrid, sample_increments
+from spoisson.noise import TimeGrid, TruncationPolicy, sample_increments, truncation_bound
 from spoisson.poisson import PoissonSystem, ScalarField
 from spoisson.sde import DomainError, StepError, integrate
 from spoisson.models import lotka_volterra as lv
@@ -198,6 +199,17 @@ def test_poisson_integrator_conjugacy_and_casimir_exactness():
         # Casimir reattached exactly
         assert abs(float(rb.CASIMIR.value(y_new)) - cv) < 1e-14
         y = y_new
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_alpha_stepper_steps_at_the_clipped_increment(alpha):
+    stepper = make_alpha_stepper(rb.transformed_shs(rb.REFERENCE_PARAMS, 0.5), AlphaSchemeConfig(alpha))
+    h = 0.01
+    a = truncation_bound(h, TruncationPolicy().k) * math.sqrt(h)  # 0.607 at k = 4
+    z = np.array([[0.3, 0.5], [0.3, 0.5]])
+    clipped = stepper(z, h, np.array([[a], [-a]]))
+    assert np.array_equal(stepper(z, h, np.array([[1.0], [-1.0]])), clipped)
+    assert not np.array_equal(clipped[0], clipped[1])
 
 
 def test_poisson_integrator_rejects_out_of_domain_state():

@@ -232,14 +232,23 @@ def test_config_errors_exit_3(tmp_path):
 
 
 @pytest.mark.parametrize("where", ["missing directory", "directory"])
-def test_unwritable_output_exits_3_with_one_line(where, tmp_path, capsys):
-    # the path is opened when the CSV is written, after the run
+def test_unwritable_output_exits_3_with_one_line(where, tmp_path, capsys, monkeypatch):
+    # the path is checked before the run, without being opened
+    monkeypatch.setattr(experiments, "paths_experiment", lambda *a, **k: pytest.fail("the run started"))
     output = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
     argv = ["paths", "--system", "srb", "--T", "0.02", "--ref-factor", "1", "--output", str(output)]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert str(output) in err
+
+
+def test_a_failed_run_leaves_an_existing_output_as_it_was(tmp_path):
+    output = tmp_path / "x.csv"
+    output.write_text("kept\n")
+    argv = ["paths", "--system", "srb", "--T", "1", "--h", "0.3", "--output", str(output)]
+    assert main(argv) == EXIT_CONFIG  # the step does not divide T
+    assert output.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize(

@@ -43,6 +43,15 @@ def test_check_passes_every_line(seed, capsys):
     assert residual["poisson_map"] < 1e-8
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mean_square_order_is_one(seed, tmp_path, capsys):
+    argv = ["order", "--system", SPEC, "--param", "y0=" + ",".join(map(str, Y0)), "--alpha", "0,1",
+            "--T", "0.2", "--samples", "100", "--seed", str(seed), "--output", str(tmp_path / "order.csv")]
+    assert main(argv) == EXIT_OK
+    slopes = [float(line.split()[-1]) for line in capsys.readouterr().out.splitlines()]
+    assert len(slopes) == 2 and all(0.85 <= s <= 1.15 for s in slopes), slopes  # measured 0.997, 1.003
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 def test_each_casimir_is_preserved_along_a_path(model, alpha):
     step = alpha_scheme(model, Y0, AlphaSchemeConfig(alpha=alpha))
