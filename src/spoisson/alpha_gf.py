@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noise import TruncationPolicy
-from .sde import MAX_ITER, fixed_point
+from .sde import MAX_ITER, TOL, fixed_point
 
 
 def j_inverse(n: int) -> np.ndarray:
@@ -40,7 +40,7 @@ def j_inverse(n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class AlphaSchemeConfig:
     alpha: float | tuple[float, ...]  # a tuple: states stack one block per alpha
-    tol: float = 1e-12
+    tol: float = TOL
     truncation: TruncationPolicy = field(default_factory=TruncationPolicy)
 
     def __post_init__(self) -> None:

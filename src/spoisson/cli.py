@@ -29,7 +29,7 @@ from .canonical import Model, alpha_scheme
 from .custom import SpecFileError, load_custom_system, parse_keyvalues
 from .models import lotka_volterra, rigid_body
 from .noise import TimeGrid, TruncationPolicy
-from .sde import IntegrationError, StepError
+from .sde import TOL, IntegrationError, StepError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -64,7 +64,7 @@ class ExperimentConfig:
     samples: int = _option(500, int, "Monte Carlo sample count")
     seed: int = _option(2024, int, "base seed")
     truncation_k: float = _option(4.0, float, "increment truncation strength k >= 1")
-    tol: float = _option(1e-12, float, "implicit iteration tolerance")
+    tol: float = _option(TOL, float, "implicit iteration tolerance")
     output: str = _option("-", str, "CSV output path ('-' for stdout)")
     ref_factor: int = _option(1000, int, "reference refinement factor")
     spherical: bool = _option(False, _yes, "include the spherical scheme column (srb)")

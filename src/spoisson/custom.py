@@ -95,92 +95,90 @@ def _is(tree, value: int) -> bool:
     return isinstance(tree, ast.Constant) and type(tree.value) is int and tree.value == value
 
 
+def _operands(t) -> list | None:
+    """The operands of an operator, a call of a name or a single comparison; None otherwise."""
+    return ([t.left, t.right] if isinstance(t, ast.BinOp) else [t.operand] if isinstance(t, ast.UnaryOp)
+            else [t.func, *t.args] if isinstance(t, ast.Call) and isinstance(t.func, ast.Name) and not t.keywords
+            else [t.left, *t.comparators] if isinstance(t, ast.Compare) and len(t.ops) == 1 else None)
+
+
+def _node(t, a):
+    """A node of t's kind on the operands a: the inverse of _operands."""
+    return (ast.BinOp(a[0], t.op, a[1], **_LOC) if isinstance(t, ast.BinOp) else ast.UnaryOp(t.op, *a, **_LOC)
+            if isinstance(t, ast.UnaryOp) else ast.Call(a[0], a[1:], [], **_LOC) if isinstance(t, ast.Call)
+            else ast.Compare(a[0], t.ops, a[1:], **_LOC))
+
+
 def _subst(t, env: dict):
     """A copy of tree t with its names replaced by the trees of env (shared,
     not copied), int differences folded, and 0 and 1 folded out of its
     operations (so that a constant exponent such as -2 leaves no log(a) term
     and a ** (2 - 1) becomes a)."""
-    if isinstance(t, ast.Name):
-        return env.get(t.id, t)
-    if isinstance(t, ast.UnaryOp):
-        x = _subst(t.operand, env)
-        return _ZERO if isinstance(t.op, ast.USub) and _is(x, 0) else ast.UnaryOp(t.op, x, **_LOC)
-    if isinstance(t, ast.Call):
-        return ast.Call(t.func, [_subst(a, env) for a in t.args], t.keywords, **_LOC)
-    if isinstance(t, ast.Compare):
-        comparators = [_subst(c, env) for c in t.comparators]
-        return ast.Compare(_subst(t.left, env), t.ops, comparators, **_LOC)
-    if not isinstance(t, ast.BinOp):
-        return t
-    a, b, op = _subst(t.left, env), _subst(t.right, env), type(t.op)
-    if op is ast.Sub and all(isinstance(x, ast.Constant) and type(x.value) is int for x in (a, b)):
-        return ast.Constant(a.value - b.value, **_LOC)  # the b - 1 of a constant exponent
-    if op in (ast.Add, ast.Sub) and _is(b, 0) or op in (ast.Mult, ast.Div, ast.Pow) and _is(b, 1):
-        return a
-    if op is ast.Add and _is(a, 0) or op is ast.Mult and _is(a, 1):
-        return b
-    if op in (ast.Mult, ast.Div) and _is(a, 0) or op is ast.Mult and _is(b, 0):
+    if (a := _operands(t)) is None:  # a name, from env, or a number
+        return env.get(getattr(t, "id", None), t)
+    a, op = [_subst(x, env) for x in a], type(getattr(t, "op", None))
+    if op is ast.USub and _is(a[0], 0):
         return _ZERO
-    return ast.BinOp(a, t.op, b, **_LOC)
+    if op is ast.Sub and all(isinstance(x, ast.Constant) and type(x.value) is int for x in a):
+        return ast.Constant(a[0].value - a[1].value, **_LOC)  # the b - 1 of a constant exponent
+    if op in (ast.Add, ast.Sub) and _is(a[1], 0) or op in (ast.Mult, ast.Div, ast.Pow) and _is(a[1], 1):
+        return a[0]
+    if op is ast.Add and _is(a[0], 0) or op is ast.Mult and _is(a[0], 1):
+        return a[1]
+    if op in (ast.Mult, ast.Div) and _is(a[0], 0) or op is ast.Mult and _is(a[1], 0):
+        return _ZERO
+    return _node(t, a)
 
 
 def _rule(e):
-    """The rule tree of de and the operands it reads; rejects e if no rule applies."""
-    key, args = None, ()
-    if isinstance(e, (ast.BinOp, ast.UnaryOp)):
-        key = type(e.op).__name__
-        args = [e.left, e.right] if isinstance(e, ast.BinOp) else [e.operand]
-    elif isinstance(e, ast.Call) and isinstance(e.func, ast.Name) and not e.keywords:
-        key, args = e.func.id, e.args
-    rule, arity = _RULES.get(key, (None, -1))
-    if len(args) != arity:
-        raise SpecFileError(f"cannot differentiate {ast.unparse(e)!r}")
-    return rule, args
+    """(the rule tree of de, its arity, the operands it reads) of an operator
+    or a call; the tree is None and the arity -1 if no rule applies."""
+    a, call = _operands(e), isinstance(e, ast.Call)
+    key = (e.func.id if e.func.id in _ALLOWED_FUNCS else None) if call else type(getattr(e, "op", None)).__name__
+    return (*_RULES.get(key, (None, -1)), a[1:] if call else a)
 
 
 def _diff(e, v: str, memo: dict | None = None):
     """The tree of de/dv; ``memo``, one per load, maps (id(t), v) to (t, dt/dv)."""
-    if isinstance(e, ast.Name):
-        return _ONE if e.id == v else _ZERO
-    if isinstance(e, (ast.Constant, ast.Compare)):  # comparisons are piecewise constant
-        return _ZERO
+    if not isinstance(e, (ast.BinOp, ast.UnaryOp, ast.Call)):  # a name, a number or a piecewise constant comparison
+        return _ONE if getattr(e, "id", None) == v else _ZERO
     memo = {} if memo is None else memo
     if (id(e), v) not in memo:
-        rule, args = _rule(e)
+        rule, _, args = _rule(e)
         env = {**dict(zip("ab", args)), **dict(zip(("da", "db"), (_diff(x, v, memo) for x in args)))}
         memo[id(e), v] = e, _subst(rule, env)  # e held, so that its id is not reused
     return memo[id(e), v][1]
 
 
-def _check_rules(trees) -> None:
-    """Reject the first node (depth first) that _diff would reject: anything
-    outside a comparison that no rule differentiates.  The rules are closed
-    under differentiation, so the trees derived from checked ones need no check."""
-    for t in trees:
-        if not isinstance(t, (ast.Name, ast.Constant, ast.Compare)):
-            _check_rules(_rule(t)[1])
-
-
-def _operands(t) -> list | None:
-    """The operands of an operator, a call or a single comparison; None otherwise."""
-    return ([t.left, t.right] if isinstance(t, ast.BinOp) else [t.operand] if isinstance(t, ast.UnaryOp)
-            else [t.func, *t.args] if isinstance(t, ast.Call) and not t.keywords
-            else [t.left, *t.comparators] if isinstance(t, ast.Compare) and len(t.ops) == 1 else None)
-
-
-def _check_names(trees, names) -> None:
-    """Reject the first name (depth first) outside ``names`` and the whitelist,
-    and short-circuits (and, or, if, a < b < c) and other syntax, which could
-    skip the binding of a shared local of compile_field."""
-    trees, known = list(trees), {*names, *_ALLOWED_FUNCS}
-    stack = trees[::-1]
-    while stack:
-        t = stack.pop()
-        a = _operands(t)
-        if a is None and not (isinstance(t, ast.Constant) or isinstance(t, ast.Name) and t.id in known):
-            what = "unknown name" if isinstance(t, ast.Name) else "unsupported syntax"
-            raise SpecFileError(f"{what} {ast.unparse(t)!r} in {', '.join(map(ast.unparse, trees))!r}")
-        stack += (a or [])[::-1]
+def _check(trees, names, ruled: bool = True) -> None:
+    """Reject the first node (depth first) that a later stage could not take:
+    a name outside ``names``, pi and e; syntax other than numbers, operators,
+    calls and single comparisons (a short-circuit could skip the binding of a
+    shared local of compile_field); a call off its rule's arity; and an
+    operator with no rule outside the comparisons of a ``ruled``
+    (differentiated) tree, or elsewhere one other than %, // or & and | of
+    comparisons.  The rules are closed under differentiation, so the trees
+    derived from checked ones need no check."""
+    known = {*names, "pi", "e"}
+    joins = lambda t: isinstance(t, ast.Compare) or isinstance(getattr(t, "op", None), (ast.BitAnd, ast.BitOr))
+    for tree in trees:
+        stack = [(tree, ruled)]
+        while stack:
+            t, r = stack.pop()
+            if _operands(t) is None:
+                a, what = [], "unknown name" if isinstance(t, ast.Name) else "unsupported syntax"
+                ok = t.id in known if isinstance(t, ast.Name) else isinstance(getattr(t, "value", None), (int, float))
+            elif isinstance(t, ast.Call):
+                _, arity, a = _rule(t)
+                ok, what = len(a) == arity, "unknown function" if arity < 0 else "wrong arity"
+            else:  # an operator or a comparison
+                (rule, _, a), r = _rule(t), r and not isinstance(t, ast.Compare)
+                ok = rule is not None or isinstance(t, ast.Compare) or not r and (
+                    isinstance(t.op, (ast.Mod, ast.FloorDiv)) or joins(t) and all(map(joins, a)))
+                what = "cannot differentiate" if r else "unsupported syntax"
+            if not ok:
+                raise SpecFileError(f"{what} {ast.unparse(t)!r} in {ast.unparse(tree)!r}")
+            stack += [(x, r) for x in reversed(a)]
 
 
 def _jacobian(trees: np.ndarray, names, memo: dict | None = None) -> np.ndarray:
@@ -234,11 +232,8 @@ def _share(trees) -> list:
         if i in bound or a is None:
             return ast.Name(_temp(i), ast.Load(), **_LOC) if i in bound else t
         a = [emit(j) for j in a]
-        t = (ast.Call(a[0], a[1:], [], **_LOC) if isinstance(t, ast.Call)
-             else ast.Compare(a[0], t.ops, a[1:], **_LOC) if isinstance(t, ast.Compare)
-             else ast.UnaryOp(t.op, *a, **_LOC) if isinstance(t, ast.UnaryOp)
-             else ast.Call(ast.Name("_pow", ast.Load(), **_LOC), a, [], **_LOC) if isinstance(t.op, ast.Pow)
-             else ast.BinOp(a[0], t.op, a[1], **_LOC))
+        pow_ = isinstance(getattr(t, "op", None), ast.Pow)
+        t = ast.Call(ast.Name("_pow", ast.Load(), **_LOC), a, [], **_LOC) if pow_ else _node(t, a)
         if uses[i] > 1:
             bound.add(i)
             t = ast.NamedExpr(ast.Name(_temp(i), ast.Store(), **_LOC), t, **_LOC)
@@ -278,7 +273,7 @@ def compile_expr(expr: str, dim: int):
     """An expression of y1..yd as a batched callable (..., d) -> (...),
     checked now and compiled on its first call."""
     tree, ys = _parse(expr), [f"y{i + 1}" for i in range(dim)]
-    _check_names([tree], ys)
+    _check([tree], ys, ruled=False)
     return _lazy(lambda: compile_field(tree, ys))
 
 
@@ -342,6 +337,8 @@ def load_custom_system(path: str) -> Model:
             raise SpecFileError(f"key {key!r} must be an integer, got {keys[key]!r}") from None
 
     m = integer("m", 1)
+    if m < 0:
+        raise SpecFileError(f"key 'm' must be at least 0, got {m}")
     ks, casimirs = [f"K{r}" for r in range(m + 1)], sorted(k for k in keys if k.startswith("casimir"))
     chart_keys = {"chart_forward", "chart_inverse", "chart_b0", "chart_n"}
     required = {"dim", "B", *ks} | (chart_keys if chart_keys & set(keys) else set())
@@ -351,23 +348,15 @@ def load_custom_system(path: str) -> Model:
             raise SpecFileError(f"{what} key(s) {sorted(bad)} (m = {m}: K0..K{m})")
     dim, memo = integer("dim"), {}  # memo: one per load, see _diff
     rank, ys = integer("rank", dim - dim % 2), [f"y{i + 1}" for i in range(dim)]
+    # Every spec error is raised here, each tree checked where it is parsed,
+    # so that a bad file fails at load and not at the first call of a field.
     B = _entries(keys["B"], 2)
     if B.shape != (dim, dim):
         raise SpecFileError(f"B must be {dim}x{dim}")
-
-    domain = None
-    if "domain" in keys:
-        pred = compile_expr(keys["domain"], dim)
-        domain = lambda y: pred(y) != 0.0
-
-    # Every spec error is raised here, so that a bad file fails at load and
-    # not at the first call of a field.
     trees = {k: _parse(keys[k]) for k in (*ks, *casimirs)}
-    _check_names(B.flat, ys)
-    _check_rules(B.flat)
-    for t in trees.values():
-        _check_rules([t])
-        _check_names([t], ys)
+    _check([*B.flat, *trees.values()], ys)
+    pred = compile_expr(keys["domain"], dim) if "domain" in keys else None
+    domain = None if pred is None else lambda y: pred(y) != 0.0
     field = lambda k: _scalar_field(trees[k], ys, None, memo)
     system = PoissonSystem(
         dim=dim,
@@ -388,15 +377,15 @@ def load_custom_system(path: str) -> Model:
     b0 = _entries(keys["chart_b0"], 2)
     if fwd.shape != (dim,) or inv.shape != (dim,) or b0.shape != (dim, dim):
         raise SpecFileError(f"the chart needs {dim}, {dim} and {dim}x{dim} entries")
-    _check_rules(fwd)
-    for entries, names in ((fwd, ys), (inv, zs), (b0, [])):
-        _check_names(entries.flat, names)
+    for entries, names, ruled in ((fwd, ys, True), (inv, zs, True), (b0.flat, [], False)):
+        _check(entries, names, ruled)
+    try:  # b0 is evaluated now
+        b0 = compile_field(b0, [])(np.zeros(0))
+    except ArithmeticError as exc:  # such as 1/0 of Python ints
+        raise SpecFileError(f"chart_b0: {exc}") from None
     chart = Chart(n=n, forward=_lazy(lambda: compile_field(fwd, ys)), inverse=_lazy(lambda: compile_field(inv, zs)),
-                  b0=compile_field(b0, [])(np.zeros(0)),
-                  jacobian=_lazy(lambda: compile_field(_jacobian(fwd, ys, memo), ys)), domain=domain)
-    # H_r(z, c) = s K_r(theta^-1(z, c)), s the sign of the chart block; the
-    # inverse entries are checked where a K_r reads them
+                  b0=b0, jacobian=_lazy(lambda: compile_field(_jacobian(fwd, ys, memo), ys)), domain=domain)
+    # H_r(z, c) = s K_r(theta^-1(z, c)), s the sign of the chart block
     sign, inverse = ast.Constant(_block_sign(chart), **_LOC), dict(zip(ys, inv))
-    H = [ast.BinOp(sign, ast.Mult(), _subst(trees[k], inverse), **_LOC) for k in ks]
-    _check_rules(H)
+    H = [_node(_parse("s * K"), [sign, _subst(trees[k], inverse)]) for k in ks]
     return _model(system, chart, tuple(_scalar_field(t, zs, 2 * n, memo) for t in H))

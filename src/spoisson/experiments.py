@@ -28,6 +28,7 @@ from .poisson import (
     poisson_map_residual,
 )
 from .sde import (
+    TOL,
     euler_maruyama_step,
     implicit_euler_maruyama_step,
     integrate,
@@ -36,7 +37,7 @@ from .sde import (
 )
 
 
-def reference_stepper(sys: PoissonSystem, tol: float = 1e-12) -> Callable:
+def reference_stepper(sys: PoissonSystem, tol: float = TOL) -> Callable:
     """Implicit midpoint on the original system, B(ybar) evaluated once per
     iteration (see ``PoissonSystem.increment_map``)."""
     return lambda y, h, dw: midpoint_step(sys, y, h, dw, tol=tol)
@@ -48,7 +49,7 @@ def em_stepper(sys: PoissonSystem) -> Callable:
     return lambda y, h, dw: euler_maruyama_step(ito, y, h, dw)
 
 
-def iem_stepper(sys: PoissonSystem, tol: float = 1e-12) -> Callable:
+def iem_stepper(sys: PoissonSystem, tol: float = TOL) -> Callable:
     """Drift-implicit, diffusion-explicit Euler on the equivalent Ito form."""
     ito = replace(drift_and_diffusions(sys), drift=sys.ito_drift)
     return lambda y, h, dw: implicit_euler_maruyama_step(ito, y, h, dw, tol=tol)
@@ -69,7 +70,7 @@ def paths_experiment(
     grid: TimeGrid,
     seed: int,
     ref_factor: int = 1000,
-    tol: float = 1e-12,
+    tol: float = TOL,
     stack: int | None = None,
 ) -> PathsResult:
     """One sample path of the scheme and a coupled fine-midpoint reference.
@@ -131,7 +132,7 @@ def order_experiment(
     n_samples: int,
     seed: int,
     ref_factor: int = 8,
-    tol: float = 1e-12,
+    tol: float = TOL,
     on_sample_error: str = "raise",
 ):
     """Coupled strong-error estimates against the fine midpoint reference.

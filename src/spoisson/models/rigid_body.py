@@ -26,7 +26,7 @@ import numpy as np
 from ..canonical import CanonicalSHS, Chart, Model
 from ..noise import TruncationPolicy, truncate_increments
 from ..poisson import PoissonSystem, ScalarField, scale_field
-from ..sde import DomainError, SDE, midpoint_step
+from ..sde import DomainError, SDE, TOL, midpoint_step
 
 
 @dataclass(frozen=True)
@@ -266,7 +266,7 @@ def from_angles(th, radius: float) -> np.ndarray:
 def spherical_scheme(
     params: RigidBodyParams,
     y0,
-    tol: float = 1e-12,
+    tol: float = TOL,
     truncation: TruncationPolicy = TruncationPolicy(),
 ) -> Callable:
     """Midpoint rule in spherical angles, mapped back to y each step.

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .noise import WienerIncrements
-from .sde import SDE, fd_vector_jacobian, integrate, midpoint_step
+from .sde import SDE, TOL, fd_vector_jacobian, integrate, midpoint_step
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ def variational_jacobian(
     sys: PoissonSystem,
     y0,
     noise: WienerIncrements,
-    tol: float = 1e-12,
+    tol: float = TOL,
 ) -> np.ndarray:
     """Jacobian of the flow via the variational equation, integrated alongside
     the state: dz_j = M_0 z_j dt + sum_r M_r z_j o dW_r, z_j(t0) = e_j.

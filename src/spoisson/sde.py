@@ -87,6 +87,7 @@ class OrderEstimate:
 
 _FD_EPS = float(np.cbrt(np.finfo(float).eps))
 MAX_ITER = 100  # iteration cap of every implicit step
+TOL = 1e-12  # default tolerance of every implicit step
 
 
 def fd_vector_jacobian(f: Callable, y: np.ndarray, eps: float | None = None) -> np.ndarray:
@@ -156,7 +157,7 @@ def fixed_point(update: Callable, x0: np.ndarray, tol: float, max_iter: int) -> 
     raise NonConvergenceError(f"no convergence within {max_iter} iterations", worst, mask=active)
 
 
-def midpoint_step(system, y, h: float, dw, tol: float = 1e-12):
+def midpoint_step(system, y, h: float, dw, tol: float = TOL):
     """Implicit midpoint rule y_new = y + increment_map(h, dw)(ybar) at
     ybar = (y + y_new) / 2, by fixed point; ``system`` is an :class:`SDE`,
     whose fields it reads as Stratonovich coefficients, or a
@@ -166,7 +167,7 @@ def midpoint_step(system, y, h: float, dw, tol: float = 1e-12):
     return fixed_point(lambda ynew: y + increment(0.5 * (y + ynew)), y, tol, MAX_ITER)
 
 
-def implicit_euler_maruyama_step(sde: SDE, y, h: float, dw, tol: float = 1e-12):
+def implicit_euler_maruyama_step(sde: SDE, y, h: float, dw, tol: float = TOL):
     """Drift-implicit, diffusion-explicit Euler; reads the fields as Ito
     coefficients."""
     y = np.asarray(y, dtype=float)

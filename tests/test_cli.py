@@ -334,6 +334,7 @@ def test_help_exits_0(capsys):
 
 
 SRB_CUSTOM = str(Path(__file__).resolve().parents[1] / "bench" / "srb_custom.txt")
+TWO_RIGID_BODIES = str(Path(__file__).with_name("two_rigid_bodies.txt"))
 
 
 @pytest.mark.parametrize(
@@ -459,15 +460,18 @@ def _columns(header, rows, names):
     return [[r[i] for i in idx] for r in rows]
 
 
-@pytest.mark.parametrize("system", ["srb", "slv"])
-def test_paths_writes_a_column_block_per_alpha_on_one_reference(system, tmp_path):
+@pytest.mark.parametrize("system, extra, dim, name", [
+    ("srb", [], 3, "srb"), ("slv", [], 3, "slv"),
+    (TWO_RIGID_BODIES, ["--param", "y0=0.7,0.3,0.2,0.4,0.5,0.6"], 6, "custom"),
+], ids=["srb", "slv", "two_rigid_bodies"])
+def test_paths_writes_a_column_block_per_alpha_on_one_reference(system, extra, dim, name, tmp_path):
     alphas = ("0", "0.5", "1")
-    args = ["paths", "--system", system, "--T", "0.1", "--ref-factor", "5", "--seed", "3"]
+    args = ["paths", "--system", system, "--T", "0.1", "--ref-factor", "5", "--seed", "3", *extra]
     assert main(args + ["--alpha", ",".join(alphas), "--output", str(tmp_path / "all.csv")]) == EXIT_OK
     meta, header, rows = _csv(tmp_path / "all.csv")
-    ys = ["y1", "y2", "y3"]
+    ys = [f"y{i + 1}" for i in range(dim)]
     assert header == ["t"] + [f"{y}_alpha={a}" for a in alphas for y in ys] + [f"{y}_ref" for y in ys]
-    assert meta[0].startswith(f"# system={system} alpha=0.0,0.5,1.0 ")
+    assert meta[0].startswith(f"# system={name} alpha=0.0,0.5,1.0 ")
     for a in alphas:
         assert main(args + ["--alpha", a, "--output", str(tmp_path / "one.csv")]) == EXIT_OK
         _, one_header, one_rows = _csv(tmp_path / "one.csv")

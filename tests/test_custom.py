@@ -394,3 +394,51 @@ def test_a_spec_error_is_rejected_at_load(tmp_path, capsys, key, bad):
     assert main(["casimir", "--system", path, "--param", "y0=0.7,0.3,0.2"]) == EXIT_CONFIG
     assert "configuration error: cannot load custom system" in capsys.readouterr().err
 
+
+
+# Specs the load-time checks once let through, each as (old, new) edits of
+# the benchmark spec and the node a rejection names: a call off its rule's
+# arity where no derivative reads it, and & of a value in the domain.  The
+# wrong-arity K0, B and chart_forward were always rejected and must stay so.
+_K_WITHOUT_Y2 = [(" + y2**2 + y3**2)\nK", " + y3**2)\nK"), ("K1 = 0.1*(y1**2/2.0 + y2**2", "K1 = 0.1*(y1**2/2.0")]
+LOAD_ESCAPES = {
+    "domain_arity": ([("domain = (", "domain = (arctan2(y1) > -10) & (")], "arctan2(y1)"),
+    "chart_b0_arity": ([("chart_b0 = [[0, -1, 0]", "chart_b0 = [[0, -1, arctan2(1)]")], "arctan2(1)"),
+    "unread_chart_inverse_arity": (_K_WITHOUT_Y2 + [("z1, sqrt", "arctan2(z1), sqrt")], "arctan2(z1)"),
+    "domain_and_of_a_value": ([("domain = (y1**2 + y3**2 > 1e-8) & (y2**2 < 0.9)", "domain = (y1 > 0) & y2")],
+                              "(y1 > 0) & y2"),
+    "K0_arity": ([("K0 = ", "K0 = arctan2(y1) + ")], "arctan2(y1)"),
+    "B_arity": ([("B = [[0,", "B = [[arctan2(y1),")], "arctan2(y1)"),
+    "chart_forward_arity": ([("chart_forward = [y2", "chart_forward = [arctan2(y1) + y2")], "arctan2(y1)"),
+}
+
+
+@pytest.mark.parametrize("edits, bad", LOAD_ESCAPES.values(), ids=LOAD_ESCAPES)
+def test_a_call_off_its_arity_or_an_and_of_a_value_is_rejected_at_load(tmp_path, capsys, edits, bad):
+    text = SRB_CUSTOM
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path = _write(tmp_path, text)
+    with pytest.raises(SpecFileError, match=re.escape(bad)):
+        load_custom_system(path)
+    assert main(["casimir", "--system", path, "--param", "y0=0.7,0.3,0.2", "--T", "0.1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot load custom system") and err.count("\n") == 1
+
+
+def test_a_negative_m_is_rejected_at_load_and_m_0_loads(tmp_path, capsys):
+    no_k = "".join(line for line in SRB_CUSTOM.splitlines(keepends=True) if not line.startswith("K"))
+    path = _write(tmp_path, no_k.replace("m = 1", "m = -1"))
+    with pytest.raises(SpecFileError, match="key 'm' must be at least 0, got -1"):
+        load_custom_system(path)
+    assert main(["casimir", "--system", path, "--param", "y0=0.7,0.3,0.2", "--T", "0.1"]) == EXIT_CONFIG
+    assert "cannot load custom system" in capsys.readouterr().err
+    one_k = SRB_CUSTOM.replace("m = 1", "m = 0").replace("K1 = ", "casimir_unused = ")
+    assert len(load_custom_system(_write(tmp_path, one_k)).system.hamiltonians) == 1
+
+
+def test_the_readme_spec_is_the_benchmark_spec():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Custom systems", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    assert block == SRB_CUSTOM
