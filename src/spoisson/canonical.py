@@ -164,10 +164,10 @@ def poisson_integrator(chart: Chart, symplectic_stepper: Callable, frozen_c) -> 
 class Model:
     """A Poisson system with what the composed scheme and the CLI need.
 
-    ``chart(y)`` builds the canonical chart for the level set of the state y
-    (``None``: the system has no chart).  ``shs(y)`` is the
+    ``chart`` is the canonical chart, one coordinate change on the whole
+    domain (``None``: the system has no chart).  ``shs(y)`` is the
     transformed system with exact derivatives and the Casimirs frozen at
-    their values at the state y.  Both take a batch y (..., d), each state on
+    their values at the state y; it takes a batch y (..., d), each state on
     its own level (``casimir_values`` (..., l)).  ``default_T`` maps each CLI
     command to its default final time, and ``check_points(rng)`` samples the
     (k, d) states that ``check`` validates at.  A ``y0`` outside either domain is a ValueError.
@@ -175,7 +175,7 @@ class Model:
 
     name: str
     system: PoissonSystem
-    chart: Callable | None
+    chart: Chart | None
     shs: Callable
     y0: np.ndarray | None
     default_T: dict
@@ -188,10 +188,8 @@ class Model:
             raise ValueError(f"y0 must have {self.system.dim} components, got {self.y0}")
         if self.system.domain is not None and not self.system.domain(self.y0):
             raise ValueError(f"initial state {self.y0} outside the system domain")
-        if self.chart is not None:  # the chart owns the rules on its level set
-            chart = self.chart(self.y0)
-            if chart.domain is not None and not chart.domain(self.y0):
-                raise ValueError(f"initial state {self.y0} outside the chart domain")
+        if self.chart is not None and self.chart.domain is not None and not self.chart.domain(self.y0):
+            raise ValueError(f"initial state {self.y0} outside the chart domain")
 
 
 def make_alpha_stepper(shs: CanonicalSHS, config: AlphaSchemeConfig) -> Callable:
@@ -207,8 +205,8 @@ def alpha_scheme(model: Model, y0, config: AlphaSchemeConfig) -> Callable:
     """Composed alpha-generating one-step map on y: chart, symplectic step with
     the Casimirs frozen at their values at y0, inverse chart.  A state outside
     the chart domain is a DomainError at the step that takes it."""
-    chart, shs = model.chart(y0), model.shs(y0)
-    return poisson_integrator(chart, make_alpha_stepper(shs, config), shs.casimir_values)
+    shs = model.shs(y0)
+    return poisson_integrator(model.chart, make_alpha_stepper(shs, config), shs.casimir_values)
 
 
 def alpha_scheme_map(model: Model, config: AlphaSchemeConfig) -> Callable:

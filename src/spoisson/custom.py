@@ -157,8 +157,9 @@ def _check(trees, names, ruled: bool = True) -> None:
     shared local of compile_field); a call off its rule's arity; and an
     operator with no rule outside the comparisons of a ``ruled``
     (differentiated) tree, or elsewhere one other than %, // or & and | of
-    comparisons.  The rules are closed under differentiation, so the trees
-    derived from checked ones need no check."""
+    comparisons; then a constant subtree that raises (1/0 of Python ints).
+    The rules are closed under differentiation, so the trees derived from
+    checked ones need no check."""
     known = {*names, "pi", "e"}
     joins = lambda t: isinstance(t, ast.Compare) or isinstance(getattr(t, "op", None), (ast.BitAnd, ast.BitOr))
     for tree in trees:
@@ -179,6 +180,23 @@ def _check(trees, names, ruled: bool = True) -> None:
             if not ok:
                 raise SpecFileError(f"{what} {ast.unparse(t)!r} in {ast.unparse(tree)!r}")
             stack += [(x, r) for x in reversed(a)]
+        _constant(tree, tree)
+
+
+def _constant(t, tree) -> bool:
+    """Whether the subtree t of a checked tree reads no variable; each such
+    compound t is evaluated once, as its compiled field evaluates it, and one
+    that raises is a SpecFileError (a nan or an inf is a value)."""
+    if (a := _operands(t)) is None:
+        return not isinstance(t, ast.Name) or t.id in ("pi", "e")
+    if not all([_constant(x, tree) for x in a[isinstance(t, ast.Call):]]):
+        return False
+    try:
+        with np.errstate(all="ignore"):
+            eval(compile(ast.Expression(*_share([t])), "<expr>", "eval"), _GLOBALS, {})
+    except (ArithmeticError, TypeError) as exc:  # 1/0, or a ufunc of an int past float
+        raise SpecFileError(f"cannot evaluate {ast.unparse(t)!r} in {ast.unparse(tree)!r}: {exc}") from None
+    return True
 
 
 def _jacobian(trees: np.ndarray, names, memo: dict | None = None) -> np.ndarray:
@@ -318,7 +336,7 @@ def _model(system: PoissonSystem, chart: Chart | None = None, fields=()) -> Mode
     return Model(
         name="custom",
         system=system,
-        chart=None if chart is None else lambda y: chart,
+        chart=chart,
         shs=shs,
         y0=None,
         default_T={"paths": 10.0, "casimir": 10.0, "order": 2.0},
@@ -379,10 +397,7 @@ def load_custom_system(path: str) -> Model:
         raise SpecFileError(f"the chart needs {dim}, {dim} and {dim}x{dim} entries")
     for entries, names, ruled in ((fwd, ys, True), (inv, zs, True), (b0.flat, [], False)):
         _check(entries, names, ruled)
-    try:  # b0 is evaluated now
-        b0 = compile_field(b0, [])(np.zeros(0))
-    except ArithmeticError as exc:  # such as 1/0 of Python ints
-        raise SpecFileError(f"chart_b0: {exc}") from None
+    b0 = compile_field(b0, [])(np.zeros(0))
     chart = Chart(n=n, forward=_lazy(lambda: compile_field(fwd, ys)), inverse=_lazy(lambda: compile_field(inv, zs)),
                   b0=b0, jacobian=_lazy(lambda: compile_field(_jacobian(fwd, ys, memo), ys)), domain=domain)
     # H_r(z, c) = s K_r(theta^-1(z, c)), s the sign of the chart block

@@ -253,7 +253,7 @@ def model(params: LVParams, y0) -> Model:
     return Model(
         name="slv",
         system=system(params),
-        chart=lambda y: chart(params),
+        chart=chart(params),
         shs=lambda y: transformed_shs(params, casimir(params).value(y)),
         y0=np.asarray(y0, dtype=float),
         default_T={"paths": 10.0, "casimir": 10.0, "order": 2.0},

@@ -106,11 +106,8 @@ def system(params: RigidBodyParams) -> PoissonSystem:
     )
 
 
-def chart(casimir_value) -> Chart:
-    """Canonical chart (P, Q, C) = (y2, atan2(y3, y1), |y|^2/2) on each level C."""
-    if np.any(casimir_value <= 0):
-        raise ValueError("Casimir value must be positive")
-    two_c = 2.0 * casimir_value
+def chart() -> Chart:
+    """Canonical chart (P, Q, C) = (y2, atan2(y3, y1), |y|^2/2) off the y2 axis."""
 
     def forward(y):
         y = np.asarray(y, dtype=float)
@@ -142,7 +139,7 @@ def chart(casimir_value) -> Chart:
 
     def domain(y):
         y = np.asarray(y, dtype=float)
-        return (y[..., 0] ** 2 + y[..., 2] ** 2 > 0) & (y[..., 1] ** 2 < two_c)
+        return y[..., 0] ** 2 + y[..., 2] ** 2 > 0  # so P^2 < 2C on the state's own level
 
     b0 = np.zeros((3, 3))
     b0[0, 1] = -1.0
@@ -203,7 +200,7 @@ def model(params: RigidBodyParams, y0) -> Model:
     return Model(
         name="srb",
         system=system(params),
-        chart=lambda y: chart(CASIMIR.value(y)),
+        chart=chart(),
         shs=lambda y: transformed_shs(params, CASIMIR.value(y)),
         y0=np.asarray(y0, dtype=float),
         default_T={"paths": 10.0, "casimir": 500.0, "order": 10.0},

@@ -232,10 +232,10 @@ def variational_jacobian(
 def poisson_map_residual(
     step: Callable, structure: Callable, y, h: float, dw, eps: float | None = None
 ) -> np.ndarray:
-    """Max-abs entry of M B(y) M^T - B(step(y)) at each state of y (..., d),
-    stepped with its own dw (..., m); M is the fd step Jacobian, B =
-    structure.  One state gives one value."""
+    """Max-abs entry of M B(y) M^T - B(step(y)) at each state of y (..., d) (one
+    value for one state), stepped with its own dw (..., m) on an axis before the
+    state's, so a step built per state broadcasts; M is the fd step Jacobian, B = structure."""
     y, dw = np.asarray(y, dtype=float), np.asarray(dw, dtype=float)
     M = fd_vector_jacobian(lambda x: step(x, h, dw[..., None, :]), y, eps)
-    res = M @ structure(y) @ np.swapaxes(M, -1, -2) - structure(step(y, h, dw))
-    return np.max(np.abs(res), axis=(-1, -2))
+    B_new = structure(step(y[..., None, :], h, dw[..., None, :])[..., 0, :])
+    return np.max(np.abs(M @ structure(y) @ np.swapaxes(M, -1, -2) - B_new), axis=(-1, -2))

@@ -230,8 +230,8 @@ def test_criterion_7_structural_validators():
     j_lv = check_jacobi(sys_lv, pts_lv).max()
     assert j_rb < 1e-8 and j_lv < 1e-8
 
-    chart_pts = pts_rb[rb.chart(0.5).domain(pts_rb)]
-    c_rb = verify_chart(rb.chart(0.5), sys_rb, chart_pts).max()
+    chart_pts = pts_rb[rb.chart().domain(pts_rb)]
+    c_rb = verify_chart(rb.chart(), sys_rb, chart_pts).max()
     c_lv = verify_chart(lv.chart(lv.REFERENCE_PARAMS), sys_lv, pts_lv).max()
     assert c_rb < 1e-8 and c_lv < 1e-8
 

@@ -297,7 +297,7 @@ def _traced_shs(shs, counts):
 
 def _chart_states(model, seed, n=16):
     rng = np.random.default_rng(seed)
-    z0 = model.chart(model.y0).forward(model.y0)[:2]
+    z0 = model.chart.forward(model.y0)[:2]
     return z0 + 0.05 * rng.standard_normal((n, 2)), 0.1 * rng.standard_normal(n)
 
 

@@ -55,10 +55,10 @@ def _canonical_system():
     )
 
 
-def _srb_domain_points(n=100, seed=0, casimir_value=0.5):
+def _srb_domain_points(n=100, seed=0):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.5, 1.5, size=(6 * n, 3))
-    ch = rb.chart(casimir_value)
+    ch = rb.chart()
     return pts[ch.domain(pts)][:n]
 
 
@@ -69,7 +69,7 @@ def test_verify_chart_identity_on_canonical_system():
 
 def test_verify_chart_builtin_models():
     sysm = rb.system(rb.REFERENCE_PARAMS)
-    report = verify_chart(rb.chart(0.5), sysm, _srb_domain_points())
+    report = verify_chart(rb.chart(), sysm, _srb_domain_points())
     assert report.max() < 1e-8
 
     params = lv.REFERENCE_PARAMS
@@ -93,7 +93,7 @@ def test_verify_chart_rejects_singular_jacobian():
 
 def test_transform_system_rigid_body_matches_kinetic_energy():
     sysm = rb.system(rb.REFERENCE_PARAMS)
-    chart = rb.chart(0.5)
+    chart = rb.chart()
     shs = transform_system(sysm, chart, rb.REFERENCE_Y0)
     assert np.allclose(shs.casimir_values, [0.5], atol=1e-14)
 
@@ -132,7 +132,7 @@ def test_transform_system_slv_flips_sign():
 
 def test_transform_system_gradients_match_analytic():
     sysm = rb.system(rb.REFERENCE_PARAMS)
-    chart = rb.chart(0.5)
+    chart = rb.chart()
     generic = transform_system(sysm, chart, rb.REFERENCE_Y0)
     analytic = rb.transformed_shs(rb.REFERENCE_PARAMS, 0.5)
     rng = np.random.default_rng(4)
@@ -169,7 +169,7 @@ def test_transform_system_rejects_out_of_domain_start():
 
 
 def test_poisson_integrator_identity_stepper_fixes_level_set():
-    chart = rb.chart(0.5)
+    chart = rb.chart()
     step = poisson_integrator(chart, lambda z, h, dw: z, [0.5])
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -183,7 +183,7 @@ def test_poisson_integrator_identity_stepper_fixes_level_set():
 def test_poisson_integrator_conjugacy_and_casimir_exactness():
     params = rb.REFERENCE_PARAMS
     cv = 0.5
-    chart = rb.chart(cv)
+    chart = rb.chart()
     shs = rb.transformed_shs(params, cv)
     stepper = make_alpha_stepper(shs, AlphaSchemeConfig(alpha=0.3))
     composed = poisson_integrator(chart, stepper, [cv])
@@ -213,14 +213,14 @@ def test_alpha_stepper_steps_at_the_clipped_increment(alpha):
 
 
 def test_poisson_integrator_rejects_out_of_domain_state():
-    chart = rb.chart(0.5)
+    chart = rb.chart()
     step = poisson_integrator(chart, lambda z, h, dw: z, [0.5])
     with pytest.raises(DomainError):
         step(np.array([0.0, 2.0, 0.0]), 0.01, np.zeros(1))  # y2^2 > 2C
 
 
 def test_poisson_integrator_reports_domain_exit():
-    chart = rb.chart(0.5)
+    chart = rb.chart()
     runaway = lambda z, h, dw: z + np.array([10.0, 0.0])  # pushes P out of range
     step = poisson_integrator(chart, runaway, [0.5])
     with pytest.raises(DomainError):
@@ -232,7 +232,7 @@ def test_generic_alpha_scheme_tracks_analytic_model():
     config = AlphaSchemeConfig(alpha=0.5)
     model = rb.model(params, rb.REFERENCE_Y0)
     generic = alpha_scheme(
-        replace(model, shs=lambda y: transform_system(model.system, rb.chart(0.5), y)),
+        replace(model, shs=lambda y: transform_system(model.system, rb.chart(), y)),
         rb.REFERENCE_Y0,
         config,
     )
@@ -284,9 +284,3 @@ def _assert_batch_steps_row_by_row(step, ys, dws):
         single = np.stack([step(y, 0.04, d) for y, d in zip(ys, dw)])
         assert np.array_equal(batched, single)
         ys = batched
-
-
-def test_rigid_body_chart_rejects_a_non_positive_casimir_value_in_a_batch():
-    rb.chart(np.array([0.5, 1e-3, 2.0]))
-    with pytest.raises(ValueError, match="positive"):
-        rb.chart(np.array([0.5, 0.0, 2.0]))

@@ -94,7 +94,7 @@ def test_load_custom_system_and_validate(tmp_path):
     assert check_jacobi(sysm, pts).max() == 0.0
     assert check_casimir(sysm.casimirs[0], sysm, pts).max() < 1e-8
     assert custom.y0 is None and custom.chart is not None
-    assert verify_chart(custom.chart(pts[0]), sysm, pts).max() < 1e-8
+    assert verify_chart(custom.chart, sysm, pts).max() < 1e-8
 
 
 def test_custom_composed_scheme_preserves_casimir(tmp_path):
@@ -183,7 +183,7 @@ def test_constant_entries_broadcast(tmp_path, shape):
     K = custom.system.hamiltonians[0]
     assert K.value(y).shape == batch
     assert np.array_equal(K.hess(y)[1], np.broadcast_to(np.diag([0.5, 1.0, 1.0]), batch + (3, 3)))
-    jacobian = custom.chart(y).jacobian(y)
+    jacobian = custom.chart.jacobian(y)
     assert np.array_equal(jacobian[..., 0, :], np.broadcast_to([0.0, 1.0, 0.0], batch + (3,)))
 
 
@@ -197,9 +197,9 @@ def test_custom_fields_match_the_analytic_rigid_body(tmp_path):
         assert np.allclose(H.value(zs), A.value(zs), rtol=1e-13, atol=1e-15)
         assert np.allclose(H.grad(zs), A.grad(zs), rtol=1e-12, atol=1e-14)
         assert np.allclose(H.hess(zs)[1], A.hess(zs)[1], rtol=1e-12, atol=1e-13)
-    chart = custom.chart(y0)
+    chart = custom.chart
     ys = chart.inverse(np.concatenate([zs, np.full((20, 1), shs.casimir_values[0])], axis=-1))
-    assert np.allclose(chart.jacobian(ys), rb.chart(0.31).jacobian(ys), rtol=1e-13, atol=1e-14)
+    assert np.allclose(chart.jacobian(ys), rb.chart().jacobian(ys), rtol=1e-13, atol=1e-14)
 
 
 def _array_pow(t, memo: dict):
@@ -243,7 +243,7 @@ def _outputs(model, reverse=False):
     """label -> output of every compiled function of a loaded model, each
     called once: B, dB, the domain, the chart's maps, then each scalar field's
     value, gradient and jet, or all of it in reverse order (jets first)."""
-    system, chart, shs = model.system, model.chart(Y0), model.shs(Y0)
+    system, chart, shs = model.system, model.chart, model.shs(Y0)
     calls = [("B", system.structure, Y0), ("dB", system.structure_derivative, Y0),
              ("domain", system.domain, Y0), ("forward", chart.forward, Y0),
              ("inverse", chart.inverse, W), ("jacobian", chart.jacobian, Y0)]
@@ -425,6 +425,31 @@ def test_a_call_off_its_arity_or_an_and_of_a_value_is_rejected_at_load(tmp_path,
     assert main(["casimir", "--system", path, "--param", "y0=0.7,0.3,0.2", "--T", "0.1"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error: cannot load custom system") and err.count("\n") == 1
+
+
+# Constant subtrees that raise when evaluated, each as (old, new) and the
+# subtree a rejection names: in K0, whose value no command read (its
+# derivatives fold the constant away), as a factor that a step reaches, a
+# ufunc of an int past the float range, and in chart_b0, which was always
+# evaluated at load.
+_HUGE = "1" + "0" * 400
+RAISING_CONSTANTS = {
+    "K0_term": ("K0 = ", "K0 = 1/0 + ", "1 / 0"),
+    "K0_factor": ("K0 = ", "K0 = (1/0)*y1 + ", "1 / 0"),
+    "K0_huge_int": ("K0 = ", f"K0 = sqrt({_HUGE}) + ", f"sqrt({_HUGE})"),
+    "chart_b0": ("chart_b0 = [[0, -1, 0]", "chart_b0 = [[0, -1, 1/0]", "1 / 0"),
+}
+
+
+@pytest.mark.parametrize("old, new, bad", RAISING_CONSTANTS.values(), ids=RAISING_CONSTANTS)
+def test_a_constant_that_raises_is_rejected_at_load(tmp_path, capsys, old, new, bad):
+    assert SRB_CUSTOM.count(old) == 1
+    path = _write(tmp_path, SRB_CUSTOM.replace(old, new))
+    with pytest.raises(SpecFileError, match=re.escape(f"cannot evaluate {bad!r}")):
+        load_custom_system(path)
+    assert main(["check", "--system", path, "--param", "y0=0.7,0.3,0.2"]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("configuration error: cannot load custom system") and err.count("\n") == 1
 
 
 def test_a_negative_m_is_rejected_at_load_and_m_0_loads(tmp_path, capsys):

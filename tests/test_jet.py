@@ -82,7 +82,7 @@ def _fields():
     inv = 1.0 / np.array([SRB.i1, SRB.i2, SRB.i3])
     custom = replace(load_custom_system(str(SRB_CUSTOM)), y0=CUSTOM_Y0)
     custom_shs = custom.shs(CUSTOM_Y0)
-    generic = transform_system(rb.system(SRB), rb.chart(0.5), rb.REFERENCE_Y0)
+    generic = transform_system(rb.system(SRB), rb.chart(), rb.REFERENCE_Y0)
     b, r, nu, mu = SLV.b, SLV.r, SLV.nu, SLV.mu
     scaled = scale_field(srb_shs.hamiltonians[0], -1.7)
     fields = {

@@ -412,7 +412,7 @@ def test_poisson_map_residual_of_a_batch_is_each_state_alone(name, em):
     step = em_stepper(sysm) if em else alpha_scheme_map(model, AlphaSchemeConfig(alpha=0.25))
     rng = np.random.default_rng(11)
     ys = model.check_points(rng)
-    ys = ys[model.chart(model.y0).domain(ys)][:6]
+    ys = ys[model.chart.domain(ys)][:6]
     dw = 0.1 * rng.standard_normal((len(ys), 1))
     for eps in (None, 1e-6):
         batched = poisson_map_residual(step, sysm.structure, ys, 0.01, dw, eps)

@@ -1,7 +1,8 @@
 """Property tests of the composed alpha schemes beyond the reference
 constants, and the pinned limits of the solve: a success at the edge of the
-contraction limit, the failure mode past it, and a ``check`` that fails
-there."""
+contraction limit, the failure mode past it, a ``check`` whose step size is
+past it at a sampled state, and slv ``check`` runs that pass at constants
+where stepping on the level of y0 failed."""
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from spoisson.alpha_gf import AlphaSchemeConfig
 from spoisson.canonical import alpha_scheme
-from spoisson.cli import EXIT_NUMERICAL, main
+from spoisson.cli import EXIT_NUMERICAL, EXIT_OK, main
 from spoisson.experiments import check_suite
 from spoisson.noise import TimeGrid, sample_increments
 from spoisson.sde import NonConvergenceError, StepError, integrate
@@ -80,7 +81,7 @@ def _maps_pass_or_fail_typed(model, seed):
     the symplectic and Poisson-map lines pass, or a step fails with a boolean
     mask."""
     points = model.check_points(np.random.default_rng(seed))
-    points = points[model.chart(model.y0).domain(points)][:5]
+    points = points[model.chart.domain(points)][:5]
     try:
         lines = check_suite(model, points, lambda alpha: AlphaSchemeConfig(alpha=alpha), seed=seed)
     except StepError as exc:
@@ -136,15 +137,28 @@ def test_cli_past_the_contraction_limit_exits_2(capsys):
 
 
 def test_slv_check_past_the_contraction_limit_exits_2(capsys):
-    # The skew, Jacobi, Casimir and chart lines take no step, yet a failing
-    # solve of the symplecticity check ends the whole check before any line prints.
-    constants = dict(a=-1.5477529781320394, b=-1.2199175981335006, r=-0.8570368296969864,
-                     nu=1.794424997874792, mu=2.128825642241188, c2=0.24224947117312517,
-                     y0="2.2672946600715145,0.397828602940306,1.8011552357840532")
-    argv = ["check", "--system", "slv", "--seed", "0"]
-    for key, value in constants.items():
-        argv += ["--param", f"{key}={value}"]
-    assert main(argv) == EXIT_NUMERICAL
+    # At h = 0.5 the solve of a step from a sampled check state fails.  The
+    # skew, Jacobi, Casimir and chart lines take no step, yet a failing solve
+    # of a map check ends the whole check before any line prints.
+    assert main(["check", "--system", "slv", "--h", "0.5"]) == EXIT_NUMERICAL
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "numerical failure: no convergence within 100 iterations (residual 2.565e+00)\n"
+    assert err == "numerical failure: no convergence within 100 iterations (residual 1.829e+02)\n"
+
+
+# Constants and a seed at which ``check`` exited 2 when it stepped each picked
+# state's chart coordinates on the level of y0: the pinned failure above until
+# each state stepped on its own level, and a run whose iterates overflowed exp.
+PINNED = dict(a=-1.5477529781320394, b=-1.2199175981335006, r=-0.8570368296969864, nu=1.794424997874792,
+              mu=2.128825642241188, c2=0.24224947117312517, y0="2.2672946600715145,0.397828602940306,1.8011552357840532")
+EDGE = dict(a=-3, b=-1.5, r=-1, nu=0.5, mu=1, c2=0, y0="0.2,0.2,0.2")
+
+
+@pytest.mark.parametrize("constants,seed", [(PINNED, 0), (EDGE, 0), (EDGE, 1), (EDGE, 2)],
+                         ids=["pinned-0", "edge-0", "edge-1", "edge-2"])
+def test_slv_check_passes_where_the_level_of_y0_failed(constants, seed, capsys):
+    argv = ["check", "--system", "slv", "--seed", str(seed)]
+    for key, value in constants.items():
+        argv += ["--param", f"{key}={value}"]
+    assert main(argv) == EXIT_OK
+    assert all(line.endswith("PASS") for line in capsys.readouterr().out.splitlines())

@@ -19,10 +19,10 @@ from spoisson.models import rigid_body as rb
 from oracles import bracket
 
 
-def _domain_points(n=100, seed=0, casimir_value=0.5):
+def _domain_points(n=100, seed=0):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.5, 1.5, size=(8 * n, 3))
-    pts = pts[rb.chart(casimir_value).domain(pts)]
+    pts = pts[rb.chart().domain(pts)]
     return pts[:n]
 
 
@@ -57,7 +57,7 @@ def test_params_validated():
 
 
 def test_chart_round_trip():
-    chart = rb.chart(0.5)
+    chart = rb.chart()
     y = rb.REFERENCE_Y0
     assert np.max(np.abs(chart.inverse(chart.forward(y)) - y)) < 1e-14
     # round trip holds on the whole domain (third coordinate is C(y))
@@ -66,7 +66,7 @@ def test_chart_round_trip():
 
 
 def test_chart_residual():
-    report = verify_chart(rb.chart(0.5), rb.system(rb.REFERENCE_PARAMS), _domain_points())
+    report = verify_chart(rb.chart(), rb.system(rb.REFERENCE_PARAMS), _domain_points())
     assert report.max() < 1e-8
 
 
@@ -90,14 +90,14 @@ def test_chart_bracket_relation():
 
 
 def test_chart_inverse_rejects_p_out_of_range():
-    chart = rb.chart(0.5)
+    chart = rb.chart()
     with pytest.raises(DomainError):
         chart.inverse(np.array([1.5, 0.0, 0.5]))  # P^2 > 2C
 
 
 def test_transformed_hamiltonian_matches_energy_at_start():
     shs = rb.transformed_shs(rb.REFERENCE_PARAMS, 0.5)
-    chart = rb.chart(0.5)
+    chart = rb.chart()
     K = rb.kinetic_energy(rb.REFERENCE_PARAMS)
     z = chart.forward(rb.REFERENCE_Y0)[:2]
     assert shs.hamiltonians[0].value(z) == pytest.approx(float(K.value(rb.REFERENCE_Y0)), rel=1e-14)

@@ -1,6 +1,6 @@
 """A custom system of dimension d = 6 with n = 2 and two Casimirs: two rigid
 bodies coupled through K0 (two_rigid_bodies.txt), each on its own
-rigid-body chart."""
+rigid-body chart; and ``chain_spec(N)``, the chain of N such bodies."""
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,13 +18,63 @@ SPEC = str(Path(__file__).with_name("two_rigid_bodies.txt"))
 Y0 = np.array([0.7, 0.3, 0.2, 0.4, 0.5, 0.6])
 
 
+def chain_spec(n: int) -> str:
+    """The spec of N rigid bodies in a chain: d = 3N, rank 2N, N Casimirs, the
+    product chart, body b with moments of inertia 2 on its axis b mod 3 and 1
+    on the others, coupled to body b + 1 through 0.1 y_{3b+2} y_{3b+5} in K0;
+    at N = 2, two_rigid_bodies.txt up to its /1 divisors."""
+    bodies = [(f"y{3 * b + 1}", f"y{3 * b + 2}", f"y{3 * b + 3}") for b in range(n)]
+    K = " + ".join([f"0.5*({' + '.join(f'{y}**2/{1 + (i == b % 3)}' for i, y in enumerate(ys))})"
+                    for b, ys in enumerate(bodies)] + [f"0.1*y{3 * b + 2}*y{3 * b + 5}" for b in range(n - 1)])
+    d, casimirs = 3 * n, [f"0.5*({y1}**2 + {y2}**2 + {y3}**2)" for y1, y2, y3 in bodies]
+    B, b0 = np.full((d, d), "0", dtype=object), np.full((d, d), "0", dtype=object)
+    for b, (y1, y2, y3) in enumerate(bodies):  # B(y) w = y x w on each body's block
+        i = 3 * b
+        B[i, i + 1], B[i, i + 2], B[i + 1, i + 2] = "-" + y3, y2, "-" + y1
+        B[i + 1, i], B[i + 2, i], B[i + 2, i + 1] = y3, "-" + y2, y1
+        b0[b, n + b], b0[n + b, b] = "-1", "1"
+    inverse = []
+    for b in range(n):  # (P_b, Q_b, C_b) = (z_{b+1}, z_{n+b+1}, z_{2n+b+1})
+        rho = f"sqrt(2*z{2 * n + b + 1} - z{b + 1}**2)"
+        inverse += [f"{rho}*cos(z{n + b + 1})", f"z{b + 1}", f"{rho}*sin(z{n + b + 1})"]
+    vector = lambda entries: "[" + ", ".join(entries) + "]"
+    return "\n".join([
+        f"dim = {d}", "m = 1", f"rank = {2 * n}", f"B = {vector(map(vector, B))}", f"K0 = {K}", f"K1 = 0.2*({K})",
+        *(f"casimir{b + 1} = {c}" for b, c in enumerate(casimirs)),
+        "domain = " + " & ".join(f"({y1}**2 + {y3}**2 > 1e-8)" for y1, _, y3 in bodies),
+        f"chart_n = {n}",
+        "chart_forward = " + vector([y2 for _, y2, _ in bodies] + [f"arctan2({y3}, {y1})" for y1, _, y3 in bodies]
+                                    + casimirs),
+        f"chart_inverse = {vector(inverse)}", f"chart_b0 = {vector(map(vector, b0))}", ""])
+
+
+def test_the_chain_of_two_is_the_spec_file():
+    spec = [line for line in Path(SPEC).read_text().splitlines() if line and not line.startswith("#")]
+    assert chain_spec(2).replace("/1 ", " ").replace("/1)", ")").splitlines() == spec
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_check_passes_every_line_on_the_chain(n, seed, tmp_path, capsys):
+    # Each sampled state steps on its own Casimir levels; inverting the picked
+    # states onto the levels of y0 left none at N = 8 (and at N = 4, seed 1).
+    spec = tmp_path / f"chain{n}.txt"
+    spec.write_text(chain_spec(n))
+    argv = ["check", "--system", str(spec), "--param", "y0=" + ",".join(["0.7,0.3,0.2"] * n), "--seed", str(seed)]
+    assert main(argv) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "skew", "jacobi", *(f"casimir[{b}]" for b in range(n)), "chart", "symplectic", "poisson_map"]
+    assert all(line.endswith("PASS") for line in lines)
+
+
 @pytest.fixture(scope="module")
 def model():
     return replace(load_custom_system(SPEC), y0=Y0)
 
 
 def test_the_spec_has_two_degrees_of_freedom_and_two_casimirs(model):
-    assert model.chart(Y0).n == 2 and model.system.rank == 4
+    assert model.chart.n == 2 and model.system.rank == 4
     assert len(model.system.casimirs) == 2 and model.shs(Y0).casimir_values.shape == (2,)
 
 
@@ -83,7 +133,7 @@ def test_sbar_gradient_is_the_gradient_of_sbar(model, alpha):
         g1 = H1.grad(z)
         return H0.value(z) * h + H1.value(z) * dw + (2 * alpha - 1) * (g1[n:] @ g1[:n]) * dw**2 / 2
 
-    zhat = model.chart(Y0).forward(Y0)[: 2 * n] + np.array([0.02, -0.03, 0.05, 0.01])
+    zhat = model.chart.forward(Y0)[: 2 * n] + np.array([0.02, -0.03, 0.05, 0.01])
     eps = 1e-6
     fd = np.array([(sbar(zhat + eps * e) - sbar(zhat - eps * e)) / (2 * eps) for e in np.eye(2 * n)])
     assert np.max(np.abs(sbar_gradient(shs, zhat, h, dw, alpha) - fd)) < 1e-9  # measured 7.5e-12
