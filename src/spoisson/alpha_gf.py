@@ -55,7 +55,7 @@ def sbar_gradient(shs, zhat, h: float, dw, alpha: float | np.ndarray) -> np.ndar
     """Exact gradient (dSbar/dPhat, dSbar/dQhat) of Sbar at the mixed point
     zhat = (Phat, Qhat); zhat and the gradient have shape (..., 2n).
 
-    ``shs`` provides n and, in ``shs.fold``, H_r = c_r F_{k_r} for r = 0, 1,
+    ``shs`` provides, in ``shs.fold``, H_r = c_r F_{k_r} for r = 0, 1,
     so that a noise Hamiltonian scaled from H_0 costs no second gradient.
     The extra term needs the Hessian of F_{k_1} unless alpha = 1/2, where
     its coefficient vanishes; otherwise one jet call (``hess``) gives both
@@ -64,7 +64,7 @@ def sbar_gradient(shs, zhat, h: float, dw, alpha: float | np.ndarray) -> np.ndar
     zhat) takes the Hessian for every block and multiplies the term by 0
     where alpha = 1/2, which needs a finite Hessian there too.
     """
-    n = shs.n
+    n = zhat.shape[-1] // 2
     fields, (k0, k1), (c0, c1) = shs.fold
     dw = np.asarray(dw, dtype=float)[..., None]
     second = isinstance(alpha, np.ndarray) or alpha != 0.5
@@ -97,7 +97,7 @@ def alpha_step(shs, z, h: float, dw, config: AlphaSchemeConfig):
     bit for bit as that alpha alone.
     """
     z = np.asarray(z, dtype=float)
-    n = shs.n
+    n = z.shape[-1] // 2
     alpha = config.alpha
     if isinstance(alpha, tuple):  # one alpha per block of the leading axis
         alpha = alpha[0] if len(set(alpha)) == 1 else np.reshape(alpha, (-1,) + (1,) * (z.ndim - 1))

@@ -42,6 +42,10 @@ class Chart:
     jacobian: Callable
     domain: Callable | None = None
 
+    def levels(self, y) -> np.ndarray:
+        """The Casimir levels theta(y)[..., 2n:] of the states y, (..., l)."""
+        return self.forward(y)[..., 2 * self.n:]
+
 
 @dataclass(frozen=True)
 class CanonicalSHS:
@@ -49,8 +53,6 @@ class CanonicalSHS:
     Casimir parameters frozen into the Hamiltonians; ``fold`` is derived, the
     :func:`~spoisson.poisson.fold_fields` of the Hamiltonians."""
 
-    n: int
-    casimir_values: np.ndarray
     hamiltonians: tuple[ScalarField, ...]
     fold: tuple = field(init=False, repr=False, compare=False)
 
@@ -103,9 +105,7 @@ def transform_system(sys: PoissonSystem, chart: Chart, y0) -> CanonicalSHS:
     y0 = np.asarray(y0, dtype=float)
     if chart.domain is not None and not np.all(chart.domain(y0)):
         raise DomainError("initial state outside chart domain")
-    tn = 2 * chart.n
-    ybar0 = chart.forward(y0)
-    frozen_c = np.array(ybar0[..., tn:], dtype=float)
+    frozen_c = np.array(chart.levels(y0), dtype=float)
     sign = _block_sign(chart)
 
     def to_state(z):
@@ -121,7 +121,7 @@ def transform_system(sys: PoissonSystem, chart: Chart, y0) -> CanonicalSHS:
             y = to_state(z)
             A = chart.jacobian(y)
             g = np.linalg.solve(np.swapaxes(A, -1, -2), K.grad(y)[..., None])[..., 0]
-            return sign * g[..., :tn]
+            return sign * g[..., : 2 * chart.n]
 
         return ScalarField(
             value=value,
@@ -129,11 +129,7 @@ def transform_system(sys: PoissonSystem, chart: Chart, y0) -> CanonicalSHS:
             hess=lambda z: (grad(z), fd_vector_jacobian(grad, z)),
         )
 
-    return CanonicalSHS(
-        n=chart.n,
-        casimir_values=frozen_c,
-        hamiltonians=tuple(make_field(K) for K in sys.hamiltonians),
-    )
+    return CanonicalSHS(tuple(make_field(K) for K in sys.hamiltonians))
 
 
 def poisson_integrator(chart: Chart, symplectic_stepper: Callable, frozen_c) -> Callable:
@@ -165,12 +161,12 @@ class Model:
     """A Poisson system with what the composed scheme and the CLI need.
 
     ``chart`` is the canonical chart, one coordinate change on the whole
-    domain (``None``: the system has no chart).  ``shs(y)`` is the
-    transformed system with exact derivatives and the Casimirs frozen at
-    their values at the state y; it takes a batch y (..., d), each state on
-    its own level (``casimir_values`` (..., l)).  ``default_T`` maps each CLI
-    command to its default final time, and ``check_points(rng)`` samples the
-    (k, d) states that ``check`` validates at.  A ``y0`` outside either domain is a ValueError.
+    domain (``None``: the system has no chart).  ``shs(c)`` is the
+    transformed system with exact derivatives and the Casimirs frozen at the
+    levels c (..., l), one per state of a batch (see :meth:`Chart.levels`).
+    ``default_T`` maps each CLI command to its default final time, and
+    ``check_points(rng)`` samples the (k, d) states that ``check`` validates
+    at.  A ``y0`` outside either domain is a ValueError.
     """
 
     name: str
@@ -205,15 +201,13 @@ def alpha_scheme(model: Model, y0, config: AlphaSchemeConfig) -> Callable:
     """Composed alpha-generating one-step map on y: chart, symplectic step with
     the Casimirs frozen at their values at y0, inverse chart.  A state outside
     the chart domain is a DomainError at the step that takes it."""
-    shs = model.shs(y0)
-    return poisson_integrator(model.chart, make_alpha_stepper(shs, config), shs.casimir_values)
+    c = model.chart.levels(y0)
+    return poisson_integrator(model.chart, make_alpha_stepper(model.shs(c), config), c)
 
 
 def alpha_scheme_map(model: Model, config: AlphaSchemeConfig) -> Callable:
-    """Self-starting variant of :func:`alpha_scheme`: the Casimir parameters
-    come from the input state on every call.  Along a trajectory the two
-    coincide (the Casimir is preserved exactly); off the initial level set
-    this is the map the scheme defines on the whole domain, which Jacobian
-    diagnostics probe.  A batch of states steps at once, each state on its
-    own level."""
+    """Self-starting variant of :func:`alpha_scheme`: each state of a batch
+    steps on its own Casimir levels, read on every call.  Along a trajectory
+    the two coincide; off the level of y0 this is the map the scheme defines
+    on the whole domain, which Jacobian diagnostics probe."""
     return lambda y, h, dw: alpha_scheme(model, y, config)(y, h, dw)

@@ -30,8 +30,10 @@ solved for).
 from __future__ import annotations
 
 import ast
+import re
 from collections import Counter
 from functools import cache
+from itertools import compress
 
 import numpy as np
 
@@ -150,6 +152,7 @@ def _diff(e, v: str, memo: dict | None = None):
     return memo[id(e), v][1]
 
 
+@np.errstate(all="ignore")  # a constant's nan or inf is a value
 def _check(trees, names, ruled: bool = True) -> None:
     """Reject the first node (depth first) that a later stage could not take:
     a name outside ``names``, pi and e; syntax other than numbers, operators,
@@ -157,9 +160,9 @@ def _check(trees, names, ruled: bool = True) -> None:
     shared local of compile_field); a call off its rule's arity; and an
     operator with no rule outside the comparisons of a ``ruled``
     (differentiated) tree, or elsewhere one other than %, // or & and | of
-    comparisons; then a constant subtree that raises (1/0 of Python ints).
-    The rules are closed under differentiation, so the trees derived from
-    checked ones need no check."""
+    comparisons; then a constant subtree that raises (1/0 of Python ints,
+    an int past the float range).  The rules are closed under
+    differentiation, so the trees derived from checked ones need no check."""
     known = {*names, "pi", "e"}
     joins = lambda t: isinstance(t, ast.Compare) or isinstance(getattr(t, "op", None), (ast.BitAnd, ast.BitOr))
     for tree in trees:
@@ -180,23 +183,31 @@ def _check(trees, names, ruled: bool = True) -> None:
             if not ok:
                 raise SpecFileError(f"{what} {ast.unparse(t)!r} in {ast.unparse(tree)!r}")
             stack += [(x, r) for x in reversed(a)]
-        _constant(tree, tree)
+        if _constant(tree, tree):
+            _evaluate(tree, tree)
 
 
 def _constant(t, tree) -> bool:
-    """Whether the subtree t of a checked tree reads no variable; each such
-    compound t is evaluated once, as its compiled field evaluates it, and one
-    that raises is a SpecFileError (a nan or an inf is a value)."""
+    """Whether the subtree t of a checked tree reads no variable; each largest
+    such subtree that meets a variable is evaluated."""
     if (a := _operands(t)) is None:
         return not isinstance(t, ast.Name) or t.id in ("pi", "e")
-    if not all([_constant(x, tree) for x in a[isinstance(t, ast.Call):]]):
-        return False
+    a = a[isinstance(t, ast.Call):]
+    if all(const := [_constant(x, tree) for x in a]):
+        return True
+    for x in compress(a, const):
+        _evaluate(x, tree)
+    return False
+
+
+def _evaluate(t, tree) -> None:
+    """Evaluate the constant subtree t of a checked tree once, as its compiled field
+    does, as a float; one that raises is a SpecFileError (a nan or an inf is a value)."""
     try:
-        with np.errstate(all="ignore"):
-            eval(compile(ast.Expression(*_share([t])), "<expr>", "eval"), _GLOBALS, {})
-    except (ArithmeticError, TypeError) as exc:  # 1/0, or a ufunc of an int past float
+        code = None if isinstance(t, ast.Constant) else compile(ast.Expression(*_share([t])), "<expr>", "eval")
+        float(t.value if code is None else eval(code, _GLOBALS, {}))
+    except (ArithmeticError, TypeError) as exc:  # 1/0, or an int past float: alone or in a ufunc
         raise SpecFileError(f"cannot evaluate {ast.unparse(t)!r} in {ast.unparse(tree)!r}: {exc}") from None
-    return True
 
 
 def _jacobian(trees: np.ndarray, names, memo: dict | None = None) -> np.ndarray:
@@ -323,15 +334,13 @@ def _scalar_field(tree, names, k: int | None = None, memo: dict | None = None) -
 
 def _model(system: PoissonSystem, chart: Chart | None = None, fields=()) -> Model:
     """The system as a :class:`Model` with y0 unset, whose transformed system
-    binds the chart Casimirs theta(y)[..., 2n:] into the compiled H_r(z, c)
-    of ``fields`` (c passed after z, one level per state of a batch y)."""
+    binds the levels c (..., l) into the compiled H_r(z, c) of ``fields``
+    (c passed after z, one level per state of a batch)."""
 
-    def shs(y) -> CanonicalSHS:
-        c = chart.forward(np.asarray(y, dtype=float))[..., 2 * chart.n:]
+    def shs(c) -> CanonicalSHS:
         levels = np.moveaxis(c, -1, 0)
         bind = lambda f: lambda z: f(z, *levels)
-        return CanonicalSHS(chart.n, c, tuple(
-            ScalarField(bind(H.value), bind(H.grad), bind(H.hess)) for H in fields))
+        return CanonicalSHS(tuple(ScalarField(bind(H.value), bind(H.grad), bind(H.hess)) for H in fields))
 
     return Model(
         name="custom",
@@ -357,8 +366,8 @@ def load_custom_system(path: str) -> Model:
     m = integer("m", 1)
     if m < 0:
         raise SpecFileError(f"key 'm' must be at least 0, got {m}")
-    ks, casimirs = [f"K{r}" for r in range(m + 1)], sorted(k for k in keys if k.startswith("casimir"))
-    chart_keys = {"chart_forward", "chart_inverse", "chart_b0", "chart_n"}
+    ks, chart_keys = [f"K{r}" for r in range(m + 1)], {"chart_forward", "chart_inverse", "chart_b0", "chart_n"}
+    casimirs = sorted(filter(re.compile(r"casimir([1-9]\d*)?").fullmatch, keys), key=lambda k: int(k[7:] or 0))
     required = {"dim", "B", *ks} | (chart_keys if chart_keys & set(keys) else set())
     for what, bad in (("missing required", required - set(keys)),
                       ("unknown", set(keys) - required - chart_keys - {"m", "rank", "domain", *casimirs})):

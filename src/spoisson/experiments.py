@@ -214,7 +214,7 @@ def check_suite(
         return lines
     lines.append(pointwise("chart", verify_chart(chart, sys, points)))
     pick = rng.choice(len(points), size=min(20, len(points)), replace=False)
-    shs, zs = model.shs(points[pick, None]), chart.forward(points[pick])[:, : 2 * chart.n]
+    shs, zs = model.shs(chart.levels(points[pick, None])), chart.forward(points[pick])[:, : 2 * chart.n]
     worst = 0.0
     truncation_bound(h, 1.0)  # the truncation's rule 0 < h < 1, before sqrt(h) below
     for alpha in alphas:  # one draw of (k, 1) gives the numbers of k draws of one

@@ -213,11 +213,10 @@ def transformed_shs(params: LVParams, casimir_value) -> CanonicalSHS:
     """Analytic canonical Hamiltonian H = -K o theta^-1 (sign from the chart
     block, see module docstring) on each level C; the noise Hamiltonian is c2 H."""
     a, b, r, nu, mu = params.a, params.b, params.r, params.nu, params.mu
-    c = casimir_value
 
     def _e(z):
         p, q = z[..., 0], z[..., 1]
-        return _exp(r * (c - p - b * q))
+        return _exp(r * (casimir_value - p - b * q))
 
     def value(z):
         z = np.asarray(z, dtype=float)
@@ -240,11 +239,7 @@ def transformed_shs(params: LVParams, casimir_value) -> CanonicalSHS:
         return g, out
 
     H = ScalarField(value=value, grad=lambda z: jet(z, hess=False), hess=jet)
-    return CanonicalSHS(
-        n=1,
-        casimir_values=np.asarray(casimir_value, dtype=float)[..., None],
-        hamiltonians=(H, scale_field(H, params.c2)),
-    )
+    return CanonicalSHS((H, scale_field(H, params.c2)))
 
 
 def model(params: LVParams, y0) -> Model:
@@ -254,7 +249,7 @@ def model(params: LVParams, y0) -> Model:
         name="slv",
         system=system(params),
         chart=chart(params),
-        shs=lambda y: transformed_shs(params, casimir(params).value(y)),
+        shs=lambda c: transformed_shs(params, c[..., 0]),
         y0=np.asarray(y0, dtype=float),
         default_T={"paths": 10.0, "casimir": 10.0, "order": 2.0},
         check_points=lambda rng: rng.uniform(0.2, 2.5, size=(100, 3)),

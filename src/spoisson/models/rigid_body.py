@@ -26,7 +26,7 @@ import numpy as np
 from ..canonical import CanonicalSHS, Chart, Model
 from ..noise import TruncationPolicy, truncate_increments
 from ..poisson import PoissonSystem, ScalarField, scale_field
-from ..sde import DomainError, SDE, TOL, midpoint_step
+from ..sde import DomainError, TOL, midpoint_step
 
 
 @dataclass(frozen=True)
@@ -182,11 +182,7 @@ def transformed_shs(params: RigidBodyParams, casimir_value) -> CanonicalSHS:
         return g, out
 
     H = ScalarField(value=value, grad=lambda z: jet(z, hess=False), hess=jet)
-    return CanonicalSHS(
-        n=1,
-        casimir_values=np.asarray(casimir_value, dtype=float)[..., None],
-        hamiltonians=(H, scale_field(H, params.c1)),
-    )
+    return CanonicalSHS((H, scale_field(H, params.c1)))
 
 
 def _check_points(rng) -> np.ndarray:
@@ -201,7 +197,7 @@ def model(params: RigidBodyParams, y0) -> Model:
         name="srb",
         system=system(params),
         chart=chart(),
-        shs=lambda y: transformed_shs(params, CASIMIR.value(y)),
+        shs=lambda c: transformed_shs(params, c[..., 0]),
         y0=np.asarray(y0, dtype=float),
         default_T={"paths": 10.0, "casimir": 500.0, "order": 10.0},
         check_points=_check_points,
@@ -209,11 +205,12 @@ def model(params: RigidBodyParams, y0) -> Model:
 
 
 @dataclass(frozen=True)
-class ScaledNoiseSDE(SDE):
-    """dy = f(y) (dt + c o dW), the one diffusion c f: an increment
+class ScaledNoiseSDE:
+    """dy = f(y) (dt + c o dW) with f the ``drift``: an increment
     h f + (c f) dW evaluates f once."""
 
-    c: float = 1.0
+    drift: Callable
+    c: float
 
     def increment_map(self, h: float, dw):
         col = dw[..., 0, None]
@@ -241,7 +238,7 @@ def spherical_system(params: RigidBodyParams, radius: float) -> ScaledNoiseSDE:
         )
         return np.stack([f1, f2], axis=-1)
 
-    return ScaledNoiseSDE(drift=field, diffusions=(lambda th: params.c1 * field(th),), c=params.c1)
+    return ScaledNoiseSDE(drift=field, c=params.c1)
 
 
 def to_angles(y, radius: float) -> np.ndarray:
@@ -270,10 +267,7 @@ def spherical_scheme(
 
     The radius is fixed from y0, so |y|^2 = 2C holds exactly by construction.
     """
-    y0 = np.asarray(y0, dtype=float)
     radius = float(np.linalg.norm(y0))
-    if radius == 0:
-        raise ValueError("y0 must be nonzero")
     sph = spherical_system(params, radius)
 
     def step(y, h, dw):

@@ -30,7 +30,7 @@ from transcriptions import mixed_point_update, srb_update
 
 
 def _shs(h0, h1):
-    return CanonicalSHS(n=1, casimir_values=np.zeros(0), hamiltonians=(h0, h1))
+    return CanonicalSHS((h0, h1))
 
 
 def _zero_field():
@@ -314,7 +314,7 @@ def test_alpha_iteration_evaluates_each_field_once(name, alpha, monkeypatch):
 
     monkeypatch.setattr(alpha_gf, "fixed_point", counted_fixed_point)
     zs, dws = _chart_states(model, 1, n=1)
-    alpha_step(_traced_shs(model.shs(model.y0), counts), zs[0], 0.01, dws[0], AlphaSchemeConfig(alpha))
+    alpha_step(_traced_shs(model.shs(model.chart.levels(model.y0)), counts), zs[0], 0.01, dws[0], AlphaSchemeConfig(alpha))
     n = iterations["n"]
     assert n > 1
     # alpha != 1/2: one jet of the noise field, which also gives its gradient
@@ -329,7 +329,7 @@ def test_alpha_iteration_evaluates_each_field_once(name, alpha, monkeypatch):
 @pytest.mark.parametrize("name", sorted(FOLD_MODELS))
 def test_traced_shs_steps_bit_for_bit(name, alpha):
     model = FOLD_MODELS[name][0]()
-    shs = model.shs(model.y0)
+    shs = model.shs(model.chart.levels(model.y0))
     zs, dws = _chart_states(model, 2)
     config = AlphaSchemeConfig(alpha)
     traced = alpha_step(_traced_shs(shs, Counter()), zs, 0.01, dws, config)
@@ -340,7 +340,7 @@ def test_traced_shs_steps_bit_for_bit(name, alpha):
 @pytest.mark.parametrize("name", sorted(FOLD_MODELS))
 def test_folded_alpha_step_matches_unfolded_formula(name, alpha):
     model = FOLD_MODELS[name][0]()
-    shs = model.shs(model.y0)
+    shs = model.shs(model.chart.levels(model.y0))
     # without the base link every Hamiltonian is a field of its own: h grad H_0 + dW grad H_1
     unfolded = replace(shs, hamiltonians=tuple(replace(H, base=None) for H in shs.hamiltonians))
     assert len(unfolded.fold[0]) == 2
@@ -355,7 +355,7 @@ def test_folded_alpha_step_matches_unfolded_formula(name, alpha):
 @pytest.mark.parametrize("name", sorted(FOLD_MODELS))
 def test_stacked_alpha_step_blocks_equal_single_alpha_runs(name, alphas, n):
     model = FOLD_MODELS[name][0]()
-    shs = model.shs(model.y0)
+    shs = model.shs(model.chart.levels(model.y0))
     zs, dws = _chart_states(model, 4, n=n)
     stacked = np.broadcast_to(zs, (len(alphas),) + zs.shape)  # (k, n, 2); the noise is shared
     blocks = alpha_step(shs, stacked, 0.01, dws, AlphaSchemeConfig(alphas))
@@ -368,7 +368,7 @@ def test_stacked_alpha_of_one_value_is_that_alpha():
     # all blocks alpha = 1/2: no Hessian, as for the float
     model = FOLD_MODELS["srb"][0]()
     counts = Counter()
-    shs = _traced_shs(model.shs(model.y0), counts)
+    shs = _traced_shs(model.shs(model.chart.levels(model.y0)), counts)
     zs, dws = _chart_states(model, 5, n=3)
     blocks = alpha_step(shs, np.stack([zs, zs]), 0.01, dws, AlphaSchemeConfig((0.5, 0.5)))
     assert "hess" not in counts

@@ -191,14 +191,14 @@ def test_custom_fields_match_the_analytic_rigid_body(tmp_path):
     custom = load_custom_system(_write(tmp_path, RIGID_BODY_SPEC))
     params = rb.RigidBodyParams(i1=2.0, i2=1.0, i3=1.0, c1=0.2)
     y0 = np.array([0.7, 0.3, 0.2])
-    shs, analytic = custom.shs(y0), rb.transformed_shs(params, float(rb.CASIMIR.value(y0)))
+    shs, analytic = custom.shs(custom.chart.levels(y0)), rb.transformed_shs(params, float(rb.CASIMIR.value(y0)))
     zs = np.random.default_rng(2).uniform([-0.7, -3.0], [0.7, 3.0], size=(20, 2))
     for H, A in zip(shs.hamiltonians, analytic.hamiltonians):
         assert np.allclose(H.value(zs), A.value(zs), rtol=1e-13, atol=1e-15)
         assert np.allclose(H.grad(zs), A.grad(zs), rtol=1e-12, atol=1e-14)
         assert np.allclose(H.hess(zs)[1], A.hess(zs)[1], rtol=1e-12, atol=1e-13)
     chart = custom.chart
-    ys = chart.inverse(np.concatenate([zs, np.full((20, 1), shs.casimir_values[0])], axis=-1))
+    ys = chart.inverse(np.concatenate([zs, np.full((20, 1), chart.levels(y0))], axis=-1))
     assert np.allclose(chart.jacobian(ys), rb.chart().jacobian(ys), rtol=1e-13, atol=1e-14)
 
 
@@ -243,7 +243,7 @@ def _outputs(model, reverse=False):
     """label -> output of every compiled function of a loaded model, each
     called once: B, dB, the domain, the chart's maps, then each scalar field's
     value, gradient and jet, or all of it in reverse order (jets first)."""
-    system, chart, shs = model.system, model.chart, model.shs(Y0)
+    system, chart, shs = model.system, model.chart, model.shs(model.chart.levels(Y0))
     calls = [("B", system.structure, Y0), ("dB", system.structure_derivative, Y0),
              ("domain", system.domain, Y0), ("forward", chart.forward, Y0),
              ("inverse", chart.inverse, W), ("jacobian", chart.jacobian, Y0)]
@@ -340,6 +340,8 @@ def test_syntax_a_shared_local_could_not_follow_is_rejected(expr):
 @pytest.mark.parametrize("old, new, key", [
     ("casimir =", "K2 = y1\ncasimir =", "K2"),
     ("domain =", "domian =", "domian"),
+    ("casimir =", "casimir_2 = y1\ncasimir =", "casimir_2"),
+    ("casimir =", "casimir01 = y1\ncasimir =", "casimir01"),
     ("chart_n = 1", "chart_n = 1\nchart_b1 = [1]", "chart_b1"),
 ])
 def test_unknown_keys_are_rejected(tmp_path, old, new, key):
@@ -430,13 +432,14 @@ def test_a_call_off_its_arity_or_an_and_of_a_value_is_rejected_at_load(tmp_path,
 # Constant subtrees that raise when evaluated, each as (old, new) and the
 # subtree a rejection names: in K0, whose value no command read (its
 # derivatives fold the constant away), as a factor that a step reaches, a
-# ufunc of an int past the float range, and in chart_b0, which was always
-# evaluated at load.
+# ufunc of an int past the float range, such an int as a factor, and in
+# chart_b0, which was always evaluated at load.
 _HUGE = "1" + "0" * 400
 RAISING_CONSTANTS = {
     "K0_term": ("K0 = ", "K0 = 1/0 + ", "1 / 0"),
     "K0_factor": ("K0 = ", "K0 = (1/0)*y1 + ", "1 / 0"),
     "K0_huge_int": ("K0 = ", f"K0 = sqrt({_HUGE}) + ", f"sqrt({_HUGE})"),
+    "K0_huge_literal": ("K0 = ", f"K0 = {_HUGE}*y1 + ", _HUGE),
     "chart_b0": ("chart_b0 = [[0, -1, 0]", "chart_b0 = [[0, -1, 1/0]", "1 / 0"),
 }
 
@@ -459,7 +462,7 @@ def test_a_negative_m_is_rejected_at_load_and_m_0_loads(tmp_path, capsys):
         load_custom_system(path)
     assert main(["casimir", "--system", path, "--param", "y0=0.7,0.3,0.2", "--T", "0.1"]) == EXIT_CONFIG
     assert "cannot load custom system" in capsys.readouterr().err
-    one_k = SRB_CUSTOM.replace("m = 1", "m = 0").replace("K1 = ", "casimir_unused = ")
+    one_k = SRB_CUSTOM.replace("m = 1", "m = 0").replace("K1 = ", "casimir1 = ")
     assert len(load_custom_system(_write(tmp_path, one_k)).system.hamiltonians) == 1
 
 

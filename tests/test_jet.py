@@ -81,7 +81,7 @@ def _fields():
     slv_shs = lv.transformed_shs(SLV, SLV_C)
     inv = 1.0 / np.array([SRB.i1, SRB.i2, SRB.i3])
     custom = replace(load_custom_system(str(SRB_CUSTOM)), y0=CUSTOM_Y0)
-    custom_shs = custom.shs(CUSTOM_Y0)
+    custom_shs = custom.shs(custom.chart.levels(CUSTOM_Y0))
     generic = transform_system(rb.system(SRB), rb.chart(), rb.REFERENCE_Y0)
     b, r, nu, mu = SLV.b, SLV.r, SLV.nu, SLV.mu
     scaled = scale_field(srb_shs.hamiltonians[0], -1.7)

@@ -268,7 +268,7 @@ def test_spherical_midpoint_equals_the_two_field_form():
     from spoisson.sde import SDE
 
     sph = rb.spherical_system(rb.REFERENCE_PARAMS, 1.0)
-    two = SDE(drift=sph.drift, diffusions=sph.diffusions)  # c1 f evaluated as its own field
+    two = SDE(drift=sph.drift, diffusions=(lambda th: sph.c * sph.drift(th),))  # c1 f evaluated as its own field
     rng = np.random.default_rng(12)
     ths, dws = rng.uniform(-1.0, 1.0, size=(9, 2)), 0.1 * rng.standard_normal((9, 1))
     for th, dw in ((ths[0], dws[0]), (ths, dws)):

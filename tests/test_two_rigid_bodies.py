@@ -1,6 +1,7 @@
 """A custom system of dimension d = 6 with n = 2 and two Casimirs: two rigid
 bodies coupled through K0 (two_rigid_bodies.txt), each on its own
-rigid-body chart; and ``chain_spec(N)``, the chain of N such bodies."""
+rigid-body chart; and ``chain_spec(N)``, the chain of N such bodies, whose
+chart levels are checked against its Casimirs with those of every model."""
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from spoisson.alpha_gf import AlphaSchemeConfig, sbar_gradient
 from spoisson.canonical import alpha_scheme, alpha_scheme_map
 from spoisson.cli import EXIT_OK, main
 from spoisson.custom import load_custom_system
+from spoisson.models import lotka_volterra as lv, rigid_body as rb
 from spoisson.noise import TimeGrid, sample_increments
 from spoisson.sde import integrate
 
@@ -53,6 +55,19 @@ def test_the_chain_of_two_is_the_spec_file():
     assert chain_spec(2).replace("/1 ", " ").replace("/1)", ")").splitlines() == spec
 
 
+@pytest.mark.parametrize("name", ["srb", "slv", "srb_custom", "chain10"])
+def test_the_chart_levels_are_the_casimirs_in_order(name, tmp_path):
+    # The chain's casimir10 is its tenth Casimir, not the second.
+    if name == "chain10":
+        (tmp_path / "chain10.txt").write_text(chain_spec(10))
+    model = {"srb": lambda: rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0),
+             "slv": lambda: lv.model(lv.REFERENCE_PARAMS, lv.REFERENCE_Y0),
+             "srb_custom": lambda: load_custom_system(str(Path(__file__).parents[1] / "bench" / "srb_custom.txt")),
+             "chain10": lambda: load_custom_system(str(tmp_path / "chain10.txt"))}[name]()
+    y = model.check_points(np.random.default_rng(0))
+    assert np.array_equal(model.chart.levels(y), np.stack([C.value(y) for C in model.system.casimirs], -1))
+
+
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_check_passes_every_line_on_the_chain(n, seed, tmp_path, capsys):
@@ -75,7 +90,7 @@ def model():
 
 def test_the_spec_has_two_degrees_of_freedom_and_two_casimirs(model):
     assert model.chart.n == 2 and model.system.rank == 4
-    assert len(model.system.casimirs) == 2 and model.shs(Y0).casimir_values.shape == (2,)
+    assert len(model.system.casimirs) == 2 and model.chart.levels(Y0).shape == (2,)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -125,8 +140,8 @@ def test_a_batch_of_states_steps_as_each_row_alone(model, alpha):
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
 def test_sbar_gradient_is_the_gradient_of_sbar(model, alpha):
     # The G term pairs P_k with Q_k: G = sum_k dH1/dQ_k dH1/dP_k for k = 1, 2.
-    shs = model.shs(Y0)
-    n, (H0, H1) = shs.n, shs.hamiltonians
+    shs = model.shs(model.chart.levels(Y0))
+    n, (H0, H1) = model.chart.n, shs.hamiltonians
     h, dw = 0.01, 0.3
 
     def sbar(z):
