@@ -46,7 +46,7 @@ if __name__ == "__main__":
     ap.add_argument("--outdir", help="default results/<system>")
     ap.add_argument("--samples", type=int, help="order sample count")
     ap.add_argument("--seed", type=int)
-    ap.add_argument("--ref-factor", type=int, help="paths reference refinement (smaller = faster)")
+    ap.add_argument("--ref-factor", type=int, help="paths reference step h / ref-factor (the CLI default: 1000, at most 10^6 steps)")
     args = ap.parse_args()
     outdir = pathlib.Path(args.outdir or f"results/{args.system}")
     sys.exit(run(args.system, outdir, args.samples, args.seed, args.ref_factor))

@@ -17,6 +17,7 @@ from .sde import (
     fit_order,
     implicit_euler_maruyama_step,
     integrate,
+    midpoint_path,
     midpoint_step,
     ms_error_many,
 )

@@ -32,6 +32,7 @@ from .sde import (
     euler_maruyama_step,
     implicit_euler_maruyama_step,
     integrate,
+    midpoint_path,
     midpoint_step,
     ms_error_many,
 )
@@ -39,7 +40,9 @@ from .sde import (
 
 def reference_stepper(sys: PoissonSystem, tol: float = TOL) -> Callable:
     """Implicit midpoint on the original system, B(ybar) evaluated once per
-    iteration (see ``PoissonSystem.increment_map``)."""
+    iteration (see ``PoissonSystem.increment_map``): the batched reference of
+    ``order``, stepped one step at a time (``paths`` solves its reference with
+    ``midpoint_path``)."""
     return lambda y, h, dw: midpoint_step(sys, y, h, dw, tol=tol)
 
 
@@ -76,7 +79,8 @@ def paths_experiment(
     """One sample path of the scheme and a coupled fine-midpoint reference.
 
     The reference runs at h / ref_factor, with ref_factor reduced so the total
-    reference step count stays below 10^6.  A scheme stacked over ``stack``
+    reference step count is at most 10^6, and is solved a window of steps at
+    a time (``midpoint_path``).  A scheme stacked over ``stack``
     alphas steps y0 once per block, all on the one path, against the one
     reference.
     """
@@ -85,7 +89,7 @@ def paths_experiment(
     ref_factor = max(1, min(ref_factor, 10**6 // grid.n_steps))
     fine_grid = TimeGrid(grid.t0, grid.T, grid.n_steps * ref_factor)
     fine = sample_increments(fine_grid, sys.n_noise, seed)
-    reference = integrate(reference_stepper(sys, tol), y0, fine)
+    reference = midpoint_path(sys, y0, fine, tol)
     start = y0 if stack is None else np.broadcast_to(y0, (stack,) + np.shape(y0))
     return PathsResult(
         times=grid.times(),

@@ -167,6 +167,54 @@ def midpoint_step(system, y, h: float, dw, tol: float = TOL):
     return fixed_point(lambda ynew: y + increment(0.5 * (y + ynew)), y, tol, MAX_ITER)
 
 
+# Time span of one window of midpoint_path.  Wider windows take more sweeps,
+# and at 0.2 the sweeps of slv windows left the positive octant (each such
+# window then runs twice); narrower ones pay numpy's per-call cost more often.
+WINDOW_SPAN = 0.1
+
+
+def midpoint_path(system, y0, noise: WienerIncrements, tol: float = TOL) -> np.ndarray:
+    """The implicit midpoint states of :func:`midpoint_step` over noise.grid,
+    (n_steps + 1, d), for one state y0 (d,) and noise values (n_steps, m).
+
+    The grid is cut into windows of W = round(WINDOW_SPAN / h) steps (at
+    least 1, at most n_steps).  All midpoint equations of a window are solved
+    together by Picard iteration in time (waveform relaxation): one sweep
+    Y <- y_s + cumsum(inc(1/2 (Y_prev + Y))), Y_prev being Y shifted down one
+    step with the window's start state y_s as its first row, through
+    :func:`fixed_point` on the window flattened to (W d,), so a window stops
+    when every entry of every step has converged.  A window whose sweep fails
+    (any :class:`StepError`) is rerun step by step with :func:`midpoint_step`,
+    so a real failure is the step-by-step one, with its step index.
+    """
+    y = np.asarray(y0, dtype=float)
+    n, h, d = noise.grid.n_steps, noise.grid.h, y.shape[-1]
+    size = max(1, min(n, round(WINDOW_SPAN / h)))
+    states = np.empty((n + 1, d))
+    states[0] = y
+    for s in range(0, n, size):
+        dw = noise.values[s : s + size]
+        k = len(dw)
+        increment = system.increment_map(h, dw)
+        start = states[s]
+
+        def sweep(x):
+            Y = x.reshape(k, d)
+            prev = np.concatenate((start[None], Y[:-1]))
+            return (start + np.cumsum(increment(0.5 * (prev + Y)), axis=0)).reshape(-1)
+
+        try:
+            with np.errstate(all="ignore"):  # a failed sweep is rerun, warnings and all
+                states[s + 1 : s + 1 + k] = fixed_point(sweep, np.tile(start, k), tol, MAX_ITER).reshape(k, d)
+        except StepError:
+            for j in range(s, s + k):
+                try:
+                    states[j + 1] = midpoint_step(system, states[j], h, noise.values[j], tol)
+                except Exception as exc:
+                    raise IntegrationError(j, exc) from exc
+    return states
+
+
 def implicit_euler_maruyama_step(sde: SDE, y, h: float, dw, tol: float = TOL):
     """Drift-implicit, diffusion-explicit Euler; reads the fields as Ito
     coefficients."""

@@ -1,23 +1,31 @@
 import functools
 import math
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spoisson.canonical import j_inverse
-from spoisson.noise import TimeGrid, sample_increments
+from spoisson import sde as sde_module
+from spoisson.custom import load_custom_system
+from spoisson.experiments import reference_stepper
+from spoisson.noise import TimeGrid, WienerIncrements, sample_increments
 from spoisson.poisson import PoissonSystem, ScalarField, drift_and_diffusions
 from spoisson.sde import (
     DivergenceError,
+    DomainError,
     IntegrationError,
     SDE,
     NonConvergenceError,
+    StepError,
     euler_maruyama_step,
     fit_order,
     fixed_point,
     implicit_euler_maruyama_step,
     integrate,
+    midpoint_path,
     midpoint_step,
     ms_error_many,
 )
@@ -167,6 +175,107 @@ def test_midpoint_rigid_body_fine_run_conserves_casimir():
     step = lambda y, h, dw: midpoint_step(sde, y, h, dw)
     states = integrate(step, rb.REFERENCE_Y0, noise)
     assert np.max(np.abs(rb.CASIMIR.value(states) - 0.5)) < 1e-10
+
+
+def test_midpoint_path_rigid_body_fine_run_conserves_casimir():
+    # The windowed reference keeps the step-by-step bound of the test above.
+    system = rb.system(rb.REFERENCE_PARAMS)
+    noise = sample_increments(TimeGrid(0.0, 1.0, 100_000), 1, 11)
+    states = midpoint_path(system, rb.REFERENCE_Y0, noise)
+    assert np.max(np.abs(rb.CASIMIR.value(states) - 0.5)) < 1e-10
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+_PATH_SYSTEMS = {
+    "srb": lambda: (rb.system(rb.REFERENCE_PARAMS), rb.REFERENCE_Y0),
+    "slv": lambda: (lv.system(lv.REFERENCE_PARAMS), lv.REFERENCE_Y0),
+    "srb_custom": lambda: (load_custom_system(str(_ROOT / "bench" / "srb_custom.txt")).system,
+                           np.array([0.7, 0.3, 0.2])),
+    "two_rigid_bodies": lambda: (load_custom_system(str(_ROOT / "tests" / "two_rigid_bodies.txt")).system,
+                                 np.array([0.7, 0.3, 0.2, 0.4, 0.5, 0.6])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PATH_SYSTEMS))
+@pytest.mark.parametrize("h, n", [(0.01, 50), (0.001, 300)])
+def test_midpoint_path_agrees_with_stepping(name, h, n):
+    system, y0 = _PATH_SYSTEMS[name]()
+    noise = sample_increments(TimeGrid(0.0, h * n, n), system.n_noise, 2024)
+    path = midpoint_path(system, y0, noise)
+    assert path.shape == (n + 1, len(y0))
+    assert np.max(np.abs(path - integrate(reference_stepper(system), y0, noise))) < 1e-11
+    assert np.array_equal(path, midpoint_path(system, y0, noise))  # reruns repeat every bit
+
+
+def test_midpoint_path_solves_windows_without_stepping(monkeypatch):
+    # 300 steps at h = 0.001 are three windows of 100, each one fixed_point call.
+    calls = []
+    solve = sde_module.fixed_point
+    monkeypatch.setattr(sde_module, "fixed_point", lambda *args: calls.append(args[1].shape) or solve(*args))
+    monkeypatch.setattr(sde_module, "midpoint_step", None)
+    system = rb.system(rb.REFERENCE_PARAMS)
+    midpoint_path(system, rb.REFERENCE_Y0, sample_increments(TimeGrid(0.0, 0.3, 300), 1, 3))
+    assert calls == [(300,)] * 3
+
+
+def test_one_step_window_is_midpoint_step():
+    system = rb.system(rb.REFERENCE_PARAMS)
+    noise = sample_increments(TimeGrid(0.0, 0.01, 1), 1, 5)
+    path = midpoint_path(system, rb.REFERENCE_Y0, noise)
+    assert np.array_equal(path[1], midpoint_step(system, rb.REFERENCE_Y0, 0.01, noise.values[0]))
+
+
+def test_midpoint_path_failure_is_the_stepping_failure():
+    # y' = y o dW: the step's Picard map contracts by |dW| / 2, so the 5.0
+    # at step 37 (inside the window of steps 30-39) never converges.
+    sde = SDE(lambda y: np.zeros_like(y), (lambda y: y,))
+    values = np.full((100, 1), 0.01)
+    values[37] = 5.0
+    noise = WienerIncrements(TimeGrid(0.0, 1.0, 100), values)
+    y0 = np.array([1.0, 2.0])
+    with pytest.raises(IntegrationError) as stepped:
+        integrate(reference_stepper(sde), y0, noise)
+    with pytest.raises(IntegrationError) as windowed:
+        midpoint_path(sde, y0, noise)
+    assert windowed.value.step_index == stepped.value.step_index == 37
+    cause, expected = windowed.value.__cause__, stepped.value.__cause__
+    assert type(cause) is type(expected) and isinstance(cause, StepError)
+    assert np.array_equal(cause.mask, expected.mask)
+    assert str(windowed.value) == str(stepped.value)
+
+
+def test_midpoint_path_reruns_a_window_that_leaves_the_domain(monkeypatch):
+    # Windows of 250 steps at h = 0.001: the sweeps leave the positive
+    # octant, which the converged steps never do.
+    monkeypatch.setattr(sde_module, "WINDOW_SPAN", 0.25)
+    failures = []
+    solve = sde_module.fixed_point
+
+    def recorded(*args):
+        try:
+            return solve(*args)
+        except StepError as exc:
+            failures.append(type(exc))
+            raise
+
+    monkeypatch.setattr(sde_module, "fixed_point", recorded)
+    system = lv.system(lv.REFERENCE_PARAMS)
+    noise = sample_increments(TimeGrid(0.0, 0.5, 500), 1, 0)
+    path = midpoint_path(system, lv.REFERENCE_Y0, noise)
+    assert DomainError in failures
+    assert np.array_equal(path, integrate(reference_stepper(system), lv.REFERENCE_Y0, noise))
+
+
+def test_midpoint_path_keeps_a_failed_sweep_quiet():
+    # dy = -3000 sinh(y) dt: each step contracts, but the sweeps over a window
+    # of 1000 steps overshoot until sinh overflows, and the window is rerun.
+    sde = SDE(lambda y: -3000.0 * np.sinh(y), (lambda y: np.zeros_like(y),))
+    noise = sample_increments(TimeGrid(0.0, 0.1, 1000), 1, 0)
+    y0 = np.array([0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = midpoint_path(sde, y0, noise)
+    assert np.array_equal(path, integrate(reference_stepper(sde), y0, noise))
 
 
 def test_midpoint_reports_nonconvergence():
