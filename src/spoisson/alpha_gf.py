@@ -85,6 +85,17 @@ def sbar_gradient(shs, zhat, h: float, dw, alpha: float | np.ndarray) -> np.ndar
     return grad
 
 
+def _weights(alpha, n: int, ndim: int):
+    """``alpha`` as :func:`sbar_gradient` reads it (a tuple: one value per
+    block of the leading axis of states with ndim axes), the weights of z and
+    z_new in the mixed point, and the index and signs of J^-1 g."""
+    if isinstance(alpha, tuple):  # one alpha per block of the leading axis
+        alpha = alpha[0] if len(set(alpha)) == 1 else np.reshape(alpha, (-1,) + (1,) * (ndim - 1))
+    w = np.concatenate([(1.0 - alpha) * np.ones(n), alpha * np.ones(n)], axis=-1)
+    # (1 - alpha, alpha) and (alpha, 1 - alpha) per half; (gP, gQ) -> (-gQ, gP)
+    return alpha, w, w[..., ::-1], np.r_[n:2 * n, :n], np.repeat([-1.0, 1.0], n)
+
+
 def alpha_step(shs, z, h: float, dw, config: AlphaSchemeConfig):
     """One implicit step of the alpha-generating scheme from state z = (P, Q).
 
@@ -97,14 +108,8 @@ def alpha_step(shs, z, h: float, dw, config: AlphaSchemeConfig):
     bit for bit as that alpha alone.
     """
     z = np.asarray(z, dtype=float)
-    n = z.shape[-1] // 2
-    alpha = config.alpha
-    if isinstance(alpha, tuple):  # one alpha per block of the leading axis
-        alpha = alpha[0] if len(set(alpha)) == 1 else np.reshape(alpha, (-1,) + (1,) * (z.ndim - 1))
-    w = np.concatenate([(1.0 - alpha) * np.ones(n), alpha * np.ones(n)], axis=-1)
-    za, b = w * z, w[..., ::-1]  # (1 - alpha, alpha) and (alpha, 1 - alpha) per half
-    swap = np.r_[n:2 * n, :n]  # (gP, gQ) -> (gQ, gP)
-    sign = np.repeat([-1.0, 1.0], n)
+    alpha, w, b, swap, sign = _weights(config.alpha, z.shape[-1] // 2, z.ndim)
+    za = w * z
 
     def update(z_new):
         g = sbar_gradient(shs, za + b * z_new, h, dw, alpha)
@@ -112,3 +117,16 @@ def alpha_step(shs, z, h: float, dw, config: AlphaSchemeConfig):
 
     return fixed_point(update, z, config.tol, MAX_ITER)
 
+
+def alpha_increment(shs, h: float, dw, config: AlphaSchemeConfig, n: int, ndim: int):
+    """The increment map (z, z_new) -> J^-1 grad Sbar(zhat) of
+    :func:`alpha_step` on the states (..., W, 2n) of a window of
+    ``sde.window_path`` (ndim axes), one scalar increment per step in ``dw``
+    (W,), with the alpha weights built once."""
+    alpha, w, b, swap, sign = _weights(config.alpha, n, ndim)
+
+    def increment(z, z_new):
+        g = sbar_gradient(shs, w * z + b * z_new, h, dw, alpha)
+        return g[..., swap] * sign
+
+    return increment

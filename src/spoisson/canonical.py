@@ -18,10 +18,10 @@ from typing import Callable
 
 import numpy as np
 
-from .alpha_gf import AlphaSchemeConfig, alpha_step, j_inverse
+from .alpha_gf import AlphaSchemeConfig, alpha_increment, alpha_step, j_inverse
 from .noise import truncate_increments
 from .poisson import PoissonSystem, ScalarField, fold_fields
-from .sde import DomainError, fd_vector_jacobian
+from .sde import DomainError, fd_vector_jacobian, window_path
 
 
 @dataclass(frozen=True)
@@ -140,20 +140,33 @@ def poisson_integrator(chart: Chart, symplectic_stepper: Callable, frozen_c) -> 
     inverse-map round-off.  ``frozen_c`` is (l,), or (..., l): one per state.
     """
     frozen_c = np.atleast_1d(np.asarray(frozen_c, dtype=float))
-    tn = 2 * chart.n
 
     def step(y, h, dw):
-        y = np.asarray(y, dtype=float)
-        if chart.domain is not None:
-            ok = np.asarray(chart.domain(y))
-            if not np.all(ok):
-                raise DomainError("state outside chart domain", mask=~ok)
-        z = chart.forward(y)[..., :tn]
-        z_new = symplectic_stepper(z, h, dw)
-        c = np.broadcast_to(frozen_c, z_new.shape[:-1] + frozen_c.shape[-1:])
-        return chart.inverse(np.concatenate([z_new, c], axis=-1))
+        return _from_chart(chart, symplectic_stepper(_to_chart(chart, y), h, dw), frozen_c)
 
     return step
+
+
+def _to_chart(chart: Chart, y) -> np.ndarray:
+    """The (P, Q) coordinates (..., 2n) of states y inside the chart domain."""
+    y = np.asarray(y, dtype=float)
+    _check_domain(chart, y)
+    return chart.forward(y)[..., : 2 * chart.n]
+
+
+def _check_domain(chart: Chart, y, ok=True) -> None:
+    """A DomainError masking the states y (..., d) that are not ``ok`` or
+    lie outside the chart domain."""
+    if chart.domain is not None:
+        ok = ok & np.asarray(chart.domain(y))
+    if not np.all(ok):
+        raise DomainError("state outside chart domain", mask=~ok)
+
+
+def _from_chart(chart: Chart, z, frozen_c) -> np.ndarray:
+    """The states theta^-1(z, C) of (P, Q) coordinates z on the levels C."""
+    c = np.broadcast_to(frozen_c, z.shape[:-1] + frozen_c.shape[-1:])
+    return chart.inverse(np.concatenate([z, c], axis=-1))
 
 
 @dataclass(frozen=True)
@@ -203,6 +216,34 @@ def alpha_scheme(model: Model, y0, config: AlphaSchemeConfig) -> Callable:
     the chart domain is a DomainError at the step that takes it."""
     c = model.chart.levels(y0)
     return poisson_integrator(model.chart, make_alpha_stepper(model.shs(c), config), c)
+
+
+def alpha_path(model: Model, y0, config: AlphaSchemeConfig) -> Callable:
+    """The scheme of :func:`alpha_scheme` as a path solver (y, noise) ->
+    states (n_steps + 1, ..., d), solved a window of steps at a time by
+    ``sde.window_path`` in chart coordinates, with the increments truncated
+    once per window.  The chart's inverse and the domain check run once per
+    window, on all its states (a non-finite state fails the check too); a
+    window that fails is rerun with the :func:`alpha_scheme` step."""
+    chart, c = model.chart, model.chart.levels(y0)
+    shs = model.shs(c)
+    step = poisson_integrator(chart, make_alpha_stepper(shs, config), c)
+
+    def inverse(Z):
+        ys = _from_chart(chart, Z, c)
+        _check_domain(chart, ys, np.isfinite(ys).all(axis=-1))
+        return ys
+
+    def path(y, noise):
+        ndim = np.ndim(y) + 1  # a window's states (..., W, 2n)
+
+        def window(h, dw):
+            dw = truncate_increments(dw, h, config.truncation)[..., 0]
+            return alpha_increment(shs, h, dw, config, chart.n, ndim)
+
+        return window_path(window, step, y, noise, config.tol, (lambda x: _to_chart(chart, x), inverse))
+
+    return path
 
 
 def alpha_scheme_map(model: Model, config: AlphaSchemeConfig) -> Callable:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import experiments
 from .alpha_gf import AlphaSchemeConfig
-from .canonical import Model, alpha_scheme
+from .canonical import Model, alpha_path, alpha_scheme
 from .custom import SpecFileError, load_custom_system, parse_keyvalues
 from .models import lotka_volterra, rigid_body
 from .noise import TimeGrid, TruncationPolicy
@@ -163,11 +163,13 @@ def build_setup(cfg: ExperimentConfig) -> Model:
     return model if y0 is None else replace(model, y0=np.asarray(y0, dtype=float))
 
 
-def _scheme(cfg: ExperimentConfig, model: Model, names: list[str]):
+def _scheme(cfg: ExperimentConfig, model: Model, names: list[str], build=alpha_scheme):
     """(key, scheme): the composed alpha scheme from the initial state for
-    every --alpha, named by ``names``: one alpha's name, or the tuple of names
-    of a scheme that steps one block per alpha (see ``sde.ms_error_many``).
-    Names must be distinct, as the output columns they head."""
+    every --alpha, built by ``build`` (``alpha_scheme`` steps, ``alpha_path``
+    solves a path), named by ``names``: one alpha's name, or the tuple of
+    names of a scheme that runs one block per alpha (see
+    ``sde.ms_error_many``).  Names must be distinct, as the output columns
+    they head."""
     if model.chart is None:
         raise ValueError("custom system has no chart; only 'check' is available")
     for i, name in enumerate(names):
@@ -176,7 +178,7 @@ def _scheme(cfg: ExperimentConfig, model: Model, names: list[str]):
                              f"give the same column name {name!r}")
     stacked = len(cfg.alpha) > 1
     config = _alpha_config(cfg, cfg.alpha if stacked else cfg.alpha[0])
-    return (tuple(names) if stacked else names[0]), alpha_scheme(model, model.y0, config)
+    return (tuple(names) if stacked else names[0]), build(model, model.y0, config)
 
 
 def _fmt(x: float) -> str:
@@ -216,7 +218,7 @@ def cmd_paths(cfg: ExperimentConfig) -> int:
         raise ValueError("paths needs an initial state y0")
     T = cfg.T if cfg.T is not None else model.default_T["paths"]
     grid = TimeGrid.from_step(T, _step(cfg, "paths"))
-    key, scheme = _scheme(cfg, model, [f"alpha={alpha:g}" for alpha in cfg.alpha])
+    key, scheme = _scheme(cfg, model, [f"alpha={alpha:g}" for alpha in cfg.alpha], alpha_path)
     stacked = isinstance(key, tuple)
     result = experiments.paths_experiment(
         model.system,
@@ -253,14 +255,15 @@ def cmd_casimir(cfg: ExperimentConfig) -> int:
     T = cfg.T if cfg.T is not None else model.default_T["casimir"]
     grid = TimeGrid.from_step(T, _step(cfg, "casimir"))
     names = [f"casimir_scheme_alpha={alpha:g}" for alpha in cfg.alpha]
-    key, scheme = _scheme(cfg, model, names if len(names) > 1 else ["casimir_scheme"])
-    schemes = {key: scheme, "casimir_em": experiments.em_stepper(model.system)}
+    key, scheme = _scheme(cfg, model, names if len(names) > 1 else ["casimir_scheme"], alpha_path)
+    schemes = {key: scheme, "casimir_em": experiments.em_path(model.system)}
     if model.name == "slv":
-        schemes["casimir_iem"] = experiments.iem_stepper(model.system, tol=cfg.tol)
-    result = experiments.casimir_experiment(
-        model.system, schemes, model.system.casimirs[0], model.y0, grid, cfg.seed
-    )
-    header = ["t"] + list(result.columns)
+        schemes["casimir_iem"] = experiments.iem_path(model.system, tol=cfg.tol)
+    result = experiments.casimir_experiment(model.system, schemes, model.y0, grid, cfg.seed)
+    # One column per Casimir: casimir_em, or casimir1_em, casimir2_em, .. for several.
+    l = len(model.system.casimirs)
+    tags = ["casimir"] if l == 1 else [f"casimir{i}" for i in range(1, l + 1)]
+    header = ["t"] + [tag + name.removeprefix("casimir") for name in result.columns for tag in tags]
     rows = np.column_stack([result.times] + list(result.columns.values()))
     _write_csv(
         cfg.output,

@@ -20,7 +20,6 @@ from .canonical import Model, alpha_scheme_map, make_alpha_stepper, verify_chart
 from .noise import TimeGrid, coarsen, sample_increments, truncation_bound
 from .poisson import (
     PoissonSystem,
-    ScalarField,
     check_casimir,
     check_jacobi,
     check_skew,
@@ -29,7 +28,9 @@ from .poisson import (
 )
 from .sde import (
     TOL,
+    IntegrationError,
     euler_maruyama_step,
+    implicit_euler_maruyama_path,
     implicit_euler_maruyama_step,
     integrate,
     midpoint_path,
@@ -58,6 +59,32 @@ def iem_stepper(sys: PoissonSystem, tol: float = TOL) -> Callable:
     return lambda y, h, dw: implicit_euler_maruyama_step(ito, y, h, dw, tol=tol)
 
 
+def em_path(sys: PoissonSystem) -> Callable:
+    """The path solver (y0, noise) -> states of :func:`em_stepper`, which
+    steps: Euler-Maruyama is explicit."""
+    stepper = em_stepper(sys)
+    return lambda y0, noise: integrate(stepper, y0, noise)
+
+
+def iem_path(sys: PoissonSystem, tol: float = TOL) -> Callable:
+    """The path solver (y0, noise) -> states of :func:`iem_stepper`, solved a
+    window of steps at a time (``sde.implicit_euler_maruyama_path``)."""
+    ito = replace(drift_and_diffusions(sys), drift=sys.ito_drift)
+    return lambda y0, noise: implicit_euler_maruyama_path(ito, y0, noise, tol)
+
+
+def _run(names, path: Callable, y0, noise) -> np.ndarray:
+    """path(y0, noise), a failure named by the output column(s) of the run:
+    for a stack, the blocks that its step's row mask marks, if it has one."""
+    try:
+        return path(y0, noise)
+    except IntegrationError as exc:
+        mask = getattr(exc.__cause__, "mask", None)
+        if np.shape(mask) == (len(names),):
+            names = [name for name, bad in zip(names, mask) if bad] or names
+        raise IntegrationError(exc.step_index, exc.__cause__, column=",".join(names)) from exc.__cause__
+
+
 @dataclass(frozen=True)
 class PathsResult:
     times: np.ndarray
@@ -78,11 +105,11 @@ def paths_experiment(
 ) -> PathsResult:
     """One sample path of the scheme and a coupled fine-midpoint reference.
 
-    The reference runs at h / ref_factor, with ref_factor reduced so the total
-    reference step count is at most 10^6, and is solved a window of steps at
-    a time (``midpoint_path``).  A scheme stacked over ``stack``
-    alphas steps y0 once per block, all on the one path, against the one
-    reference.
+    ``scheme`` is a path solver (y0, noise) -> states.  The reference runs at
+    h / ref_factor, with ref_factor reduced so the total reference step count
+    is at most 10^6, and is solved a window of steps at a time
+    (``midpoint_path``).  A scheme stacked over ``stack`` alphas runs from y0
+    once per block, all on the one path, against the one reference.
     """
     if ref_factor < 1:
         raise ValueError(f"ref_factor must be >= 1, got {ref_factor}")
@@ -93,7 +120,7 @@ def paths_experiment(
     start = y0 if stack is None else np.broadcast_to(y0, (stack,) + np.shape(y0))
     return PathsResult(
         times=grid.times(),
-        states=integrate(scheme, start, coarsen(fine, ref_factor)),
+        states=scheme(start, coarsen(fine, ref_factor)),
         reference=reference[::ref_factor],
         ref_step=fine_grid.h,
     )
@@ -102,28 +129,32 @@ def paths_experiment(
 @dataclass(frozen=True)
 class CasimirResult:
     times: np.ndarray
-    columns: dict[str, np.ndarray]  # casimir values per scheme name
+    columns: dict[str, np.ndarray]  # per scheme name, the (n_steps + 1, l) values of the l Casimirs
 
 
 def casimir_experiment(
     sys: PoissonSystem,
     schemes: dict,
-    casimir: ScalarField,
     y0,
     grid: TimeGrid,
     seed: int,
 ) -> CasimirResult:
-    """Casimir evolution of several schemes along one shared sample path.
+    """Evolution of the Casimirs ``sys.casimirs`` under several schemes along
+    one shared sample path.
 
-    A key of ``schemes`` is a name, or a tuple of k names whose stepper steps
-    a (k, d) stack of states, block i the scheme named key[i]."""
+    A value of ``schemes`` is a path solver (y0, noise) -> states; a key is a
+    name, or a tuple of k names whose solver runs a (k, d) stack of states,
+    block i the scheme named key[i].  A failed run is an IntegrationError
+    that names its column(s)."""
     noise = sample_increments(grid, sys.n_noise, seed)
     columns = {}
     for key, scheme in schemes.items():
         stacked = isinstance(key, tuple)
+        names = key if stacked else (key,)
         start = np.broadcast_to(y0, (len(key),) + np.shape(y0)) if stacked else y0
-        C = casimir.value(integrate(scheme, start, noise))
-        columns.update(zip(key, C.T) if stacked else [(key, C)])
+        states = _run(names, scheme, start, noise)
+        C = np.stack([casimir.value(states) for casimir in sys.casimirs], axis=-1)  # (n_steps + 1, [k,] l)
+        columns.update(zip(names, np.moveaxis(C, 1, 0) if stacked else [C]))
     return CasimirResult(times=grid.times(), columns=columns)
 
 

@@ -46,10 +46,13 @@ class DomainError(StepError):
 
 
 class IntegrationError(RuntimeError):
-    """A stepper failed mid-trajectory; carries the step index."""
+    """A stepper failed mid-trajectory; carries the step index.  The message
+    starts with the output ``column`` of the failed run when the caller
+    names it."""
 
-    def __init__(self, step_index: int, cause: Exception):
-        super().__init__(f"stepper failed at step {step_index}: {cause}")
+    def __init__(self, step_index: int, cause: Exception, column: str | None = None):
+        where = f"{column}: " if column else ""
+        super().__init__(f"{where}stepper failed at step {step_index}: {cause}")
         self.step_index = step_index
 
 
@@ -135,13 +138,16 @@ def fixed_point(update: Callable, x0: np.ndarray, tol: float, max_iter: int) -> 
     for _ in range(max_iter):
         xn = update(x)
         d = abs(xn - x)
-        if batched:  # d.max(-1) folded by column: numpy is slow over a short last axis
+        if not batched:
+            delta = worst = float(d.max())
+        elif d.shape[-1] > 8:  # a window of steps (window_path)
+            delta = d.max(-1)
+        else:  # d.max(-1) folded by column: numpy is slow over a short last axis
             delta = d[..., 0]
             for k in range(1, d.shape[-1]):
                 delta = np.maximum(delta, d[..., k])
+        if batched:
             worst = float((np.where(active, delta, 0.0) if frozen else delta).max(initial=0.0))
-        else:
-            delta = worst = float(d.max())
         # x stays finite (for finite x0): worst is NaN/Inf iff an active row's xn is.
         if not math.isfinite(worst):
             raise DivergenceError("iterates diverged to NaN/Inf", mask=active & ~np.isfinite(delta))
@@ -167,52 +173,93 @@ def midpoint_step(system, y, h: float, dw, tol: float = TOL):
     return fixed_point(lambda ynew: y + increment(0.5 * (y + ynew)), y, tol, MAX_ITER)
 
 
-# Time span of one window of midpoint_path.  Wider windows take more sweeps,
-# and at 0.2 the sweeps of slv windows left the positive octant (each such
-# window then runs twice); narrower ones pay numpy's per-call cost more often.
+# Time span of one window of window_path.  Wider windows take more sweeps,
+# and at 0.2 the sweeps of slv midpoint windows left the positive octant
+# (each such window then runs twice); narrower ones pay numpy's per-call cost
+# more often.
 WINDOW_SPAN = 0.1
+
+
+def window_path(window: Callable, step: Callable, y0, noise: WienerIncrements, tol: float = TOL,
+                coords: tuple[Callable, Callable] | None = None) -> np.ndarray:
+    """The states (n_steps + 1, ..., D) of an implicit one-step map
+    y_{j+1} = y_j + D_j(y_j, y_{j+1}) over noise.grid from y0 (..., D), for
+    noise values (n_steps, m), solved a window of steps at a time.
+
+    ``window(h, dw)`` builds a window's increment map (prev, Y) -> D from its
+    noise values dw (W, m); prev and Y (..., W, d) hold every step's start
+    and end.  ``step(y, h, dw)`` solves one step of the same equation alone.
+    ``coords``, if given, is a pair (forward, inverse) of maps from states
+    (..., D) to the iterated coordinates (..., d) and from a window's
+    coordinates (..., W, d) back to its states, the inverse raising a
+    StepError for a state it rejects; without it the states are iterated.
+
+    The grid is cut into windows of W = round(WINDOW_SPAN / h) steps (at
+    least 1, at most n_steps).  All equations of a window are solved
+    together by Picard iteration in time (waveform relaxation): one sweep
+    Y <- y_s + cumsum(D(Y_prev, Y)), Y_prev being Y shifted down one step
+    with the window's start y_s as its first row, through :func:`fixed_point`
+    on the window flattened to (..., W d), so each row of the leading axes
+    stops when every entry of its window has converged.  A window whose
+    forward map, sweep or inverse raises a :class:`StepError` is rerun step
+    by step with ``step``, so a real failure is the step-by-step one, with
+    its step index; the forward map then runs again at the next window.
+    """
+    y = np.asarray(y0, dtype=float)
+    n, h = noise.grid.n_steps, noise.grid.h
+    size = max(1, min(n, round(WINDOW_SPAN / h)))
+    forward, inverse = coords or (_same, _same)
+    states = np.empty((n + 1,) + y.shape)
+    states[0] = y
+    z = None  # the window's start in the iterated coordinates
+    for s in range(0, n, size):
+        dw = noise.values[s : s + size]
+        k = len(dw)
+        try:
+            with np.errstate(all="ignore"):  # a failed window is rerun, warnings and all
+                if z is None:
+                    z = forward(states[s])
+                Z = _sweep(window(h, dw), z, k, tol)
+                states[s + 1 : s + 1 + k] = np.moveaxis(inverse(Z), -2, 0)
+            z = Z[..., -1, :]
+        except StepError:
+            for j in range(s, s + k):
+                try:
+                    states[j + 1] = step(states[j], h, noise.values[j])
+                except Exception as exc:
+                    raise IntegrationError(j, exc) from exc
+            z = None
+    return states
+
+
+def _same(x):
+    return x
+
+
+def _sweep(increment: Callable, z: np.ndarray, k: int, tol: float) -> np.ndarray:
+    """The k steps (..., k, d) from z (..., d) that solve one window."""
+    shape = z.shape[:-1] + (k, z.shape[-1])
+    start = z[..., None, :]
+
+    def sweep(x):
+        Y = x.reshape(shape)
+        prev = np.concatenate((start, Y[..., :-1, :]), axis=-2)
+        return (start + np.cumsum(increment(prev, Y), axis=-2)).reshape(x.shape)
+
+    return fixed_point(sweep, np.tile(z, k), tol, MAX_ITER).reshape(shape)
 
 
 def midpoint_path(system, y0, noise: WienerIncrements, tol: float = TOL) -> np.ndarray:
     """The implicit midpoint states of :func:`midpoint_step` over noise.grid,
-    (n_steps + 1, d), for one state y0 (d,) and noise values (n_steps, m).
+    (n_steps + 1, d), for one state y0 (d,) and noise values (n_steps, m):
+    :func:`window_path` with D = increment_map(h, dw)(1/2 (prev + Y)), one
+    ``increment_map`` per window."""
 
-    The grid is cut into windows of W = round(WINDOW_SPAN / h) steps (at
-    least 1, at most n_steps).  All midpoint equations of a window are solved
-    together by Picard iteration in time (waveform relaxation): one sweep
-    Y <- y_s + cumsum(inc(1/2 (Y_prev + Y))), Y_prev being Y shifted down one
-    step with the window's start state y_s as its first row, through
-    :func:`fixed_point` on the window flattened to (W d,), so a window stops
-    when every entry of every step has converged.  A window whose sweep fails
-    (any :class:`StepError`) is rerun step by step with :func:`midpoint_step`,
-    so a real failure is the step-by-step one, with its step index.
-    """
-    y = np.asarray(y0, dtype=float)
-    n, h, d = noise.grid.n_steps, noise.grid.h, y.shape[-1]
-    size = max(1, min(n, round(WINDOW_SPAN / h)))
-    states = np.empty((n + 1, d))
-    states[0] = y
-    for s in range(0, n, size):
-        dw = noise.values[s : s + size]
-        k = len(dw)
+    def window(h, dw):
         increment = system.increment_map(h, dw)
-        start = states[s]
+        return lambda prev, Y: increment(0.5 * (prev + Y))
 
-        def sweep(x):
-            Y = x.reshape(k, d)
-            prev = np.concatenate((start[None], Y[:-1]))
-            return (start + np.cumsum(increment(0.5 * (prev + Y)), axis=0)).reshape(-1)
-
-        try:
-            with np.errstate(all="ignore"):  # a failed sweep is rerun, warnings and all
-                states[s + 1 : s + 1 + k] = fixed_point(sweep, np.tile(start, k), tol, MAX_ITER).reshape(k, d)
-        except StepError:
-            for j in range(s, s + k):
-                try:
-                    states[j + 1] = midpoint_step(system, states[j], h, noise.values[j], tol)
-                except Exception as exc:
-                    raise IntegrationError(j, exc) from exc
-    return states
+    return window_path(window, lambda y, h, dw: midpoint_step(system, y, h, dw, tol), y0, noise, tol)
 
 
 def implicit_euler_maruyama_step(sde: SDE, y, h: float, dw, tol: float = TOL):
@@ -228,6 +275,26 @@ def implicit_euler_maruyama_step(sde: SDE, y, h: float, dw, tol: float = TOL):
         return y + h * sde.drift(ynew) + noise
 
     return fixed_point(update, y, tol, MAX_ITER)
+
+
+def implicit_euler_maruyama_path(sde: SDE, y0, noise: WienerIncrements, tol: float = TOL) -> np.ndarray:
+    """The states of :func:`implicit_euler_maruyama_step` over noise.grid,
+    (n_steps + 1, ..., d): :func:`window_path` with
+    D = h a(Y) + sum_r b_r(prev) dW_r."""
+
+    def window(h, dw):
+        columns = [dw[..., r, None] for r in range(len(sde.diffusions))]
+
+        def increment(prev, Y):
+            out = h * sde.drift(Y)
+            for b, col in zip(sde.diffusions, columns):
+                out = out + b(prev) * col
+            return out
+
+        return increment
+
+    step = lambda y, h, dw: implicit_euler_maruyama_step(sde, y, h, dw, tol)
+    return window_path(window, step, y0, noise, tol)
 
 
 def integrate(stepper: Callable, y0, noise: WienerIncrements) -> np.ndarray:

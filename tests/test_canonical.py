@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from spoisson import canonical as canonical_module
+from spoisson import sde as sde_module
 from spoisson.alpha_gf import AlphaSchemeConfig
 from spoisson.canonical import (
     Chart,
+    alpha_path,
     alpha_scheme,
     alpha_scheme_map,
     j_inverse,
@@ -18,9 +21,9 @@ from spoisson.canonical import (
     verify_chart,
 )
 from spoisson.custom import load_custom_system
-from spoisson.noise import TimeGrid, TruncationPolicy, sample_increments, truncation_bound
+from spoisson.noise import TimeGrid, TruncationPolicy, WienerIncrements, sample_increments, truncation_bound
 from spoisson.poisson import PoissonSystem, ScalarField
-from spoisson.sde import DomainError, StepError, integrate
+from spoisson.sde import DomainError, IntegrationError, StepError, integrate
 from spoisson.models import lotka_volterra as lv
 from spoisson.models import rigid_body as rb
 
@@ -284,3 +287,84 @@ def _assert_batch_steps_row_by_row(step, ys, dws):
         single = np.stack([step(y, 0.04, d) for y, d in zip(ys, dw)])
         assert np.array_equal(batched, single)
         ys = batched
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+_PATH_MODELS = {
+    "srb": lambda: rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0),
+    "slv": lambda: lv.model(lv.REFERENCE_PARAMS, lv.REFERENCE_Y0),
+    "srb_custom": lambda: replace(load_custom_system(str(_ROOT / "bench" / "srb_custom.txt")),
+                                  y0=np.array([0.7, 0.3, 0.2])),
+    "two_rigid_bodies": lambda: replace(load_custom_system(str(_ROOT / "tests" / "two_rigid_bodies.txt")),
+                                        y0=np.array([0.7, 0.3, 0.2, 0.4, 0.5, 0.6])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PATH_MODELS))
+@pytest.mark.parametrize("h, n", [(0.01, 50), (0.001, 300)])
+def test_alpha_path_agrees_with_stepping(name, h, n):
+    model = _PATH_MODELS[name]()
+    noise = sample_increments(TimeGrid(0.0, h * n, n), 1, 2024)
+    for alpha in (0.0, 0.5, 1.0):
+        config = AlphaSchemeConfig(alpha)
+        path = alpha_path(model, model.y0, config)
+        states = path(model.y0, noise)
+        assert states.shape == (n + 1, len(model.y0))
+        stepped = integrate(alpha_scheme(model, model.y0, config), model.y0, noise)
+        assert np.max(np.abs(states - stepped)) < 1e-11
+        assert np.array_equal(states, path(model.y0, noise))  # reruns repeat every bit
+
+
+@pytest.mark.parametrize("name", sorted(_PATH_MODELS))
+def test_stacked_alpha_path_blocks_equal_single_alpha_paths(name):
+    model = _PATH_MODELS[name]()
+    noise = sample_increments(TimeGrid(0.0, 0.5, 50), 1, 7)
+    alphas = (0.0, 0.5, 1.0)
+    start = np.broadcast_to(model.y0, (len(alphas),) + model.y0.shape)
+    stacked = alpha_path(model, model.y0, AlphaSchemeConfig(alphas))(start, noise)
+    for i, alpha in enumerate(alphas):
+        assert np.array_equal(stacked[:, i], alpha_path(model, model.y0, AlphaSchemeConfig(alpha))(model.y0, noise))
+
+
+def test_alpha_path_solves_windows_without_stepping(monkeypatch):
+    # 300 steps at h = 0.001 are three windows of 100, each one fixed_point
+    # call on the window's (P, Q) coordinates.
+    calls = []
+    solve = sde_module.fixed_point
+    monkeypatch.setattr(sde_module, "fixed_point", lambda *args: calls.append(args[1].shape) or solve(*args))
+    monkeypatch.setattr(canonical_module, "alpha_step", None)
+    model = rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0)
+    alpha_path(model, model.y0, AlphaSchemeConfig(0.0))(model.y0, sample_increments(TimeGrid(0.0, 0.3, 300), 1, 3))
+    assert calls == [(200,)] * 3
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, (0.0, 0.5, 1.0)])
+def test_alpha_path_failure_is_the_stepping_failure(alpha):
+    # With the truncation out of reach, the increment 50 of step 37 (inside
+    # the window of steps 30-39) makes that step's solve fail.
+    model = rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0)
+    config = AlphaSchemeConfig(alpha, truncation=TruncationPolicy(k=1e6))
+    values = np.full((100, 1), 0.01)
+    values[37] = 50.0
+    noise = WienerIncrements(TimeGrid(0.0, 1.0, 100), values)
+    y0 = np.broadcast_to(model.y0, (3, 3)) if isinstance(alpha, tuple) else model.y0
+    with np.errstate(all="ignore"):
+        with pytest.raises(IntegrationError) as stepped:
+            integrate(alpha_scheme(model, model.y0, config), y0, noise)
+        with pytest.raises(IntegrationError) as windowed:
+            alpha_path(model, model.y0, config)(y0, noise)
+    assert windowed.value.step_index == stepped.value.step_index == 37
+    cause, expected = windowed.value.__cause__, stepped.value.__cause__
+    assert type(cause) is type(expected) and isinstance(cause, StepError)
+    assert np.array_equal(cause.mask, expected.mask)
+    assert str(windowed.value) == str(stepped.value)
+
+
+@pytest.mark.parametrize("name, T, n", [("srb", 100.0, 10_000), ("slv", 10.0, 10_000)])
+def test_alpha_path_conserves_casimir_over_many_steps(name, T, n):
+    model = _PATH_MODELS[name]()
+    noise = sample_increments(TimeGrid(0.0, T, n), 1, 11)
+    start = np.broadcast_to(model.y0, (3,) + model.y0.shape)
+    states = alpha_path(model, model.y0, AlphaSchemeConfig((0.0, 0.5, 1.0)))(start, noise)
+    C = model.system.casimirs[0].value(states)
+    assert np.max(np.abs(C - C[0])) < 1e-10

@@ -458,6 +458,38 @@ def _columns(header, rows, names):
     return [[r[i] for i in idx] for r in rows]
 
 
+def test_casimir_writes_a_column_per_casimir_of_two_rigid_bodies(tmp_path):
+    argv = ["casimir", "--system", TWO_RIGID_BODIES, "--param", "y0=0.7,0.3,0.2,0.4,0.5,0.6",
+            "--alpha", "0,0.5,1", "--T", "1", "--seed", "3", "--output", str(tmp_path / "c.csv")]
+    assert main(argv) == EXIT_OK
+    _, header, rows = _csv(tmp_path / "c.csv")
+    schemes = [f"scheme_alpha={a}" for a in ("0", "0.5", "1")]
+    assert header == ["t"] + [f"casimir{i}_{s}" for s in schemes + ["em"] for i in (1, 2)]
+    values = np.array(rows, dtype=float)
+    assert np.allclose(values[0, 1:], [0.31, 0.385] * 4, rtol=0, atol=1e-15)
+    for name in header:
+        if "_scheme" in name:
+            column = values[:, header.index(name)]
+            assert np.max(np.abs(column - column[0])) < 1e-10
+
+
+def test_casimir_numerical_failure_names_the_column(capsys):
+    assert main(["casimir", "--system", "slv", "--h", "0.5", "--T", "1"]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical failure: casimir_scheme: stepper failed at step 0: "
+        "no convergence within 100 iterations (residual 2.478e+00)\n"
+    )
+
+
+def test_stacked_casimir_failure_names_the_failing_blocks(capsys):
+    argv = ["casimir", "--system", "srb", "--param", "y0=70.71067811865476,70.71067811865476,0",
+            "--alpha", "0,1", "--T", "0.1"]
+    assert main(argv) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: casimir_scheme_alpha=0: stepper failed at step 0: no convergence"
+    )
+
+
 @pytest.mark.parametrize("system, extra, dim, name", [
     ("srb", [], 3, "srb"), ("slv", [], 3, "slv"),
     (TWO_RIGID_BODIES, ["--param", "y0=0.7,0.3,0.2,0.4,0.5,0.6"], 6, "custom"),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spoisson.alpha_gf import AlphaSchemeConfig
-from spoisson.canonical import alpha_scheme, alpha_scheme_map, verify_chart
+from spoisson.canonical import alpha_path, alpha_scheme, alpha_scheme_map, verify_chart
 from spoisson.experiments import paths_experiment
 from spoisson.noise import TimeGrid, TruncationPolicy, sample_increments, truncate_increments
 from spoisson.poisson import (
@@ -138,7 +138,7 @@ def test_alpha_scheme_preserves_casimir():
 def test_alpha_scheme_tracks_reference_path():
     # Coupled endpoint comparison against the fine midpoint reference.
     grid = TimeGrid(0.0, 10.0, 1000)
-    scheme = alpha_scheme(
+    scheme = alpha_path(
         rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0),
         rb.REFERENCE_Y0,
         AlphaSchemeConfig(alpha=0.5),

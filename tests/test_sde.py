@@ -10,7 +10,7 @@ import pytest
 from spoisson.canonical import j_inverse
 from spoisson import sde as sde_module
 from spoisson.custom import load_custom_system
-from spoisson.experiments import reference_stepper
+from spoisson.experiments import iem_path, iem_stepper, reference_stepper
 from spoisson.noise import TimeGrid, WienerIncrements, sample_increments
 from spoisson.poisson import PoissonSystem, ScalarField, drift_and_diffusions
 from spoisson.sde import (
@@ -23,6 +23,7 @@ from spoisson.sde import (
     euler_maruyama_step,
     fit_order,
     fixed_point,
+    implicit_euler_maruyama_path,
     implicit_euler_maruyama_step,
     integrate,
     midpoint_path,
@@ -276,6 +277,60 @@ def test_midpoint_path_keeps_a_failed_sweep_quiet():
         warnings.simplefilter("error")
         path = midpoint_path(sde, y0, noise)
     assert np.array_equal(path, integrate(reference_stepper(sde), y0, noise))
+
+
+@pytest.mark.parametrize("name", sorted(_PATH_SYSTEMS))
+@pytest.mark.parametrize("h, n", [(0.01, 50), (0.001, 300)])
+def test_implicit_euler_maruyama_path_agrees_with_stepping(name, h, n):
+    system, y0 = _PATH_SYSTEMS[name]()
+    noise = sample_increments(TimeGrid(0.0, h * n, n), system.n_noise, 2024)
+    path = iem_path(system)(y0, noise)
+    assert path.shape == (n + 1, len(y0))
+    assert np.max(np.abs(path - integrate(iem_stepper(system), y0, noise))) < 1e-11
+    assert np.array_equal(path, iem_path(system)(y0, noise))  # reruns repeat every bit
+
+
+def test_implicit_euler_maruyama_path_failure_is_the_stepping_failure():
+    # dy = -300 y^3 dt + dW: the increment 5 of step 37 (inside the window of
+    # steps 30-39) takes the state where h |a'(y)| is about 200, and that
+    # step's solve fails.
+    sde = SDE(lambda y: -300.0 * y**3, (lambda y: np.ones_like(y),))
+    values = np.full((100, 1), 0.001)
+    values[37] = 5.0
+    noise = WienerIncrements(TimeGrid(0.0, 1.0, 100), values)
+    y0 = np.array([0.0])
+    with np.errstate(all="ignore"):
+        with pytest.raises(IntegrationError) as stepped:
+            integrate(lambda y, h, dw: implicit_euler_maruyama_step(sde, y, h, dw), y0, noise)
+        with pytest.raises(IntegrationError) as windowed:
+            implicit_euler_maruyama_path(sde, y0, noise)
+    assert windowed.value.step_index == stepped.value.step_index == 37
+    cause, expected = windowed.value.__cause__, stepped.value.__cause__
+    assert type(cause) is type(expected) and isinstance(cause, StepError)
+    assert np.array_equal(cause.mask, expected.mask)
+    assert str(windowed.value) == str(stepped.value)
+
+
+def test_implicit_euler_maruyama_path_reruns_a_window_that_leaves_the_domain(monkeypatch):
+    # One window of 500 steps at h = 0.001: its sweeps leave the positive
+    # octant, which the converged steps never do.
+    monkeypatch.setattr(sde_module, "WINDOW_SPAN", 0.5)
+    failures = []
+    solve = sde_module.fixed_point
+
+    def recorded(*args):
+        try:
+            return solve(*args)
+        except StepError as exc:
+            failures.append(type(exc))
+            raise
+
+    monkeypatch.setattr(sde_module, "fixed_point", recorded)
+    system = lv.system(lv.REFERENCE_PARAMS)
+    noise = sample_increments(TimeGrid(0.0, 0.5, 500), 1, 0)
+    path = iem_path(system)(lv.REFERENCE_Y0, noise)
+    assert DomainError in failures
+    assert np.array_equal(path, integrate(iem_stepper(system), lv.REFERENCE_Y0, noise))
 
 
 def test_midpoint_reports_nonconvergence():
@@ -576,12 +631,12 @@ def test_recorded_functional_is_called_once_on_all_states(name):
     counted = replace(C, value=lambda ys: calls.append(ys.shape) or C.value(ys))
     em = em_stepper(sys)
     stacked = lambda y, h, dw: np.stack([em(y[0], h, dw), em(y[1], h, dw)])
-    schemes = {"em": em, ("a", "b"): stacked}
-    result = casimir_experiment(sys, schemes, counted, mod.REFERENCE_Y0, grid, 4)
+    schemes = {"em": functools.partial(integrate, em), ("a", "b"): functools.partial(integrate, stacked)}
+    result = casimir_experiment(replace(sys, casimirs=(counted,)), schemes, mod.REFERENCE_Y0, grid, 4)
     assert calls == [(51, 3), (51, 2, 3)]
     states = integrate(em, mod.REFERENCE_Y0, sample_increments(grid, 1, 4))
     for column in ("em", "a", "b"):
-        assert np.array_equal(result.columns[column], np.stack([C.value(y) for y in states]))
+        assert np.array_equal(result.columns[column][:, 0], np.stack([C.value(y) for y in states]))
 
 
 @pytest.mark.parametrize("ref_factor", [0, -3])
