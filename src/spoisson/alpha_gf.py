@@ -85,17 +85,6 @@ def sbar_gradient(shs, zhat, h: float, dw, alpha: float | np.ndarray) -> np.ndar
     return grad
 
 
-def _weights(alpha, n: int, ndim: int):
-    """``alpha`` as :func:`sbar_gradient` reads it (a tuple: one value per
-    block of the leading axis of states with ndim axes), the weights of z and
-    z_new in the mixed point, and the index and signs of J^-1 g."""
-    if isinstance(alpha, tuple):  # one alpha per block of the leading axis
-        alpha = alpha[0] if len(set(alpha)) == 1 else np.reshape(alpha, (-1,) + (1,) * (ndim - 1))
-    w = np.concatenate([(1.0 - alpha) * np.ones(n), alpha * np.ones(n)], axis=-1)
-    # (1 - alpha, alpha) and (alpha, 1 - alpha) per half; (gP, gQ) -> (-gQ, gP)
-    return alpha, w, w[..., ::-1], np.r_[n:2 * n, :n], np.repeat([-1.0, 1.0], n)
-
-
 def alpha_step(shs, z, h: float, dw, config: AlphaSchemeConfig):
     """One implicit step of the alpha-generating scheme from state z = (P, Q).
 
@@ -108,22 +97,22 @@ def alpha_step(shs, z, h: float, dw, config: AlphaSchemeConfig):
     bit for bit as that alpha alone.
     """
     z = np.asarray(z, dtype=float)
-    alpha, w, b, swap, sign = _weights(config.alpha, z.shape[-1] // 2, z.ndim)
-    za = w * z
-
-    def update(z_new):
-        g = sbar_gradient(shs, za + b * z_new, h, dw, alpha)
-        return z + g[..., swap] * sign
-
-    return fixed_point(update, z, config.tol, MAX_ITER)
+    increment = alpha_increment(shs, h, dw, config, z.shape[-1] // 2, z.ndim)
+    return fixed_point(lambda z_new: z + increment(z, z_new), z, config.tol, MAX_ITER)
 
 
 def alpha_increment(shs, h: float, dw, config: AlphaSchemeConfig, n: int, ndim: int):
     """The increment map (z, z_new) -> J^-1 grad Sbar(zhat) of
-    :func:`alpha_step` on the states (..., W, 2n) of a window of
-    ``sde.window_path`` (ndim axes), one scalar increment per step in ``dw``
-    (W,), with the alpha weights built once."""
-    alpha, w, b, swap, sign = _weights(config.alpha, n, ndim)
+    :func:`alpha_step` on states (..., 2n) with ndim axes, such as the
+    (..., W, 2n) steps of a window of ``sde.window_path`` with one scalar
+    increment per step in ``dw`` (W,).  A tuple ``config.alpha`` gives one
+    value per block of the leading axis."""
+    alpha = config.alpha
+    if isinstance(alpha, tuple):
+        alpha = alpha[0] if len(set(alpha)) == 1 else np.reshape(alpha, (-1,) + (1,) * (ndim - 1))
+    # (1 - alpha, alpha) and (alpha, 1 - alpha) per half; (gP, gQ) -> (-gQ, gP)
+    w = np.concatenate([(1.0 - alpha) * np.ones(n), alpha * np.ones(n)], axis=-1)
+    b, swap, sign = w[..., ::-1], np.r_[n:2 * n, :n], np.repeat([-1.0, 1.0], n)
 
     def increment(z, z_new):
         g = sbar_gradient(shs, w * z + b * z_new, h, dw, alpha)

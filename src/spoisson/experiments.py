@@ -47,15 +47,20 @@ def reference_stepper(sys: PoissonSystem, tol: float = TOL) -> Callable:
     return lambda y, h, dw: midpoint_step(sys, y, h, dw, tol=tol)
 
 
+def _ito(sys: PoissonSystem):
+    """The equivalent Ito form of the system, as an SDE."""
+    return replace(drift_and_diffusions(sys), drift=sys.ito_drift)
+
+
 def em_stepper(sys: PoissonSystem) -> Callable:
     """Euler-Maruyama on the equivalent Ito form."""
-    ito = replace(drift_and_diffusions(sys), drift=sys.ito_drift)
+    ito = _ito(sys)
     return lambda y, h, dw: euler_maruyama_step(ito, y, h, dw)
 
 
 def iem_stepper(sys: PoissonSystem, tol: float = TOL) -> Callable:
     """Drift-implicit, diffusion-explicit Euler on the equivalent Ito form."""
-    ito = replace(drift_and_diffusions(sys), drift=sys.ito_drift)
+    ito = _ito(sys)
     return lambda y, h, dw: implicit_euler_maruyama_step(ito, y, h, dw, tol=tol)
 
 
@@ -69,19 +74,15 @@ def em_path(sys: PoissonSystem) -> Callable:
 def iem_path(sys: PoissonSystem, tol: float = TOL) -> Callable:
     """The path solver (y0, noise) -> states of :func:`iem_stepper`, solved a
     window of steps at a time (``sde.implicit_euler_maruyama_path``)."""
-    ito = replace(drift_and_diffusions(sys), drift=sys.ito_drift)
+    ito = _ito(sys)
     return lambda y0, noise: implicit_euler_maruyama_path(ito, y0, noise, tol)
 
 
 def _run(names, path: Callable, y0, noise) -> np.ndarray:
-    """path(y0, noise), a failure named by the output column(s) of the run:
-    for a stack, the blocks that its step's row mask marks, if it has one."""
+    """path(y0, noise), a failure named by the output column(s) of the run."""
     try:
         return path(y0, noise)
     except IntegrationError as exc:
-        mask = getattr(exc.__cause__, "mask", None)
-        if np.shape(mask) == (len(names),):
-            names = [name for name, bad in zip(names, mask) if bad] or names
         raise IntegrationError(exc.step_index, exc.__cause__, column=",".join(names)) from exc.__cause__
 
 

@@ -138,16 +138,13 @@ def fixed_point(update: Callable, x0: np.ndarray, tol: float, max_iter: int) -> 
     for _ in range(max_iter):
         xn = update(x)
         d = abs(xn - x)
-        if not batched:
-            delta = worst = float(d.max())
-        elif d.shape[-1] > 8:  # a window of steps (window_path)
-            delta = d.max(-1)
-        else:  # d.max(-1) folded by column: numpy is slow over a short last axis
+        if batched:  # d.max(-1) folded by column: numpy is slow over a short last axis
             delta = d[..., 0]
             for k in range(1, d.shape[-1]):
                 delta = np.maximum(delta, d[..., k])
-        if batched:
             worst = float((np.where(active, delta, 0.0) if frozen else delta).max(initial=0.0))
+        else:
+            delta = worst = float(d.max())
         # x stays finite (for finite x0): worst is NaN/Inf iff an active row's xn is.
         if not math.isfinite(worst):
             raise DivergenceError("iterates diverged to NaN/Inf", mask=active & ~np.isfinite(delta))

@@ -481,12 +481,12 @@ def test_casimir_numerical_failure_names_the_column(capsys):
     )
 
 
-def test_stacked_casimir_failure_names_the_failing_blocks(capsys):
+def test_stacked_casimir_failure_names_the_stack(capsys):
     argv = ["casimir", "--system", "srb", "--param", "y0=70.71067811865476,70.71067811865476,0",
             "--alpha", "0,1", "--T", "0.1"]
     assert main(argv) == EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith(
-        "numerical failure: casimir_scheme_alpha=0: stepper failed at step 0: no convergence"
+        "numerical failure: casimir_scheme_alpha=0,casimir_scheme_alpha=1: stepper failed at step 0: no convergence"
     )
 
 
