@@ -203,11 +203,15 @@ class Model:
 
 def make_alpha_stepper(shs: CanonicalSHS, config: AlphaSchemeConfig) -> Callable:
     """The alpha-generating one-step map (z, h, dw) -> z_new on chart
-    coordinates, dw of shape (..., 1), clamped by ``config.truncation``: the
-    truncated generating function is for a single noise channel."""
+    coordinates, dw of shape (..., 1), clamped by ``config.truncation``."""
+    _one_channel(shs)
+    return lambda z, h, dw: alpha_step(shs, z, h, truncate_increments(dw, h, config.truncation)[..., 0], config)
+
+
+def _one_channel(shs: CanonicalSHS) -> None:
+    """The truncated generating function is for a single noise channel."""
     if shs.n_noise != 1:
         raise ValueError(f"alpha-generating schemes need a single noise channel, got {shs.n_noise}")
-    return lambda z, h, dw: alpha_step(shs, z, h, truncate_increments(dw, h, config.truncation)[..., 0], config)
 
 
 def alpha_scheme(model: Model, y0, config: AlphaSchemeConfig) -> Callable:
@@ -224,10 +228,11 @@ def alpha_path(model: Model, y0, config: AlphaSchemeConfig) -> Callable:
     ``sde.window_path`` in chart coordinates, with the increments truncated
     once per window.  The chart's inverse and the domain check run once per
     window, on all its states (a non-finite state fails the check too); a
-    window that fails is rerun with the :func:`alpha_scheme` step."""
+    window that fails is solved again one step per window, which is the
+    :func:`alpha_scheme` step."""
     chart, c = model.chart, model.chart.levels(y0)
     shs = model.shs(c)
-    step = poisson_integrator(chart, make_alpha_stepper(shs, config), c)
+    _one_channel(shs)
 
     def inverse(Z):
         ys = _from_chart(chart, Z, c)
@@ -241,7 +246,7 @@ def alpha_path(model: Model, y0, config: AlphaSchemeConfig) -> Callable:
             dw = truncate_increments(dw, h, config.truncation)[..., 0]
             return alpha_increment(shs, h, dw, config, chart.n, ndim)
 
-        return window_path(window, step, y, noise, config.tol, (lambda x: _to_chart(chart, x), inverse))
+        return window_path(window, y, noise, config.tol, (lambda x: _to_chart(chart, x), inverse))
 
     return path
 

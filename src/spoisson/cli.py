@@ -163,13 +163,12 @@ def build_setup(cfg: ExperimentConfig) -> Model:
     return model if y0 is None else replace(model, y0=np.asarray(y0, dtype=float))
 
 
-def _scheme(cfg: ExperimentConfig, model: Model, names: list[str], build=alpha_scheme):
-    """(key, scheme): the composed alpha scheme from the initial state for
-    every --alpha, built by ``build`` (``alpha_scheme`` steps, ``alpha_path``
-    solves a path), named by ``names``: one alpha's name, or the tuple of
-    names of a scheme that runs one block per alpha (see
-    ``sde.ms_error_many``).  Names must be distinct, as the output columns
-    they head."""
+def _scheme(cfg: ExperimentConfig, model: Model, names: list[str]):
+    """(key, config) of the composed alpha scheme for every --alpha, named by
+    ``names``: one alpha's name and its config, or the tuple of names of a
+    scheme that runs one block per alpha (see ``sde.ms_error_many``) and its
+    stacked config.  Names must be distinct, as the output columns they
+    head."""
     if model.chart is None:
         raise ValueError("custom system has no chart; only 'check' is available")
     for i, name in enumerate(names):
@@ -177,8 +176,7 @@ def _scheme(cfg: ExperimentConfig, model: Model, names: list[str], build=alpha_s
             raise ValueError(f"--alpha {cfg.alpha[names.index(name)]} and {cfg.alpha[i]} "
                              f"give the same column name {name!r}")
     stacked = len(cfg.alpha) > 1
-    config = _alpha_config(cfg, cfg.alpha if stacked else cfg.alpha[0])
-    return (tuple(names) if stacked else names[0]), build(model, model.y0, config)
+    return (tuple(names) if stacked else names[0]), _alpha_config(cfg, cfg.alpha if stacked else cfg.alpha[0])
 
 
 def _fmt(x: float) -> str:
@@ -218,20 +216,18 @@ def cmd_paths(cfg: ExperimentConfig) -> int:
         raise ValueError("paths needs an initial state y0")
     T = cfg.T if cfg.T is not None else model.default_T["paths"]
     grid = TimeGrid.from_step(T, _step(cfg, "paths"))
-    key, scheme = _scheme(cfg, model, [f"alpha={alpha:g}" for alpha in cfg.alpha], alpha_path)
-    stacked = isinstance(key, tuple)
+    key, config = _scheme(cfg, model, [f"alpha={alpha:g}" for alpha in cfg.alpha])
     result = experiments.paths_experiment(
         model.system,
-        scheme,
+        {key: alpha_path(model, model.y0, config)},
         model.y0,
         grid,
         cfg.seed,
         ref_factor=cfg.ref_factor,
         tol=cfg.tol,
-        stack=len(key) if stacked else None,
     )
     ys = [f"y{i + 1}" for i in range(model.system.dim)]
-    blocks = [f"{y}_{name}" for name in key for y in ys] if stacked else ys
+    blocks = [f"{y}_{name}" for name in key for y in ys] if isinstance(key, tuple) else ys
     header = ["t"] + blocks + [f"{y}_ref" for y in ys]
     states = result.states.reshape(len(result.times), -1)  # one column block per alpha
     rows = np.column_stack([result.times, states, result.reference])
@@ -255,8 +251,8 @@ def cmd_casimir(cfg: ExperimentConfig) -> int:
     T = cfg.T if cfg.T is not None else model.default_T["casimir"]
     grid = TimeGrid.from_step(T, _step(cfg, "casimir"))
     names = [f"casimir_scheme_alpha={alpha:g}" for alpha in cfg.alpha]
-    key, scheme = _scheme(cfg, model, names if len(names) > 1 else ["casimir_scheme"], alpha_path)
-    schemes = {key: scheme, "casimir_em": experiments.em_path(model.system)}
+    key, config = _scheme(cfg, model, names if len(names) > 1 else ["casimir_scheme"])
+    schemes = {key: alpha_path(model, model.y0, config), "casimir_em": experiments.em_path(model.system)}
     if model.name == "slv":
         schemes["casimir_iem"] = experiments.iem_path(model.system, tol=cfg.tol)
     result = experiments.casimir_experiment(model.system, schemes, model.y0, grid, cfg.seed)
@@ -280,7 +276,8 @@ def cmd_order(cfg: ExperimentConfig) -> int:
     if model.y0 is None:
         raise ValueError("order needs an initial state y0")
     T = cfg.T if cfg.T is not None else model.default_T["order"]
-    schemes = dict([_scheme(cfg, model, [f"alpha={alpha:g}" for alpha in cfg.alpha])])
+    key, config = _scheme(cfg, model, [f"alpha={alpha:g}" for alpha in cfg.alpha])
+    schemes = {key: alpha_scheme(model, model.y0, config)}
     if cfg.spherical:
         if model.name != "srb":
             raise ValueError("--spherical is only available for the srb system")

@@ -78,39 +78,45 @@ def iem_path(sys: PoissonSystem, tol: float = TOL) -> Callable:
     return lambda y0, noise: implicit_euler_maruyama_path(ito, y0, noise, tol)
 
 
-def _run(names, path: Callable, y0, noise) -> np.ndarray:
-    """path(y0, noise), a failure named by the output column(s) of the run."""
-    try:
-        return path(y0, noise)
-    except IntegrationError as exc:
-        raise IntegrationError(exc.step_index, exc.__cause__, column=",".join(names)) from exc.__cause__
+def _run(schemes: dict, y0, noise) -> dict:
+    """The states of each path solver of ``schemes`` (see
+    :func:`casimir_experiment`) from y0, per key, a tuple key's from a stack
+    of y0; a failed run is an IntegrationError naming its column(s)."""
+    out = {}
+    for key, path in schemes.items():
+        stacked = isinstance(key, tuple)
+        try:
+            out[key] = path(np.broadcast_to(y0, (len(key),) + np.shape(y0)) if stacked else y0, noise)
+        except IntegrationError as exc:
+            column = ",".join(key) if stacked else key
+            raise IntegrationError(exc.step_index, exc.__cause__, column=column) from exc.__cause__
+    return out
 
 
 @dataclass(frozen=True)
 class PathsResult:
     times: np.ndarray
-    states: np.ndarray      # (n_steps + 1, d), or (n_steps + 1, k, d) stacked: the scheme
+    states: np.ndarray      # (n_steps + 1, k, d): one block per name of the scheme keys, in order
     reference: np.ndarray   # (n_steps + 1, d), fine midpoint sampled on the grid
     ref_step: float
 
 
 def paths_experiment(
     sys: PoissonSystem,
-    scheme: Callable,
+    schemes: dict,
     y0,
     grid: TimeGrid,
     seed: int,
     ref_factor: int = 1000,
     tol: float = TOL,
-    stack: int | None = None,
 ) -> PathsResult:
-    """One sample path of the scheme and a coupled fine-midpoint reference.
+    """One sample path of each scheme and a coupled fine-midpoint reference.
 
-    ``scheme`` is a path solver (y0, noise) -> states.  The reference runs at
-    h / ref_factor, with ref_factor reduced so the total reference step count
-    is at most 10^6, and is solved a window of steps at a time
-    (``midpoint_path``).  A scheme stacked over ``stack`` alphas runs from y0
-    once per block, all on the one path, against the one reference.
+    ``schemes`` is keyed as in :func:`casimir_experiment`.  The reference
+    runs at h / ref_factor, with ref_factor reduced so the total reference
+    step count is at most 10^6, and is solved a window of steps at a time
+    (``midpoint_path``).  Every scheme runs on the one path, against the one
+    reference.
     """
     if ref_factor < 1:
         raise ValueError(f"ref_factor must be >= 1, got {ref_factor}")
@@ -118,10 +124,10 @@ def paths_experiment(
     fine_grid = TimeGrid(grid.t0, grid.T, grid.n_steps * ref_factor)
     fine = sample_increments(fine_grid, sys.n_noise, seed)
     reference = midpoint_path(sys, y0, fine, tol)
-    start = y0 if stack is None else np.broadcast_to(y0, (stack,) + np.shape(y0))
+    runs = _run(schemes, y0, coarsen(fine, ref_factor))
     return PathsResult(
         times=grid.times(),
-        states=scheme(start, coarsen(fine, ref_factor)),
+        states=np.concatenate([s if isinstance(k, tuple) else s[:, None] for k, s in runs.items()], axis=1),
         reference=reference[::ref_factor],
         ref_step=fine_grid.h,
     )
@@ -149,13 +155,9 @@ def casimir_experiment(
     that names its column(s)."""
     noise = sample_increments(grid, sys.n_noise, seed)
     columns = {}
-    for key, scheme in schemes.items():
-        stacked = isinstance(key, tuple)
-        names = key if stacked else (key,)
-        start = np.broadcast_to(y0, (len(key),) + np.shape(y0)) if stacked else y0
-        states = _run(names, scheme, start, noise)
+    for key, states in _run(schemes, y0, noise).items():
         C = np.stack([casimir.value(states) for casimir in sys.casimirs], axis=-1)  # (n_steps + 1, [k,] l)
-        columns.update(zip(names, np.moveaxis(C, 1, 0) if stacked else [C]))
+        columns.update(zip(key, np.moveaxis(C, 1, 0)) if isinstance(key, tuple) else [(key, C)])
     return CasimirResult(times=grid.times(), columns=columns)
 
 

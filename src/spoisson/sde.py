@@ -177,7 +177,7 @@ def midpoint_step(system, y, h: float, dw, tol: float = TOL):
 WINDOW_SPAN = 0.1
 
 
-def window_path(window: Callable, step: Callable, y0, noise: WienerIncrements, tol: float = TOL,
+def window_path(window: Callable, y0, noise: WienerIncrements, tol: float = TOL,
                 coords: tuple[Callable, Callable] | None = None) -> np.ndarray:
     """The states (n_steps + 1, ..., D) of an implicit one-step map
     y_{j+1} = y_j + D_j(y_j, y_{j+1}) over noise.grid from y0 (..., D), for
@@ -185,9 +185,8 @@ def window_path(window: Callable, step: Callable, y0, noise: WienerIncrements, t
 
     ``window(h, dw)`` builds a window's increment map (prev, Y) -> D from its
     noise values dw (W, m); prev and Y (..., W, d) hold every step's start
-    and end.  ``step(y, h, dw)`` solves one step of the same equation alone.
-    ``coords``, if given, is a pair (forward, inverse) of maps from states
-    (..., D) to the iterated coordinates (..., d) and from a window's
+    and end.  ``coords``, if given, is a pair (forward, inverse) of maps from
+    states (..., D) to the iterated coordinates (..., d) and from a window's
     coordinates (..., W, d) back to its states, the inverse raising a
     StepError for a state it rejects; without it the states are iterated.
 
@@ -198,9 +197,10 @@ def window_path(window: Callable, step: Callable, y0, noise: WienerIncrements, t
     with the window's start y_s as its first row, through :func:`fixed_point`
     on the window flattened to (..., W d), so each row of the leading axes
     stops when every entry of its window has converged.  A window whose
-    forward map, sweep or inverse raises a :class:`StepError` is rerun step
-    by step with ``step``, so a real failure is the step-by-step one, with
-    its step index; the forward map then runs again at the next window.
+    forward map, sweep or inverse raises a :class:`StepError` is solved
+    again as windows of one step, each from its own state's forward map and
+    with the caller's warnings on, which is the one-step map itself: a real
+    failure is IntegrationError(j, ...) at the first step j that raises.
     """
     y = np.asarray(y0, dtype=float)
     n, h = noise.grid.n_steps, noise.grid.h
@@ -208,21 +208,24 @@ def window_path(window: Callable, step: Callable, y0, noise: WienerIncrements, t
     forward, inverse = coords or (_same, _same)
     states = np.empty((n + 1,) + y.shape)
     states[0] = y
+
+    def solve(s, k, z):
+        """Steps s .. s + k - 1 into ``states``, from the start's coordinates
+        z (None: its forward map); the end's coordinates."""
+        Z = _sweep(window(h, noise.values[s : s + k]), forward(states[s]) if z is None else z, k, tol)
+        states[s + 1 : s + 1 + k] = np.moveaxis(inverse(Z), -2, 0)
+        return Z[..., -1, :]
+
     z = None  # the window's start in the iterated coordinates
     for s in range(0, n, size):
-        dw = noise.values[s : s + size]
-        k = len(dw)
+        k = min(size, n - s)
         try:
-            with np.errstate(all="ignore"):  # a failed window is rerun, warnings and all
-                if z is None:
-                    z = forward(states[s])
-                Z = _sweep(window(h, dw), z, k, tol)
-                states[s + 1 : s + 1 + k] = np.moveaxis(inverse(Z), -2, 0)
-            z = Z[..., -1, :]
+            with np.errstate(all="ignore"):  # a failed window is solved again, warnings and all
+                z = solve(s, k, z)
         except StepError:
             for j in range(s, s + k):
                 try:
-                    states[j + 1] = step(states[j], h, noise.values[j])
+                    solve(j, 1, None)
                 except Exception as exc:
                     raise IntegrationError(j, exc) from exc
             z = None
@@ -256,42 +259,28 @@ def midpoint_path(system, y0, noise: WienerIncrements, tol: float = TOL) -> np.n
         increment = system.increment_map(h, dw)
         return lambda prev, Y: increment(0.5 * (prev + Y))
 
-    return window_path(window, lambda y, h, dw: midpoint_step(system, y, h, dw, tol), y0, noise, tol)
+    return window_path(window, y0, noise, tol)
 
 
 def implicit_euler_maruyama_step(sde: SDE, y, h: float, dw, tol: float = TOL):
-    """Drift-implicit, diffusion-explicit Euler; reads the fields as Ito
-    coefficients."""
+    """Drift-implicit, diffusion-explicit Euler
+    y_new = y + (h a(y_new) + sum_r b_r(y) dW_r), the noise term evaluated
+    once; reads the fields as Ito coefficients."""
     y = np.asarray(y, dtype=float)
-    dw = np.asarray(dw, dtype=float)
-    noise = np.zeros_like(y)
-    for r, b in enumerate(sde.diffusions):
-        noise = noise + b(y) * dw[..., r, None]
+    noise = _noise(sde, y, np.asarray(dw, dtype=float))
+    return fixed_point(lambda ynew: y + (h * sde.drift(ynew) + noise), y, tol, MAX_ITER)
 
-    def update(ynew):
-        return y + h * sde.drift(ynew) + noise
 
-    return fixed_point(update, y, tol, MAX_ITER)
+def _noise(sde: SDE, y, dw):
+    """sum_r b_r(y) dW_r for noise values dw (..., m)."""
+    return sum(b(y) * dw[..., r, None] for r, b in enumerate(sde.diffusions))
 
 
 def implicit_euler_maruyama_path(sde: SDE, y0, noise: WienerIncrements, tol: float = TOL) -> np.ndarray:
     """The states of :func:`implicit_euler_maruyama_step` over noise.grid,
     (n_steps + 1, ..., d): :func:`window_path` with
     D = h a(Y) + sum_r b_r(prev) dW_r."""
-
-    def window(h, dw):
-        columns = [dw[..., r, None] for r in range(len(sde.diffusions))]
-
-        def increment(prev, Y):
-            out = h * sde.drift(Y)
-            for b, col in zip(sde.diffusions, columns):
-                out = out + b(prev) * col
-            return out
-
-        return increment
-
-    step = lambda y, h, dw: implicit_euler_maruyama_step(sde, y, h, dw, tol)
-    return window_path(window, step, y0, noise, tol)
+    return window_path(lambda h, dw: lambda prev, Y: h * sde.drift(Y) + _noise(sde, prev, dw), y0, noise, tol)
 
 
 def integrate(stepper: Callable, y0, noise: WienerIncrements) -> np.ndarray:

@@ -10,6 +10,7 @@ from spoisson import canonical as canonical_module
 from spoisson import sde as sde_module
 from spoisson.alpha_gf import AlphaSchemeConfig
 from spoisson.canonical import (
+    CanonicalSHS,
     Chart,
     alpha_path,
     alpha_scheme,
@@ -336,6 +337,16 @@ def test_alpha_path_solves_windows_without_stepping(monkeypatch):
     model = rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0)
     alpha_path(model, model.y0, AlphaSchemeConfig(0.0))(model.y0, sample_increments(TimeGrid(0.0, 0.3, 300), 1, 3))
     assert calls == [(200,)] * 3
+
+
+def test_alpha_path_needs_a_single_noise_channel_and_builds_no_stepper(monkeypatch):
+    monkeypatch.setattr(canonical_module, "make_alpha_stepper", None)
+    monkeypatch.setattr(canonical_module, "poisson_integrator", None)
+    model = rb.model(rb.REFERENCE_PARAMS, rb.REFERENCE_Y0)
+    alpha_path(model, model.y0, AlphaSchemeConfig(0.5))
+    two = replace(model, shs=lambda c: CanonicalSHS(model.shs(c).hamiltonians * 2))  # H0, H1, H0, H1
+    with pytest.raises(ValueError, match="alpha-generating schemes need a single noise channel, got 3"):
+        alpha_path(two, model.y0, AlphaSchemeConfig(0.5))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, (0.0, 0.5, 1.0)])

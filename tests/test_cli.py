@@ -481,6 +481,16 @@ def test_casimir_numerical_failure_names_the_column(capsys):
     )
 
 
+@pytest.mark.parametrize("alphas, column", [([], "alpha=0"), (["--alpha", "0,0.5,1"], "alpha=0,alpha=0.5,alpha=1")],
+                         ids=["one", "stack"])
+def test_paths_numerical_failure_names_the_column(alphas, column, capsys):
+    assert main(["paths", "--system", "slv", "--h", "0.5", "--T", "1", *alphas]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        f"numerical failure: {column}: stepper failed at step 0: "
+        "no convergence within 100 iterations (residual 2.373e+00)\n"
+    )
+
+
 def test_stacked_casimir_failure_names_the_stack(capsys):
     argv = ["casimir", "--system", "srb", "--param", "y0=70.71067811865476,70.71067811865476,0",
             "--alpha", "0,1", "--T", "0.1"]

@@ -144,7 +144,7 @@ def test_alpha_scheme_tracks_reference_path():
         AlphaSchemeConfig(alpha=0.5),
     )
     result = paths_experiment(
-        rb.system(rb.REFERENCE_PARAMS), scheme, rb.REFERENCE_Y0, grid, seed=4, ref_factor=50
+        rb.system(rb.REFERENCE_PARAMS), {"alpha=0.5": scheme}, rb.REFERENCE_Y0, grid, seed=4, ref_factor=50
     )
     assert np.max(np.abs(result.states[-1] - result.reference[-1])) < 5e-2
 

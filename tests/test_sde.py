@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spoisson.canonical import j_inverse
+from spoisson.alpha_gf import AlphaSchemeConfig
+from spoisson.canonical import alpha_path, alpha_scheme, j_inverse
 from spoisson import sde as sde_module
 from spoisson.custom import load_custom_system
 from spoisson.experiments import iem_path, iem_stepper, reference_stepper
@@ -219,11 +220,77 @@ def test_midpoint_path_solves_windows_without_stepping(monkeypatch):
     assert calls == [(300,)] * 3
 
 
-def test_one_step_window_is_midpoint_step():
-    system = rb.system(rb.REFERENCE_PARAMS)
-    noise = sample_increments(TimeGrid(0.0, 0.01, 1), 1, 5)
-    path = midpoint_path(system, rb.REFERENCE_Y0, noise)
-    assert np.array_equal(path[1], midpoint_step(system, rb.REFERENCE_Y0, 0.01, noise.values[0]))
+_ALPHAS = {"alpha=0": 0.0, "alpha=0.5": 0.5, "alpha=1": 1.0, "alpha=stack": (0.0, 0.5, 1.0)}
+_SCHEMES = ["midpoint", "iem", *_ALPHAS]
+
+
+def _path_and_step(scheme, name):
+    """(path solver, one-step map, start, size of the iterated coordinates)
+    of a scheme on the srb or slv model; the stack starts from (3, d)."""
+    mod = {"srb": rb, "slv": lv}[name]
+    model = mod.model(mod.REFERENCE_PARAMS, mod.REFERENCE_Y0)
+    system, y0 = model.system, model.y0
+    if scheme == "midpoint":
+        return (lambda y, noise: midpoint_path(system, y, noise)), reference_stepper(system), y0, 3
+    if scheme == "iem":
+        return iem_path(system), iem_stepper(system), y0, 3
+    config = AlphaSchemeConfig(_ALPHAS[scheme])
+    start = np.broadcast_to(y0, (3, 3)) if scheme == "alpha=stack" else y0
+    return alpha_path(model, y0, config), alpha_scheme(model, y0, config), start, 2
+
+
+@pytest.mark.parametrize("name", ["srb", "slv"])
+@pytest.mark.parametrize("scheme", _SCHEMES)
+def test_one_step_window_is_the_step(scheme, name):
+    path, step, y0, _ = _path_and_step(scheme, name)
+    for seed in range(20):
+        noise = sample_increments(TimeGrid(0.0, 0.01, 1), 1, seed)
+        assert np.array_equal(path(y0, noise)[1], step(y0, 0.01, noise.values[0]))
+
+
+@pytest.mark.parametrize("name", ["srb", "slv"])
+@pytest.mark.parametrize("scheme", _SCHEMES)
+def test_path_whose_long_windows_all_fail_is_the_stepped_path(scheme, name, monkeypatch):
+    # Every window longer than one step raises, so each of the five windows
+    # of 10 steps is solved again one step per window.
+    path, step, y0, d = _path_and_step(scheme, name)
+    solve, failed = sde_module.fixed_point, []
+
+    def long_windows_fail(update, x0, tol, max_iter):
+        if x0.shape[-1] > d:
+            failed.append(x0.shape)
+            raise NonConvergenceError("window refused", 1.0)
+        return solve(update, x0, tol, max_iter)
+
+    monkeypatch.setattr(sde_module, "fixed_point", long_windows_fail)
+    noise = sample_increments(TimeGrid(0.0, 0.5, 50), 1, 7)
+    assert np.array_equal(path(y0, noise), integrate(step, y0, noise))
+    assert len(failed) == 5
+
+
+@pytest.mark.parametrize("path, step, index", [
+    (midpoint_path, midpoint_step, 37),
+    (implicit_euler_maruyama_path, implicit_euler_maruyama_step, 38),
+], ids=["midpoint", "iem"])
+def test_rerun_step_that_raises_any_error_is_an_integration_error_at_that_step(path, step, index):
+    # y' = sqrt(y) dW: the increment -5 of step 37 (inside the window of
+    # steps 30-39) takes the midpoint below 0, and implicit EM's next state.
+    # The window's sweep turns NaN, a DivergenceError, and the step that
+    # takes a square root of a negative number then raises a
+    # FloatingPointError under the caller's settings.
+    sde = SDE(lambda y: np.zeros_like(y), (np.sqrt,))
+    values = np.full((100, 1), 0.01)
+    values[37] = -5.0
+    noise = WienerIncrements(TimeGrid(0.0, 1.0, 100), values)
+    y0 = np.array([1.0])
+    with np.errstate(invalid="raise"):
+        with pytest.raises(IntegrationError) as stepped:
+            integrate(lambda y, h, dw: step(sde, y, h, dw), y0, noise)
+        with pytest.raises(IntegrationError) as windowed:
+            path(sde, y0, noise)
+    assert windowed.value.step_index == stepped.value.step_index == index
+    assert type(windowed.value.__cause__) is FloatingPointError
+    assert str(windowed.value) == str(stepped.value)
 
 
 def test_midpoint_path_failure_is_the_stepping_failure():
@@ -649,4 +716,4 @@ def test_reference_runs_reject_ref_factor_below_one(ref_factor):
     with pytest.raises(ValueError, match=match):
         ms_error_many({"s": step}, step, 1, rb.REFERENCE_Y0, 0.08, [0.01], 2, 0, ref_factor=ref_factor)
     with pytest.raises(ValueError, match=match):
-        paths_experiment(sys, step, rb.REFERENCE_Y0, TimeGrid(0.0, 0.08, 8), 0, ref_factor=ref_factor)
+        paths_experiment(sys, {"s": step}, rb.REFERENCE_Y0, TimeGrid(0.0, 0.08, 8), 0, ref_factor=ref_factor)
